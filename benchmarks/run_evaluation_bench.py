@@ -38,10 +38,10 @@ Compares, on q_9's compiled d-D lineage and on grounding workloads:
   (``serving_backends_identical``).
 
 * **sampling** (PR 5): the vectorized sampling engine for #P-hard
-  queries — scalar vs vectorized Karp–Luby and Monte-Carlo samples/sec
-  on a ≥ 1k-tuple hard instance, the numpy-vs-pure-Python
-  ``draws_identical`` gate, and budget-adaptive vs fixed-count sample
-  economics (run in CI under ``PYTHONHASHSEED=0``).
+  queries — Karp–Luby and Monte-Carlo samples/sec on a ≥ 1k-tuple hard
+  instance, the ``draws_identical`` gate (vector draws equal the scalar
+  definition ``_py_uniform_below``), and budget-adaptive vs fixed-count
+  sample economics (run in CI under ``PYTHONHASHSEED=0``).
 
 * **resilience** (PR 6): sustained overload under injected faults — an
   under-provisioned service flooded with deadline-carrying mixed-route
@@ -962,10 +962,13 @@ def bench_extensional(n=19, batch_size=256, suite_size=16, repeats=3):
         suite_seed_identical = suite_seed_identical and (
             lifted == seed_extensional_probability(suite_query, suite_tid)
         )
+    kernels = [
+        kernel for _, union in plan.root.terms for kernel in union.parts
+    ]
     return {
         "tuples": len(tid),
-        "distinct_runs": len(plan.runs),
-        "run_references": sum(len(ids) for _, ids in plan.terms),
+        "distinct_runs": len(set(kernels)),
+        "run_references": len(kernels),
         "seed_exact_ms": seed_seconds * 1e3,
         "vectorized_exact_ms": vector_seconds * 1e3,
         "vectorized_float_ms": float_seconds * 1e3,
@@ -1142,41 +1145,38 @@ def bench_lifted(
     }
 
 
-def bench_sampling(
-    n=18,
-    vector_samples=4000,
-    scalar_kl_samples=200,
-    scalar_mc_samples=30,
-    repeats=3,
-):
-    """The vectorized sampling engine vs the scalar samplers (PR 5).
+def bench_sampling(n=18, vector_samples=4000, repeats=3):
+    """The vectorized sampling engine (PR 5).
 
     On the canonical hard family (``H_3 = h_0 ∨ ... ∨ h_3`` over a
     complete instance of ``2n + 3n^2`` >= 1k tuples, every probability
     1/2 — #P-hard, far beyond brute force):
 
-    * ``*_karp_luby_sps`` — samples/second of the scalar
-      (incidence-fixed) ``karp_luby_probability`` vs the vectorized
-      counter-stream sampler;
-    * ``*_monte_carlo_sps`` — the same for Monte Carlo (the scalar
-      re-grounds the query per sampled world; the vectorized path runs
-      the clause-incidence bit-matrix);
-    * ``draws_identical`` — the numpy path and the pure-Python fallback
-      of the vectorized engine produce the same world matrix and the
-      same fixed-seed estimate (a correctness gate, not a timing);
+    * ``vectorized_karp_luby_sps`` — samples/second of the
+      counter-stream Karp–Luby sampler;
+    * ``vectorized_monte_carlo_sps`` — the same for Monte Carlo (the
+      clause-incidence bit-matrix over the world matrix);
+    * ``draws_identical`` — the vector draws behind the world matrix and
+      the clause selection equal the scalar definition
+      ``_py_uniform_below`` cell by cell (a correctness gate, not a
+      timing);
     * ``adaptive_*`` — budget-adaptive estimation: the adaptive run must
       meet the budget's (scale-relative) half-width with no more samples
       than the fixed-count worst case, and — the stream's prefix
       property — agree bit-for-bit with a fixed run of the same length
       (``adaptive_prefix_identical``).
     """
-    from repro.db.tid import WorldSampler
+    from repro.db.tid import (
+        DrawStream,
+        WorldSampler,
+        _py_uniform_below,
+        _stream_base,
+    )
     from repro.pqe.approximate import (
+        CLAUSE_LANE,
         AccuracyBudget,
         SamplingPlan,
         half_width,
-        karp_luby_probability,
-        monte_carlo_probability,
     )
 
     phi = BooleanFunction.bottom(4)
@@ -1190,33 +1190,33 @@ def bench_sampling(
     vector_kl_seconds = _best_of(
         lambda: plan.run_fixed(vector_samples, seed=1), repeats
     )
-    scalar_kl_seconds = _best_of(
-        lambda: karp_luby_probability(
-            query, tid, scalar_kl_samples, random.Random(1)
-        ),
-        1,
-    )
     mc_plan = SamplingPlan(query, tid, engine="monte_carlo")
     vector_mc_seconds = _best_of(
         lambda: mc_plan.run_fixed(vector_samples, seed=1), repeats
     )
-    scalar_mc_seconds = _best_of(
-        lambda: monte_carlo_probability(
-            query, tid, scalar_mc_samples, random.Random(1)
-        ),
-        1,
-    )
 
-    # Backend equality: the correctness claim behind the speedup.
-    sampler = WorldSampler(
-        [tid.probability_of(t) for t in tid.instance.tuple_ids()], seed=9
-    )
-    matrix_numpy = sampler.sample(0, 96, use_numpy=True)
-    matrix_python = sampler.sample(0, 96, use_numpy=False)
+    # The vector draws equal the scalar definition, cell by cell.
+    probabilities = [tid.probability_of(t) for t in tid.instance.tuple_ids()]
+    world_base = _stream_base(9, 0)
+    reference_worlds = [
+        [
+            int(
+                _py_uniform_below(
+                    world_base, s * len(probabilities) + t, p.denominator
+                )
+                < p.numerator
+            )
+            for t, p in enumerate(probabilities)
+        ]
+        for s in range(96)
+    ]
+    total = plan._cumulative[-1]
+    clause_base = _stream_base(9, CLAUSE_LANE)
     draws_identical = (
-        matrix_numpy.tolist() == matrix_python
-        and plan.run_fixed(512, seed=9, use_numpy=True)
-        == plan.run_fixed(512, seed=9, use_numpy=False)
+        WorldSampler(probabilities, seed=9).sample(0, 96).tolist()
+        == reference_worlds
+        and DrawStream(9, CLAUSE_LANE).below(total, 0, 512).tolist()
+        == [_py_uniform_below(clause_base, i, total) for i in range(512)]
     )
 
     budget = AccuracyBudget(epsilon=0.02, min_samples=100, seed=1)
@@ -1244,18 +1244,8 @@ def bench_sampling(
         "tuples": len(tid),
         "clauses": len(plan._structure.clauses),
         "vector_samples": vector_samples,
-        "scalar_karp_luby_sps": scalar_kl_samples / scalar_kl_seconds,
         "vectorized_karp_luby_sps": vector_samples / vector_kl_seconds,
-        "karp_luby_speedup": (
-            (vector_samples / vector_kl_seconds)
-            / (scalar_kl_samples / scalar_kl_seconds)
-        ),
-        "scalar_monte_carlo_sps": scalar_mc_samples / scalar_mc_seconds,
         "vectorized_monte_carlo_sps": vector_samples / vector_mc_seconds,
-        "monte_carlo_speedup": (
-            (vector_samples / vector_mc_seconds)
-            / (scalar_mc_samples / scalar_mc_seconds)
-        ),
         "draws_identical": draws_identical,
         "adaptive_prefix_identical": (
             adaptive.value == replay.value

@@ -64,16 +64,16 @@ def main() -> None:
             print(f"  {name} refused: {reason}")
 
     # Approximation proceeds regardless of hardness.
-    print("\nestimates on the large instance (scalar samplers):")
+    print("\nfixed-count estimates on the large instance (seeded from rng):")
     mc = monte_carlo_probability(query, large, samples=400, rng=rng)
     kl = karp_luby_probability(query, large, samples=400, rng=rng)
     print(f"  monte carlo: {mc.value:.4f} ± {mc.half_width:.4f}")
     print(f"  karp–luby:   {kl.value:.4f} ± {kl.half_width:.4f}")
 
-    # The vectorized engine: pass an accuracy budget and the auto facade
-    # routes the hard query to the batched budget-adaptive sampler
-    # instead of refusing.  Sampling stops as soon as the half-width
-    # target is met — compare samples drawn with the fixed worst case.
+    # Pass an accuracy budget and the auto facade routes the hard query
+    # to the same sampling engine, budget-adaptive, instead of refusing.
+    # Sampling stops as soon as the half-width target is met — compare
+    # samples drawn with the fixed worst case.
     budget = AccuracyBudget(epsilon=0.02, min_samples=100, seed=7)
     result = evaluate(query, large, budget=budget)
     estimate = result.estimate

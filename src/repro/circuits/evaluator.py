@@ -19,8 +19,7 @@ sensitivity sweeps, Monte-Carlo batches over many probability maps):
   arithmetic (a statement per live gate), so a pass costs bytecode only;
 * :meth:`EvaluationTape.evaluate_batch` — batched probability: ``B``
   probability maps are evaluated in one sweep by running the generated
-  function over per-slot vectors (numpy rows when numpy is importable, a
-  pure-Python per-map loop otherwise).
+  function over per-slot numpy rows.
 
 Tapes are immutable; :func:`tape_for` memoizes them per circuit (weakly,
 keyed by the circuit's append-only fingerprint), so repeated evaluation
@@ -35,12 +34,9 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
 
-from repro.circuits.circuit import Circuit, GateKind
+import numpy as _np
 
-try:  # numpy is optional: the batch backend falls back to pure Python.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via _batch_fallback
-    _np = None
+from repro.circuits.circuit import Circuit, GateKind
 
 Number = Fraction | float
 
@@ -350,9 +346,8 @@ class EvaluationTape:
 
         Pass either ``probs`` (one mapping per batch member) or ``matrix``
         (one row of floats per *slot*, each of the batch length — the
-        transposed layout the backend consumes directly).  With numpy the
-        generated function runs once over per-slot vectors; without it
-        each batch member is one compiled-function call.
+        transposed layout the backend consumes directly).  The generated
+        function runs once over per-slot numpy vectors.
         """
         if (probs is None) == (matrix is None):
             raise ValueError("pass exactly one of probs= or matrix=")
@@ -415,52 +410,36 @@ class EvaluationTape:
         """The circuit's *Boolean* value on a batch of 0/1 slot rows.
 
         ``worlds`` is a ``samples × slots`` 0/1 matrix (numpy array or
-        sequence of rows), one possible world per row.  Unlike the
-        probability backends — whose ∨-as-sum is only meaningful on
-        deterministic circuits — this evaluates honest Boolean semantics
-        (∧ = all, ∨ = any, ¬ = complement), so it computes the exact
-        indicator of *any* circuit, non-deterministic DNF lineages
-        included.  That is what the Monte-Carlo route of
+        anything :func:`numpy.asarray` reads as one), one possible world
+        per row.  Unlike the probability backends — whose ∨-as-sum is
+        only meaningful on deterministic circuits — this evaluates honest
+        Boolean semantics (∧ = all, ∨ = any, ¬ = complement), so it
+        computes the exact indicator of *any* circuit, non-deterministic
+        DNF lineages included.  That is what the Monte-Carlo route of
         :mod:`repro.pqe.approximate` needs: the lineage circuit of a
         #P-hard query is never a d-D, but its indicator on a sampled
         world is still one tape sweep.
 
         The batch is evaluated as big-int bitmasks (bit ``s`` of a gate's
-        value is its truth in world ``s``): one Python int op per gate
-        covers the whole batch, independent of numpy — with numpy input
-        the columns are bit-packed via ``np.packbits`` first.
+        value is its truth in world ``s``): the columns are bit-packed via
+        ``np.packbits``, then one Python int op per gate covers the whole
+        batch.
         """
         output = self._output()
-        if _np is not None and isinstance(worlds, _np.ndarray):
-            samples = int(worlds.shape[0])
-            if samples and worlds.shape[1] != len(self.var_labels):
-                raise ValueError(
-                    f"world rows of width {worlds.shape[1]}; the tape "
-                    f"has {len(self.var_labels)} variable slots"
-                )
-            packed = _np.packbits(
-                worlds.astype(_np.uint8), axis=0, bitorder="little"
-            )
-            masks = [
-                int.from_bytes(packed[:, slot].tobytes(), "little")
-                for slot in range(len(self.var_labels))
-            ]
-        else:
-            rows = list(worlds)
-            samples = len(rows)
-            masks = [0] * len(self.var_labels)
-            for s, row in enumerate(rows):
-                if len(row) != len(self.var_labels):
-                    raise ValueError(
-                        f"world row of width {len(row)}; the tape has "
-                        f"{len(self.var_labels)} variable slots"
-                    )
-                bit = 1 << s
-                for slot, value in enumerate(row):
-                    if value:
-                        masks[slot] |= bit
+        worlds = _np.asarray(worlds, dtype=_np.uint8)
+        samples = len(worlds)
         if samples == 0:
             return []
+        if worlds.ndim != 2 or worlds.shape[1] != len(self.var_labels):
+            raise ValueError(
+                f"world rows of shape {worlds.shape[1:]}; the tape has "
+                f"{len(self.var_labels)} variable slots"
+            )
+        packed = _np.packbits(worlds, axis=0, bitorder="little")
+        masks = [
+            int.from_bytes(packed[:, slot].tobytes(), "little")
+            for slot in range(len(self.var_labels))
+        ]
         full = (1 << samples) - 1
         opcodes = self.opcodes
         operands = self.operands
@@ -498,25 +477,15 @@ class EvaluationTape:
         backend of :meth:`evaluate_batch` and :meth:`evaluate_vectors`)."""
         if batch_size == 0:
             return []
-        fn = self._compiled()
-        if _np is not None:
-            stacked = (
-                _np.array(rows, dtype=float)
-                if rows
-                else _np.empty((0, batch_size))
-            )
-            result = fn(stacked)
-            if _np.ndim(result) == 0:  # constant output: broadcast
-                return [float(result)] * batch_size
-            return [float(x) for x in result]
-        return self._batch_fallback(fn, rows, batch_size)
-
-    @staticmethod
-    def _batch_fallback(fn, rows, batch_size):
-        """Pure-Python batch: one compiled pass per batch member."""
-        return [
-            float(fn([row[b] for row in rows])) for b in range(batch_size)
-        ]
+        stacked = (
+            _np.array(rows, dtype=float)
+            if rows
+            else _np.empty((0, batch_size))
+        )
+        result = self._compiled()(stacked)
+        if _np.ndim(result) == 0:  # constant output: broadcast
+            return [float(result)] * batch_size
+        return [float(x) for x in result]
 
     def _compiled(self):
         if self._float_fn is None:

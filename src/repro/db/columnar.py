@@ -14,10 +14,10 @@ module materializes, once per TID, the *columns* those scans consume:
   tuples hold probability 0, matching the evaluator's convention), so
   grouping by ``x`` is a row, by ``y`` a column, and by ``(x, y)`` an
   element;
-* two numeric encodings of every column: ``float`` arrays (numpy when
-  importable, plain lists otherwise) for the vectorized backend, and
-  integer numerators over one shared common denominator ``D`` for the
-  exact backend — the same integer common-denominator trick
+* two numeric encodings of every column: numpy ``float`` arrays for the
+  vectorized backend, and integer numerators over one shared common
+  denominator ``D`` for the exact backend — the same integer
+  common-denominator trick
   :meth:`repro.circuits.evaluator.EvaluationTape.evaluate` uses, with
   the same 64-bit guard (``denominator`` is ``None`` beyond it and the
   exact caller falls back to :class:`~fractions.Fraction` arithmetic).
@@ -45,13 +45,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as _np
+
 from repro.db.relation import Instance, TupleId
 from repro.db.tid import TupleIndependentDatabase
-
-try:  # numpy is optional: the float columns fall back to plain lists.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
 
 #: Common denominators above this many bits disable the exact integer
 #: encoding (mirrors ``EvaluationTape._evaluate_common_denominator``).
@@ -151,10 +148,9 @@ class HColumns:
     """A filled columnar view: the layout plus probability columns in
     both numeric encodings.
 
-    Float columns (always present): ``r_float`` over ``xs``, ``t_float``
-    over ``ys``, ``s_float[i-1]`` an ``nx x ny`` grid for ``S_i`` — numpy
-    arrays when numpy is importable, nested lists otherwise (``s_float``
-    rows are then per-``x`` lists).
+    Float columns (always present): numpy arrays ``r_float`` over ``xs``,
+    ``t_float`` over ``ys``, and ``s_float[i-1]`` an ``nx x ny`` grid for
+    ``S_i``.
 
     Exact columns (present when every ``pi`` shares a common denominator
     ``D`` of at most :data:`EXACT_DENOMINATOR_BITS` bits): integer
@@ -215,25 +211,12 @@ class HColumns:
             self.r_num = self.t_num = None
             self.s_num = None
 
-        if _np is not None:
-            self.r_float = _np.array([float(p) for p in r_prob], dtype=float)
-            self.t_float = _np.array([float(p) for p in t_prob], dtype=float)
-            self.s_float = [
-                _np.array([float(p) for p in column], dtype=float).reshape(
-                    nx, ny
-                )
-                for column in s_prob
-            ]
-        else:
-            self.r_float = [float(p) for p in r_prob]
-            self.t_float = [float(p) for p in t_prob]
-            self.s_float = [
-                [
-                    [float(column[x * ny + y]) for y in range(ny)]
-                    for x in range(nx)
-                ]
-                for column in s_prob
-            ]
+        self.r_float = _np.array([float(p) for p in r_prob], dtype=float)
+        self.t_float = _np.array([float(p) for p in t_prob], dtype=float)
+        self.s_float = [
+            _np.array([float(p) for p in column], dtype=float).reshape(nx, ny)
+            for column in s_prob
+        ]
 
 
 @dataclass(frozen=True)
@@ -376,7 +359,7 @@ def relation_probability_columns(
     key_positions: tuple[int, ...],
 ) -> dict:
     """The filled generalized columnar view: per-group float probability
-    columns (numpy arrays when importable) for the facts of ``relation``
+    columns (numpy arrays) for the facts of ``relation``
     grouped by ``key_positions`` — the kernel input of the lifted IR's
     vectorized projections.  The fill is memoized on the TID against
     ``(instance versions, probability version)``, exactly like the
@@ -392,18 +375,10 @@ def relation_probability_columns(
         return entry[1]
     layout = relation_grouping_layout(tid.instance, relation, key_positions)
     probability_of = tid.probability_of
-    if _np is not None:
-        filled = {
-            key: _np.array(
-                [float(probability_of(t)) for t in ids], dtype=float
-            )
-            for key, ids in layout.items()
-        }
-    else:
-        filled = {
-            key: [float(probability_of(t)) for t in ids]
-            for key, ids in layout.items()
-        }
+    filled = {
+        key: _np.array([float(probability_of(t)) for t in ids], dtype=float)
+        for key, ids in layout.items()
+    }
     cache[(relation, key_positions)] = (version_key, filled)
     return filled
 

@@ -10,17 +10,17 @@ compared with exact equality in tests.
 Sampling lives here too, in two forms:
 
 * :func:`exact_bernoulli` + :meth:`TupleIndependentDatabase.sample_world` —
-  one world at a time off a ``random.Random`` (the scalar samplers of
-  :mod:`repro.pqe.approximate` and their fixed-seed regression tests);
+  one world at a time off a ``random.Random``;
 * :class:`WorldSampler` / :class:`DrawStream` — the batched counter-based
-  draw stream of the vectorized sampling engine: every draw is addressed
-  by an absolute ``(lane, index)`` counter and produced by a SplitMix64
-  word generator plus top-bits rejection, so the numpy path and the
-  pure-Python fallback emit *bit-identical* integers, draws never shift
-  when neighbors are skipped, and a growing sample prefix is stable under
-  any wave schedule.  Exact-integer-draw semantics per tuple are
-  preserved: a draw for probability ``p = a/q`` is a uniform integer
-  below ``q`` compared against ``a`` — zero float bias, like
+  draw stream of the sampling engine: every draw is addressed by an
+  absolute ``(lane, index)`` counter and produced by a SplitMix64 word
+  generator plus top-bits rejection, so the numpy vector path emits
+  exactly the integers of the scalar definition
+  :func:`_py_uniform_below`, draws never shift when neighbors are
+  skipped, and a growing sample prefix is stable under any wave
+  schedule.  Exact-integer-draw semantics per tuple are preserved: a
+  draw for probability ``p = a/q`` is a uniform integer below ``q``
+  compared against ``a`` — zero float bias, like
   :func:`exact_bernoulli`.
 """
 
@@ -32,12 +32,9 @@ import random
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from fractions import Fraction
 
-from repro.db.relation import Instance, TupleId
+import numpy as _np
 
-try:  # numpy is optional: the batched samplers fall back to pure Python.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
+from repro.db.relation import Instance, TupleId
 
 
 class TupleIndependentDatabase:
@@ -296,9 +293,9 @@ def _py_uniform_below(base: int, counter: int, bound: int) -> int:
         round_ += 1
 
 
-#: Bounds whose draws the numpy path vectorizes; wider bounds (and the
-#: pure-Python backend) go through :func:`_py_uniform_below`.  63 bits
-#: keeps every intermediate comfortably inside uint64 comparisons.
+#: Bounds whose draws the numpy path vectorizes; wider bounds go through
+#: :func:`_py_uniform_below`.  63 bits keeps every intermediate
+#: comfortably inside uint64 comparisons.
 _VECTOR_BOUND_BITS = 63
 
 
@@ -361,43 +358,38 @@ class DrawStream:
 
     ``below(bound, start, count)`` returns draws ``start ..
     start + count - 1`` — the same integers whether drawn in one call or
-    any partition into waves, and whether numpy is available or not.
+    any partition into waves; ``draw(bound, index)`` is one of them.
     """
 
     def __init__(self, seed: int, lane: int = 0):
         self._base = _stream_base(seed, lane)
 
-    def below(
-        self,
-        bound: int,
-        start: int,
-        count: int,
-        use_numpy: bool | None = None,
-    ):
+    def below(self, bound: int, start: int, count: int):
         """``count`` exact uniform draws in ``[0, bound)`` — an ``int64``
-        numpy array on the vector path (the bound fits 63 bits there, so
-        the cast is lossless and spares the hot caller a per-element
-        boxing roundtrip), a list of Python ints otherwise.  Values are
-        identical either way."""
+        numpy array when the bound fits 63 bits (the cast is lossless
+        and spares the hot caller a per-element boxing roundtrip), a
+        list of Python ints for wider bounds."""
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
-        if use_numpy is None:
-            use_numpy = _np is not None
-        if use_numpy and bound > 1 and (
-            (bound - 1).bit_length() <= _VECTOR_BOUND_BITS
-        ):
-            counters = (
-                _np.uint64(start) + _np.arange(count, dtype=_np.uint64)
-            )
-            return _np_uniform_below(self._base, counters, bound).astype(
-                _np.int64
-            )
+        if (bound - 1).bit_length() > _VECTOR_BOUND_BITS:
+            return [
+                _py_uniform_below(self._base, index, bound)
+                for index in range(start, start + count)
+            ]
         if bound == 1:
-            return [0] * count
-        return [
-            _py_uniform_below(self._base, index, bound)
-            for index in range(start, start + count)
-        ]
+            return _np.zeros(count, dtype=_np.int64)
+        counters = _np.uint64(start) + _np.arange(count, dtype=_np.uint64)
+        return _np_uniform_below(self._base, counters, bound).astype(
+            _np.int64
+        )
+
+    def draw(self, bound: int, index: int) -> int:
+        """Draw ``index`` alone, on the scalar path: the per-call
+        policies (retry and hedge jitter, fault lanes) take one value at
+        a time, where building arrays would cost more than the draw."""
+        if bound < 1:
+            raise ValueError(f"bound must be positive, got {bound}")
+        return _py_uniform_below(self._base, index, bound)
 
 
 class WorldSampler:
@@ -409,9 +401,8 @@ class WorldSampler:
     :meth:`TupleIndependentDatabase.sample_world`'s per-tuple exact
     draws.  Deterministic tuples (probability 0 or 1) consume no draws;
     because the stream is counter-addressed, skipping them shifts
-    nothing.  ``sample`` returns a ``count × n_tuples`` 0/1 matrix
-    (numpy ``uint8`` on the vector path, lists of ints on the
-    fallback), bit-identical across backends.
+    nothing.  ``sample`` returns a ``count × n_tuples`` numpy ``uint8``
+    0/1 matrix.
     """
 
     def __init__(
@@ -441,17 +432,8 @@ class WorldSampler:
     def n_tuples(self) -> int:
         return self._n
 
-    def sample(
-        self, start: int, count: int, use_numpy: bool | None = None
-    ):
+    def sample(self, start: int, count: int):
         """Worlds ``start .. start + count - 1`` as a 0/1 matrix."""
-        if use_numpy is None:
-            use_numpy = _np is not None
-        if use_numpy:
-            return self._sample_numpy(start, count)
-        return self._sample_python(start, count)
-
-    def _sample_numpy(self, start: int, count: int):
         worlds = _np.zeros((count, self._n), dtype=_np.uint8)
         for column, present in self._certain:
             if present:
@@ -506,27 +488,6 @@ class WorldSampler:
                 draw = _py_uniform_below(self._base, counter, denominator)
                 worlds[s, column] = 1 if draw < numerator else 0
         return worlds
-
-    def _sample_python(self, start: int, count: int) -> list[list[int]]:
-        rows = []
-        for s in range(start, start + count):
-            row = [0] * self._n
-            row_base = s * self._n
-            for column, present in self._certain:
-                row[column] = present
-            for denominator, (cols, nums) in self._small:
-                for column, numerator in zip(cols, nums):
-                    draw = _py_uniform_below(
-                        self._base, row_base + column, denominator
-                    )
-                    row[column] = 1 if draw < numerator else 0
-            for column, numerator, denominator in self._big:
-                draw = _py_uniform_below(
-                    self._base, row_base + column, denominator
-                )
-                row[column] = 1 if draw < numerator else 0
-            rows.append(row)
-        return rows
 
 
 def valuation_probability(

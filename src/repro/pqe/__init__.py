@@ -57,7 +57,6 @@ from repro.pqe.dichotomy import (
     region_counts,
 )
 from repro.pqe.extensional import (
-    ExtensionalPlan,
     ExtensionalPlanCache,
     ExtensionalPlanCacheStats,
     build_plan,
@@ -66,7 +65,6 @@ from repro.pqe.extensional import (
     is_safe,
     lattice_cache_counters,
     mobius_terms,
-    plan_ir,
     plan_for,
     probability_by_raw_inclusion_exclusion,
 )
@@ -122,7 +120,6 @@ __all__ = [
     "SamplingPlan",
     "Classification",
     "EvaluationResult",
-    "ExtensionalPlan",
     "ExtensionalPlanCache",
     "ExtensionalPlanCacheStats",
     "HardQueryError",
@@ -153,7 +150,6 @@ __all__ = [
     "extensional_probability_batch",
     "extensional_probability_float",
     "plan_for",
-    "plan_ir",
     "run_probability",
     "run_probability_float",
     "intensional_probability",

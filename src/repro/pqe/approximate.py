@@ -4,31 +4,30 @@ vectorized.
 The dichotomy leaves the non-zero-Euler H-queries #P-hard, but hardness is
 about *exact* computation: the standard practical recourse — and the one
 probabilistic-database systems actually ship — is randomized approximation.
-Two estimators are provided, each in a scalar and a vectorized form:
+Two estimators are provided, both routes of :class:`SamplingPlan`:
 
 * *Monte Carlo* — draw worlds from the TID distribution and average the
   query's indicator.  Unbiased, additive error ``O(1/sqrt(samples))``;
-  useless for tiny probabilities.  Scalar:
-  :func:`monte_carlo_probability`; vectorized: the ``monte_carlo`` route
-  of :class:`SamplingPlan` / :func:`monte_carlo_probability_vectorized`.
+  useless for tiny probabilities.  The ``monte_carlo`` route, also
+  reachable as :func:`monte_carlo_probability_vectorized`.
 
 * *Karp–Luby* — the importance sampler on the monotone DNF lineage:
   sample a witness-clause proportionally to its weight, complete it to a
   world, and count the fraction of samples where the sampled clause is
   the *canonical* (first) satisfied one.  Scaled by the union bound, this
   is unbiased with *relative* error guarantees — an FPRAS for UCQ
-  lineages, hard queries included.  Scalar:
-  :func:`karp_luby_probability`; vectorized: the ``karp_luby`` route.
+  lineages, hard queries included.  The ``karp_luby`` route, also
+  reachable as :func:`karp_luby_probability_vectorized`.
 
-The scalar samplers run per-sample Python loops off a ``random.Random``
-(kept as the compatibility and no-dependency baseline).  The vectorized
-engine replaces both loops with batched substrates:
+:func:`monte_carlo_probability` and :func:`karp_luby_probability` keep
+the ``random.Random`` calling convention: each draws one 64-bit seed from
+``rng`` and runs the fixed-count plan under it, so the same ``rng`` state
+gives the same estimate.  The engine runs on batched substrates:
 
 * **world sampling** — a seeded counter-based integer draw stream
   (:class:`repro.db.tid.WorldSampler`) materialized as a
-  ``samples × tuples`` 0/1 matrix, numpy path and pure-Python fallback
-  bit-identical, per-tuple draws exactly ``Bernoulli(p)`` by integer
-  rejection (PR 3's exact-draw semantics, batched);
+  ``samples × tuples`` 0/1 matrix, per-tuple draws exactly
+  ``Bernoulli(p)`` by integer rejection;
 * **indicator evaluation** — UCQ lineages go through a clause-incidence
   bit-matrix (a grouped gather + ``all``/first-satisfied reduction over
   the world matrix); non-monotone lineages compile once to the naive
@@ -36,9 +35,9 @@ engine replaces both loops with batched substrates:
   :meth:`repro.circuits.evaluator.EvaluationTape.evaluate_worlds`, the
   Boolean tape backend, instead of re-grounding the query per world;
 * **clause selection** — integer common-denominator prefix sums searched
-  with ``searchsorted`` (strict-boundary convention of :func:`_bisect`),
-  conditioned world completion and first-satisfied-clause detection as
-  matrix ops;
+  with ``searchsorted`` (strict-boundary convention of
+  :func:`_choose_clauses`), conditioned world completion and
+  first-satisfied-clause detection as matrix ops;
 * **budget-adaptive estimation** — :meth:`SamplingPlan.run` samples in
   doubling waves until the :class:`AccuracyBudget`'s half-width target is
   met.  The counter-addressed stream gives a *prefix property*: the first
@@ -59,6 +58,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as _np
+
 from repro.circuits.evaluator import EvaluationTape, tape_for
 from repro.core.deadline import Deadline
 from repro.db.relation import Instance, TupleId
@@ -71,11 +72,6 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.hqueries import HQuery
 from repro.queries.lineage import hquery_lineage_circuit_naive
 from repro.queries.ucq import UnionOfCQs, hquery_to_ucq
-
-try:  # numpy is optional: every vectorized path has a pure-Python twin.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
 
 #: Normal-approximation z-score behind every ~95% half-width; the
 #: :class:`AccuracyBudget` arithmetic must match it.
@@ -278,163 +274,29 @@ def half_width(
     return z * scale * math.sqrt(p * (1 - p) / samples)
 
 
-# ----------------------------------------------------------------------
-# Scalar samplers (random.Random-driven; the compatibility baseline)
-# ----------------------------------------------------------------------
-
-
-def monte_carlo_probability(
-    query: HQuery,
-    tid: TupleIndependentDatabase,
-    samples: int,
-    rng: random.Random,
-    interval: str = "normal",
-) -> Estimate:
-    """Naive scalar Monte Carlo: average the indicator over sampled
-    worlds.
-
-    Works for *any* H-query (monotone or not) since it only evaluates the
-    query per world.  The per-tuple ``(numerator, denominator)`` pairs
-    are hoisted out of the sample loop, but each draw is still the exact
-    integer draw of :func:`repro.db.tid.exact_bernoulli` in
-    ``tuple_ids()`` order — the fixed-seed sample path is unchanged.
-    """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    instance = tid.instance
-    draws = [
-        (t, p.numerator, p.denominator)
-        for t in instance.tuple_ids()
-        for p in (tid.probability_of(t),)
-    ]
-    randrange = rng.randrange
-    hits = 0
-    for _ in range(samples):
-        world = frozenset(
-            t
-            for t, numerator, denominator in draws
-            if randrange(denominator) < numerator
-        )
-        if query.holds_in(instance.restrict_to(world)):
-            hits += 1
-    return Estimate(
-        hits / samples,
-        half_width(hits, samples, 1.0, interval),
-        samples,
-        interval,
-    )
-
-
-def karp_luby_probability(
-    query: HQuery,
-    tid: TupleIndependentDatabase,
-    samples: int,
-    rng: random.Random,
-    interval: str = "normal",
-) -> Estimate:
-    """Scalar Karp–Luby on the monotone DNF lineage of a UCQ H-query.
-
-    Let the lineage be ``C_1 ∨ ... ∨ C_m`` with clause weights
-    ``w_i = prod of tuple probabilities in C_i`` and ``W = sum w_i``.
-    Sample a clause ``i`` with probability ``w_i / W``, then a world
-    conditioned on ``C_i`` being present (the other tuples independent).
-    The estimator averages the indicator "``i`` is the *first* satisfied
-    clause in this world", and ``Pr = W * E[indicator]`` — unbiased, with
-    the indicator's variance bounded away from the small-probability
-    trap.
-
-    First-satisfied-clause detection runs off a precomputed per-tuple →
-    clause incidence: each present tuple bumps only the clauses it
-    occurs in (stamp-reset counters, no per-sample ``O(m)`` scan and no
-    per-clause subset test), and the minimum fully-covered clause index
-    falls out of the bumps.  The ``rng`` draw sequence — one clause draw
-    then one ``randrange(denominator)`` per unforced tuple — is
-    unchanged, so fixed-seed estimates match the pre-incidence sampler
-    exactly.
-
-    :raises ValueError: if the query is not a UCQ (no monotone DNF
-        lineage) or its lineage is empty.
-    """
-    if samples <= 0:
-        raise ValueError("samples must be positive")
-    structure = _clause_structure(query, tid.instance)
-    if structure is None:
-        raise ValueError("Karp–Luby needs a monotone (UCQ) query")
-    numerators, denominators = _probability_columns(tid)
-    weights = _clause_weights(structure, tid)
-    cumulative, total_weight = _cumulative_weights(weights)
-    if not structure.clauses or total_weight == 0:
-        return Estimate(0.0, 0.0, samples, interval, 0)
-    clause_count = len(structure.clauses)
-    sizes = structure.sizes
-    incidence = structure.incidence
-    positions = structure.positions
-    counts = [0] * clause_count
-    stamps = [-1] * clause_count
-    randrange = rng.randrange
-    hits = 0
-    for sample in range(samples):
-        draw = randrange(cumulative[-1])
-        index = _bisect(cumulative, draw)
-        forced = positions[index]
-        first = clause_count
-        # Count clause coverage as tuples turn up present: forced tuples
-        # first (mirroring the old ``set(forced)`` world seed), then the
-        # independent completions in tuple order — the draw stream the
-        # fixed-seed regression suite pins.
-        for position in forced:
-            for j in incidence[position]:
-                if stamps[j] != sample:
-                    stamps[j] = sample
-                    counts[j] = 1
-                else:
-                    counts[j] += 1
-                if counts[j] == sizes[j] and j < first:
-                    first = j
-        forced_set = structure.position_sets[index]
-        for position in range(len(numerators)):
-            if position in forced_set:
-                continue
-            if randrange(denominators[position]) < numerators[position]:
-                for j in incidence[position]:
-                    if stamps[j] != sample:
-                        stamps[j] = sample
-                        counts[j] = 1
-                    else:
-                        counts[j] += 1
-                    if counts[j] == sizes[j] and j < first:
-                        first = j
-        if first == index:
-            hits += 1
-    scale = float(total_weight)
-    return Estimate(
-        scale * (hits / samples),
-        half_width(hits, samples, scale, interval),
-        samples,
-        interval,
-    )
-
-
-def _bisect(cumulative: list[int], needle: int) -> int:
-    """The index of the first prefix sum *strictly* greater than the draw.
+def _choose_clauses(cumulative: list[int], draws):
+    """Per draw, the index of the first prefix sum *strictly* greater
+    than it.
 
     Clause ``i`` owns the half-open draw interval
     ``[cumulative[i-1], cumulative[i])``, so a draw exactly equal to a
     prefix boundary selects the *next* clause — the convention matching
     uniform integer draws in ``[0, cumulative[-1])``, where each clause's
     interval has exactly ``w_i * D`` integers, and zero-weight clauses
-    (empty intervals) are unreachable.  Equivalent to
-    :func:`bisect.bisect_right` and to numpy's
-    ``searchsorted(side="right")``, which the vectorized sampler uses.
+    (empty intervals) are unreachable.  numpy's
+    ``searchsorted(side="right")`` when the total fits int64;
+    :func:`bisect.bisect_right` per draw for totals of ``2**63`` or more
+    (exotic common denominators).  Returns an int64 array.
     """
-    low, high = 0, len(cumulative) - 1
-    while low < high:
-        middle = (low + high) // 2
-        if cumulative[middle] <= needle:
-            low = middle + 1
-        else:
-            high = middle
-    return low
+    if cumulative[-1] < (1 << 63):
+        return _np.searchsorted(
+            _np.array(cumulative, dtype=_np.int64),
+            _np.asarray(draws, dtype=_np.int64),
+            side="right",
+        )
+    return _np.array(
+        [bisect_right(cumulative, d) for d in draws], dtype=_np.int64
+    )
 
 
 # ----------------------------------------------------------------------
@@ -446,20 +308,18 @@ def _bisect(cumulative: list[int], needle: int) -> int:
 class _ClauseStructure:
     """The probability-free part of a UCQ lineage, in canonical clause
     order: clause tuple-sets, their positions in ``tuple_ids()`` order,
-    per-position clause incidence, and size groups for the vectorized
-    first-satisfied reduction.  Cached via
-    :meth:`~repro.db.relation.Instance.cached_derivation`, so every
-    sampler (scalar, vectorized, serving microbatches) over the same
-    instance shares one copy."""
+    and size groups for the vectorized first-satisfied reduction.  Cached
+    via :meth:`~repro.db.relation.Instance.cached_derivation`, so every
+    sampler (plans, serving microbatches) over the same instance shares
+    one copy."""
 
     tuple_ids: tuple[TupleId, ...]
     clauses: tuple[frozenset, ...]
     positions: tuple[tuple[int, ...], ...]
-    position_sets: tuple[frozenset, ...]
     sizes: tuple[int, ...]
-    incidence: tuple[tuple[int, ...], ...]
-    #: clauses grouped by size: ``(size, clause ids, position lists)``
-    size_groups: tuple[tuple[int, tuple[int, ...], tuple], ...]
+    #: clauses grouped by size: ``(size, clause ids, position matrix)``
+    #: as int64 arrays
+    size_groups: tuple[tuple[int, object, object], ...]
 
 
 def _as_union(query):
@@ -498,33 +358,22 @@ def _clause_structure(
         positions = tuple(
             tuple(sorted(index_of[t] for t in clause)) for clause in clauses
         )
-        incidence: list[list[int]] = [[] for _ in tuple_ids]
-        for j, clause_positions in enumerate(positions):
-            for position in clause_positions:
-                incidence[position].append(j)
         by_size: dict[int, list[int]] = {}
         for j, clause_positions in enumerate(positions):
             by_size.setdefault(len(clause_positions), []).append(j)
         size_groups = []
         for size, ids in sorted(by_size.items()):
-            matrix = tuple(positions[j] for j in ids)
-            if _np is not None:
-                ids_arr = _np.array(ids, dtype=_np.int64)
-                matrix = (
-                    _np.array(matrix, dtype=_np.int64)
-                    if size
-                    else _np.empty((len(ids), 0), dtype=_np.int64)
-                )
-                size_groups.append((size, ids_arr, matrix))
-            else:
-                size_groups.append((size, tuple(ids), matrix))
+            matrix = (
+                _np.array([positions[j] for j in ids], dtype=_np.int64)
+                if size
+                else _np.empty((len(ids), 0), dtype=_np.int64)
+            )
+            size_groups.append((size, _np.array(ids, dtype=_np.int64), matrix))
         return _ClauseStructure(
             tuple_ids=tuple_ids,
             clauses=clauses,
             positions=positions,
-            position_sets=tuple(frozenset(p) for p in positions),
             sizes=tuple(len(p) for p in positions),
-            incidence=tuple(tuple(c) for c in incidence),
             size_groups=tuple(size_groups),
         )
 
@@ -615,8 +464,7 @@ class SamplingPlan:
     shared per ``(query, instance content)`` through
     ``Instance.cached_derivation``; the numeric columns are one pass over
     the probability map) and deterministic to run: estimates depend only
-    on the budget's seed, never on wave boundaries, batch composition or
-    numpy availability.
+    on the budget's seed, never on wave boundaries or batch composition.
     """
 
     def __init__(
@@ -693,9 +541,8 @@ class SamplingPlan:
             return Estimate(0.0, 0.0, 0, budget.interval, 0)
         scale = self._scale()
         z = budget.z()
-        use_numpy = _np is not None
         if not budget.adaptive:
-            hits = self._wave_hits(0, cap, budget.seed, use_numpy)
+            hits = self._wave_hits(0, cap, budget.seed)
             return self._estimate(hits, cap, budget.interval, 1, z)
         target = budget.epsilon * scale
         samples = 0
@@ -704,7 +551,7 @@ class SamplingPlan:
         next_samples = min(budget.min_samples, cap)
         while True:
             hits += self._wave_hits(
-                samples, next_samples - samples, budget.seed, use_numpy
+                samples, next_samples - samples, budget.seed
             )
             samples = next_samples
             waves += 1
@@ -718,23 +565,16 @@ class SamplingPlan:
         return self._estimate(hits, samples, budget.interval, waves, z)
 
     def run_fixed(
-        self,
-        samples: int,
-        seed: int = 0,
-        interval: str = "normal",
-        use_numpy: bool | None = None,
+        self, samples: int, seed: int = 0, interval: str = "normal"
     ) -> Estimate:
         """A fixed-count estimate — by the stream's prefix property,
         identical to an adaptive run that happened to stop at the same
-        sample count (``use_numpy`` selects the backend for the
-        draws-identical regression tests; both produce the same bits)."""
+        sample count."""
         if samples <= 0:
             raise ValueError("samples must be positive")
         if self._degenerate():
             return Estimate(0.0, 0.0, samples, interval, 0)
-        if use_numpy is None:
-            use_numpy = _np is not None
-        hits = self._wave_hits(0, samples, seed, use_numpy)
+        hits = self._wave_hits(0, samples, seed)
         return self._estimate(hits, samples, interval, 1)
 
     # -- internals ------------------------------------------------------
@@ -768,9 +608,7 @@ class SamplingPlan:
             waves,
         )
 
-    def _wave_hits(
-        self, start: int, count: int, seed: int, use_numpy: bool
-    ) -> int:
+    def _wave_hits(self, start: int, count: int, seed: int) -> int:
         """Indicator hits over samples ``start .. start + count - 1``,
         chunked to bound working-set memory.  Draws are addressed by
         absolute sample index, so chunk and wave boundaries are
@@ -782,121 +620,64 @@ class SamplingPlan:
         while remaining > 0:
             step = min(remaining, _WAVE_CHUNK)
             if self.engine == "karp_luby":
-                hits += self._karp_luby_chunk(sampler, at, step, seed,
-                                              use_numpy)
+                hits += self._karp_luby_chunk(sampler, at, step, seed)
             else:
-                hits += self._monte_carlo_chunk(sampler, at, step,
-                                                use_numpy)
+                hits += self._monte_carlo_chunk(sampler, at, step)
             at += step
             remaining -= step
         return hits
 
     def _monte_carlo_chunk(
-        self, sampler: WorldSampler, start: int, count: int,
-        use_numpy: bool,
+        self, sampler: WorldSampler, start: int, count: int
     ) -> int:
-        worlds = sampler.sample(start, count, use_numpy=use_numpy)
+        worlds = sampler.sample(start, count)
         if self._structure is not None:
-            first = self._first_satisfied(worlds, count, use_numpy)
-            clause_count = len(self._structure.clauses)
-            if use_numpy and _np is not None:
-                return int((first < clause_count).sum())
-            return sum(1 for f in first if f < clause_count)
-        columns = self._tape_columns
-        if use_numpy and _np is not None:
-            rows = worlds[:, list(columns)]
-        else:
-            rows = [[row[c] for c in columns] for row in worlds]
+            first = self._first_satisfied(worlds, count)
+            return int((first < len(self._structure.clauses)).sum())
+        rows = worlds[:, list(self._tape_columns)]
         return sum(self._tape.evaluate_worlds(rows))
 
     def _karp_luby_chunk(
-        self,
-        sampler: WorldSampler,
-        start: int,
-        count: int,
-        seed: int,
-        use_numpy: bool,
+        self, sampler: WorldSampler, start: int, count: int, seed: int
     ) -> int:
         structure = self._structure
-        total = self._cumulative[-1]
         draws = DrawStream(seed, CLAUSE_LANE).below(
-            total, start, count, use_numpy=use_numpy
+            self._cumulative[-1], start, count
         )
-        if use_numpy and _np is not None and total < (1 << 63):
-            cumulative = _np.array(self._cumulative, dtype=_np.int64)
-            chosen = _np.searchsorted(
-                cumulative,
-                _np.asarray(draws, dtype=_np.int64),
-                side="right",
+        chosen = _choose_clauses(self._cumulative, draws)
+        worlds = sampler.sample(start, count)
+        sizes = _np.array(structure.sizes, dtype=_np.int64)
+        chosen_sizes = sizes[chosen]
+        if int(chosen_sizes.sum()):
+            rows = _np.repeat(_np.arange(count, dtype=_np.int64), chosen_sizes)
+            cols = _np.concatenate(
+                [
+                    _np.array(structure.positions[c], dtype=_np.int64)
+                    for c in chosen.tolist()
+                ]
             )
-        else:
-            chosen = [bisect_right(self._cumulative, d) for d in draws]
-        worlds = sampler.sample(start, count, use_numpy=use_numpy)
-        if use_numpy and _np is not None:
-            chosen = _np.asarray(chosen, dtype=_np.int64)
-            sizes = _np.array(structure.sizes, dtype=_np.int64)
-            chosen_sizes = sizes[chosen]
-            if int(chosen_sizes.sum()):
-                rows = _np.repeat(
-                    _np.arange(count, dtype=_np.int64), chosen_sizes
-                )
-                cols = _np.concatenate(
-                    [
-                        _np.array(structure.positions[c], dtype=_np.int64)
-                        for c in chosen.tolist()
-                    ]
-                )
-                worlds[rows, cols] = 1
-            first = self._first_satisfied(worlds, count, use_numpy)
-            return int((first == chosen).sum())
-        hits = 0
-        for s in range(count):
-            index = chosen[s]
-            row = worlds[s]
-            for position in structure.positions[index]:
-                row[position] = 1
-            if self._first_satisfied_row(row) == index:
-                hits += 1
-        return hits
+            worlds[rows, cols] = 1
+        first = self._first_satisfied(worlds, count)
+        return int((first == chosen).sum())
 
-    def _first_satisfied(self, worlds, count: int, use_numpy: bool):
+    def _first_satisfied(self, worlds, count: int):
         """Per sample, the smallest satisfied clause index (``m`` when no
         clause is satisfied) — the clause-incidence bit-matrix
         reduction: gather each size group's clause columns out of the
         world matrix, ``all`` over the clause axis, and fold the minimum
         satisfied id."""
-        structure = self._structure
-        clause_count = len(structure.clauses)
-        if use_numpy and _np is not None:
-            first = _np.full(count, clause_count, dtype=_np.int64)
-            for _, ids, matrix in structure.size_groups:
-                satisfied = worlds[:, matrix].all(axis=2)
-                # Within a size group the ids are ascending, so the first
-                # satisfied column (argmax of the boolean row) is the
-                # group's minimum satisfied clause id.
-                position = satisfied.argmax(axis=1)
-                candidate = _np.where(
-                    satisfied.any(axis=1), ids[position], clause_count
-                )
-                _np.minimum(first, candidate, out=first)
-            return first
-        return [self._first_satisfied_row(row) for row in worlds]
-
-    def _first_satisfied_row(self, row) -> int:
-        """The pure-Python twin of :meth:`_first_satisfied` for one world
-        row, off the per-tuple clause incidence."""
-        structure = self._structure
-        clause_count = len(structure.clauses)
-        counts = [0] * clause_count
-        sizes = structure.sizes
-        first = clause_count
-        for position, present in enumerate(row):
-            if not present:
-                continue
-            for j in structure.incidence[position]:
-                counts[j] += 1
-                if counts[j] == sizes[j] and j < first:
-                    first = j
+        clause_count = len(self._structure.clauses)
+        first = _np.full(count, clause_count, dtype=_np.int64)
+        for _, ids, matrix in self._structure.size_groups:
+            satisfied = worlds[:, matrix].all(axis=2)
+            # Within a size group the ids are ascending, so the first
+            # satisfied column (argmax of the boolean row) is the
+            # group's minimum satisfied clause id.
+            position = satisfied.argmax(axis=1)
+            candidate = _np.where(
+                satisfied.any(axis=1), ids[position], clause_count
+            )
+            _np.minimum(first, candidate, out=first)
         return first
 
 
@@ -949,3 +730,42 @@ def monte_carlo_probability_vectorized(
     satisfied-any indicator."""
     plan = SamplingPlan(query, tid, engine="monte_carlo")
     return plan.run_fixed(samples, seed, interval)
+
+
+def monte_carlo_probability(
+    query: HQuery,
+    tid: TupleIndependentDatabase,
+    samples: int,
+    rng: random.Random,
+    interval: str = "normal",
+) -> Estimate:
+    """Fixed-count Monte Carlo seeded from ``rng``: one 64-bit seed is
+    drawn from ``rng`` and the Monte-Carlo plan runs under it (see
+    :func:`monte_carlo_probability_vectorized`).  Works for *any*
+    H-query, monotone or not; the same ``rng`` state gives the same
+    estimate."""
+    seed = rng.getrandbits(64)
+    return SamplingPlan(query, tid, engine="monte_carlo").run_fixed(
+        samples, seed, interval
+    )
+
+
+def karp_luby_probability(
+    query: HQuery,
+    tid: TupleIndependentDatabase,
+    samples: int,
+    rng: random.Random,
+    interval: str = "normal",
+) -> Estimate:
+    """Fixed-count Karp–Luby seeded from ``rng``: one 64-bit seed is
+    drawn from ``rng`` and the Karp–Luby plan runs under it (see
+    :func:`karp_luby_probability_vectorized`).  The same ``rng`` state
+    gives the same estimate.
+
+    :raises ValueError: if the query is not a UCQ (no monotone DNF
+        lineage) or ``samples`` is not positive.
+    """
+    seed = rng.getrandbits(64)
+    return SamplingPlan(query, tid, engine="karp_luby").run_fixed(
+        samples, seed, interval
+    )

@@ -60,9 +60,7 @@ from repro.pqe.extensional import (
     clear_extensional_plan_cache,
     extensional_plan_stats,
     plan_for,
-    probability_batch as extensional_probability_batch,
 )
-from repro.pqe.extensional import probability as extensional_probability
 from repro.pqe.intensional import CompiledLineage, compile_lineage
 from repro.pqe.lift import evaluate_plan, evaluate_plan_batch
 from repro.queries.hqueries import HQuery
@@ -350,8 +348,6 @@ def evaluate(
     if method == "sampling":
         return _sampling(query, tid, classification, budget, deadline)
     if method in ("extensional", "lifted"):
-        if isinstance(query, HQuery):
-            return _extensional(query, tid, classification, plan_cache)
         return _lifted(query, tid, classification, plan_cache)
     if method == "intensional":
         if not isinstance(query, HQuery):
@@ -379,21 +375,11 @@ def evaluate(
     raise ValueError(f"unknown method {method!r}")
 
 
-def _extensional(
-    query: HQuery,
-    tid: TupleIndependentDatabase,
-    classification: Classification,
-    plan_cache: ExtensionalPlanCache | None = None,
-) -> EvaluationResult:
-    """The extensional route: lifted inference through the plan cache —
-    no lineage, no circuit, no compilation."""
-    plan, hit = plan_for(query, plan_cache)
-    return EvaluationResult(
-        extensional_probability(query, tid, plan=plan),
-        "extensional",
-        classification,
-        cache_hit=hit,
-    )
+def _plan_label(query) -> str:
+    """The engine label of the lifted-plan route: ``"extensional"`` for
+    h-queries (the Möbius-inversion plans of the paper's safe side),
+    ``"lifted"`` for general UCQs/CQs."""
+    return "extensional" if isinstance(query, HQuery) else "lifted"
 
 
 def _lifted(
@@ -402,13 +388,13 @@ def _lifted(
     classification: Classification,
     plan_cache: ExtensionalPlanCache | None = None,
 ) -> EvaluationResult:
-    """The general lifted route (non-h UCQs/CQs): the Dalvi–Suciu plan
-    through the same plan cache, evaluated by the IR backends — no
-    lineage, no circuit, no compilation."""
+    """The lifted-plan route: the Dalvi–Suciu plan from the plan cache,
+    evaluated by the IR backends — no lineage, no circuit, no
+    compilation."""
     plan, hit = plan_for(query, plan_cache)
     return EvaluationResult(
         evaluate_plan(plan, tid),
-        "lifted",
+        _plan_label(query),
         classification,
         cache_hit=hit,
     )
@@ -446,8 +432,6 @@ def _auto(
     deadline: Deadline | None = None,
 ) -> EvaluationResult:
     if classification.extensional_safe:
-        if isinstance(query, HQuery):
-            return _extensional(query, tid, classification, plan_cache)
         return _lifted(query, tid, classification, plan_cache)
     if classification.h_query and classification.dd_ptime:
         compiled, hit = compile_lineage_cached(query, tid.instance, cache=cache)
@@ -572,7 +556,7 @@ def evaluate_batch(
     )
     if not tid_list:
         if extensional_path:
-            label = "extensional" if is_h else "lifted"
+            label = _plan_label(query)
         elif batched_path:
             label = "intensional"
         else:
@@ -585,16 +569,9 @@ def evaluate_batch(
         )
     if extensional_path:
         plan, hit = plan_for(query, plan_cache)
-        if is_h:
-            return BatchEvaluationResult(
-                extensional_probability_batch(query, tid_list, plan=plan),
-                "extensional",
-                classification,
-                cache_hits=int(hit),
-            )
         return BatchEvaluationResult(
             evaluate_plan_batch(plan, tid_list),
-            "lifted",
+            _plan_label(query),
             classification,
             cache_hits=int(hit),
         )

@@ -19,28 +19,23 @@ with ``Q_u = ∨_{j in u} h_{k,j}``.  Every ``u`` except the bottom
 and the query is safe exactly when its coefficient ``mu(0̂, 1̂)`` — equal to
 ``e(phi)`` by Lemma 3.8 — vanishes, letting the hard subquery *cancel out*.
 
-Evaluation is staged through an :class:`ExtensionalPlan`: the Möbius
-terms, their run decompositions, and the *distinct* runs across all
-terms, built once per query (behind :class:`ExtensionalPlanCache`, the
-extensional sibling of the engine's compilation cache) and reused across
-every probability call.  One evaluation is then a single batched sweep:
-each distinct run is lifted exactly once over the TID's columnar view
-(:func:`repro.db.columnar.h_columns`), and every lattice term combines
-the shared run values instead of re-deriving them — q_9's seven terms,
-for instance, touch only five distinct runs.
+Evaluation is staged through a :class:`~repro.pqe.lift.LiftPlan` — the
+plan IR of the general lifted engine (:mod:`repro.pqe.lift`): an
+:class:`~repro.pqe.lift.InclusionExclusion` over the Möbius terms, each
+an :class:`~repro.pqe.lift.IndependentUnion` of
+:class:`~repro.pqe.lift.HRunKernel` leaves that delegate to the chain-DP
+sweeps of :mod:`repro.pqe.safe_plans`.  The plan is built once per query
+(behind :class:`ExtensionalPlanCache`, the extensional sibling of the
+engine's compilation cache) and reused across every probability call.
+Distinct runs share one kernel op, so one evaluation lifts each distinct
+run exactly once over the TID's columnar view
+(:func:`repro.db.columnar.h_columns`) and every lattice term combines the
+shared run values — q_9's seven terms reference eleven runs, only seven
+of them distinct.  General UCQs share the same evaluators and plan cache.
 
 Both the collapsed (Möbius) and the uncollapsed (raw inclusion–exclusion)
 evaluations are provided; they agree term-for-term after grouping, which a
 test verifies.
-
-Since the general lifted engine landed (:mod:`repro.pqe.lift`), the
-h-query plans built here are *lowered onto its IR*: each Möbius term
-becomes an :class:`~repro.pqe.lift.InclusionExclusion` /
-:class:`~repro.pqe.lift.IndependentUnion` pair whose leaves are
-:class:`~repro.pqe.lift.HRunKernel` ops delegating back to the chain-DP
-sweeps of :mod:`repro.pqe.safe_plans` — so the h-fast-path numbers are
-bit-identical (exact and float) while general UCQs share the same
-evaluators and plan cache.
 """
 
 from __future__ import annotations
@@ -63,6 +58,7 @@ from repro.pqe.lift import (
     LiftPlan,
     UnsafeQueryError,
     evaluate_plan,
+    evaluate_plan_batch,
     evaluate_plan_float,
     lift_query,
 )
@@ -77,7 +73,6 @@ EXTENSIONAL_PLAN_CACHE_LIMIT = 256  #: max cached plans (LRU)
 
 __all__ = [
     "EXTENSIONAL_PLAN_CACHE_LIMIT",
-    "ExtensionalPlan",
     "ExtensionalPlanCache",
     "ExtensionalPlanCacheStats",
     "UnsafeQueryError",
@@ -88,7 +83,6 @@ __all__ = [
     "lattice_cache_counters",
     "mobius_terms",
     "plan_for",
-    "plan_ir",
     "probability",
     "probability_batch",
     "probability_by_raw_inclusion_exclusion",
@@ -130,34 +124,17 @@ def mobius_terms(query: HQuery) -> list[tuple[frozenset[int], int]]:
 
 
 # ----------------------------------------------------------------------
-# Plans: Möbius terms resolved to shared run decompositions
+# Plans: Möbius terms resolved to shared run kernels
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtensionalPlan:
-    """One query's extensional evaluation, staged for reuse.
-
-    ``runs`` lists the *distinct* maximal runs appearing across all
-    Möbius terms; each term holds its coefficient and indices into that
-    list.  Evaluating the plan lifts every distinct run exactly once per
-    TID (sharing the per-run group reductions across lattice elements)
-    and combines the cached values per term — the batched form of the
-    term-by-term seed evaluation, exactly equal by independence of runs.
-
-    ``constant`` short-circuits the constant queries (``phi`` bottom/top);
-    ``terms``/``runs`` are then empty.
-    """
-
-    k: int
-    constant: Fraction | None
-    #: per Möbius term: ``(coefficient, indices into runs)``
-    terms: tuple[tuple[int, tuple[int, ...]], ...]
-    runs: tuple[tuple[int, int], ...]
-
-
-def build_plan(query: HQuery) -> ExtensionalPlan:
-    """The extensional plan of ``query``.
+def build_plan(query: HQuery) -> LiftPlan:
+    """The extensional plan of ``query`` in the :mod:`repro.pqe.lift`
+    IR: an inclusion–exclusion sum over the Möbius terms, each an
+    independent union of :class:`~repro.pqe.lift.HRunKernel` leaves.
+    Distinct runs share one kernel op, so the IR evaluators' per-op memo
+    lifts every distinct run once per TID; constant queries (``phi``
+    bottom/top) plan to the constant ops.
 
     :raises UnsafeQueryError: if ``phi`` is not monotone, or is monotone
         nondegenerate with non-zero CNF-lattice Möbius value (then
@@ -169,14 +146,13 @@ def build_plan(query: HQuery) -> ExtensionalPlan:
             "the extensional engine handles UCQs (monotone phi) only"
         )
     if phi.is_bottom():
-        return ExtensionalPlan(query.k, Fraction(0), (), ())
+        return LiftPlan(query=query, root=LIFT_FALSE)
     if phi.is_top():
-        return ExtensionalPlan(query.k, Fraction(1), (), ())
-    run_ids: dict[tuple[int, int], int] = {}
-    runs: list[tuple[int, int]] = []
-    terms: list[tuple[int, tuple[int, ...]]] = []
+        return LiftPlan(query=query, root=LIFT_TRUE)
+    kernels: dict[tuple[int, int], HRunKernel] = {}
+    terms = []
     for element, coefficient in mobius_terms(query):
-        ids = []
+        parts = []
         for run in runs_of(element):
             if run == (0, query.k):
                 raise UnsafeQueryError(
@@ -184,39 +160,12 @@ def build_plan(query: HQuery) -> ExtensionalPlan:
                     f"non-zero Möbius coefficient {-coefficient} "
                     "(= -e(phi) by Lemma 3.8)"
                 )
-            rid = run_ids.get(run)
-            if rid is None:
-                rid = run_ids[run] = len(runs)
-                runs.append(run)
-            ids.append(rid)
-        terms.append((coefficient, tuple(ids)))
-    return ExtensionalPlan(query.k, None, tuple(terms), tuple(runs))
-
-
-@lru_cache(maxsize=EXTENSIONAL_PLAN_CACHE_LIMIT)
-def plan_ir(plan: ExtensionalPlan) -> LiftPlan:
-    """The :mod:`repro.pqe.lift` IR form of an h-query plan: an
-    inclusion–exclusion sum over the Möbius terms, each an independent
-    union of :class:`~repro.pqe.lift.HRunKernel` leaves.  Distinct runs
-    share one kernel op, so the IR evaluators' per-op memo reproduces the
-    distinct-run dedup of the batched seed sweep — and with the kernels
-    delegating to the same chain-DP code, evaluation through the IR is
-    bit-identical (exact Fractions and floats) to the pre-IR loops.
-    """
-    if plan.constant is not None:
-        root = LIFT_TRUE if plan.constant else LIFT_FALSE
-    else:
-        kernels = tuple(HRunKernel(run, plan.k) for run in plan.runs)
-        root = InclusionExclusion(
-            tuple(
-                (
-                    coefficient,
-                    IndependentUnion(tuple(kernels[rid] for rid in ids)),
-                )
-                for coefficient, ids in plan.terms
-            )
-        )
-    return LiftPlan(query=plan, root=root)
+            kernel = kernels.get(run)
+            if kernel is None:
+                kernel = kernels[run] = HRunKernel(run, query.k)
+            parts.append(kernel)
+        terms.append((coefficient, IndependentUnion(tuple(parts))))
+    return LiftPlan(query=query, root=InclusionExclusion(tuple(terms)))
 
 
 def lattice_cache_counters() -> dict[str, dict[str, int]]:
@@ -230,7 +179,6 @@ def lattice_cache_counters() -> dict[str, dict[str, int]]:
         ("mobius_terms", _mobius_terms_of),
         ("cnf_lattice", cnf_lattice),
         ("dnf_lattice", dnf_lattice),
-        ("plan_ir", plan_ir),
     ):
         info = cached.cache_info()
         counters[name] = {
@@ -259,7 +207,7 @@ class ExtensionalPlanCacheStats:
 
 
 class ExtensionalPlanCache:
-    """A thread-safe LRU of extensional plans keyed by the query.
+    """A thread-safe LRU of lifted plans keyed by the query.
 
     Plans depend only on the query (never on data), so one entry serves
     every TID the query is evaluated over.  The module keeps one default
@@ -268,25 +216,23 @@ class ExtensionalPlanCache:
     that raises (unsafe or non-monotone query) is *not* cached and counts
     as neither hit nor miss.
 
-    Keys may be :class:`~repro.queries.hqueries.HQuery` (cached value an
-    :class:`ExtensionalPlan`) or any query :func:`repro.pqe.lift.lift_query`
-    accepts — UCQs and CQs — cached as a :class:`~repro.pqe.lift.LiftPlan`.
+    Keys may be :class:`~repro.queries.hqueries.HQuery` (planned by
+    :func:`build_plan`) or any query :func:`repro.pqe.lift.lift_query`
+    accepts — UCQs and CQs; every value is a
+    :class:`~repro.pqe.lift.LiftPlan`.
     """
 
     def __init__(self, limit: int = EXTENSIONAL_PLAN_CACHE_LIMIT):
         if limit < 1:
             raise ValueError(f"cache limit must be positive, got {limit}")
         self.limit = limit
-        self._entries: OrderedDict[object, ExtensionalPlan | LiftPlan] = (
-            OrderedDict()
-        )
+        self._entries: OrderedDict[object, LiftPlan] = OrderedDict()
         self._stats = ExtensionalPlanCacheStats()
         self._lock = threading.RLock()
 
-    def get_or_build(self, query) -> tuple[ExtensionalPlan | LiftPlan, bool]:
+    def get_or_build(self, query) -> tuple[LiftPlan, bool]:
         """The cached plan for ``query``, building on a miss.  Returns
-        ``(plan, was_cache_hit)`` — an :class:`ExtensionalPlan` for
-        h-queries, a :class:`~repro.pqe.lift.LiftPlan` for general UCQs.
+        ``(plan, was_cache_hit)``.
 
         :raises UnsafeQueryError: as :func:`build_plan` /
             :func:`repro.pqe.lift.lift_query`.
@@ -342,9 +288,9 @@ _DEFAULT_PLAN_CACHE = ExtensionalPlanCache()
 
 
 def plan_for(
-    query: HQuery, cache: ExtensionalPlanCache | None = None
-) -> tuple[ExtensionalPlan, bool]:
-    """The cached extensional plan of ``query`` (the default cache's
+    query, cache: ExtensionalPlanCache | None = None
+) -> tuple[LiftPlan, bool]:
+    """The cached lifted plan of ``query`` (the default cache's
     unless a caller-owned one is passed); returns ``(plan, was_hit)``.
 
     :raises UnsafeQueryError: as :func:`build_plan`.
@@ -376,31 +322,11 @@ def clear_extensional_plan_cache(
 # ----------------------------------------------------------------------
 
 
-def _evaluate_exact(
-    plan: ExtensionalPlan | LiftPlan, tid: TupleIndependentDatabase
-) -> Fraction:
-    if isinstance(plan, LiftPlan):  # a general UCQ plan from the cache
-        return evaluate_plan(plan, tid)
-    if plan.constant is not None:
-        return plan.constant
-    return evaluate_plan(plan_ir(plan), tid)
-
-
-def _evaluate_float(
-    plan: ExtensionalPlan | LiftPlan, tid: TupleIndependentDatabase
-) -> float:
-    if isinstance(plan, LiftPlan):
-        return evaluate_plan_float(plan, tid)
-    if plan.constant is not None:
-        return float(plan.constant)
-    return evaluate_plan_float(plan_ir(plan), tid)
-
-
 def probability(
     query: HQuery,
     tid: TupleIndependentDatabase,
     *,
-    plan: ExtensionalPlan | None = None,
+    plan: LiftPlan | None = None,
 ) -> Fraction:
     """``Pr(Q_phi)`` by lifted inference (Möbius inversion + safe plans).
 
@@ -417,14 +343,14 @@ def probability(
     """
     if plan is None:
         plan, _ = _DEFAULT_PLAN_CACHE.get_or_build(query)
-    return _evaluate_exact(plan, tid)
+    return evaluate_plan(plan, tid)
 
 
 def probability_float(
     query: HQuery,
     tid: TupleIndependentDatabase,
     *,
-    plan: ExtensionalPlan | None = None,
+    plan: LiftPlan | None = None,
 ) -> float:
     """The float backend of :func:`probability`: vectorized run sweeps
     over the columnar view — the extensional analogue of
@@ -434,14 +360,14 @@ def probability_float(
     """
     if plan is None:
         plan, _ = _DEFAULT_PLAN_CACHE.get_or_build(query)
-    return _evaluate_float(plan, tid)
+    return evaluate_plan_float(plan, tid)
 
 
 def probability_batch(
     query: HQuery,
     tids: list[TupleIndependentDatabase],
     *,
-    plan: ExtensionalPlan | None = None,
+    plan: LiftPlan | None = None,
 ) -> list[float]:
     """Float-mode ``Pr(Q_phi)`` over many TIDs, sharing one plan.
 
@@ -455,7 +381,7 @@ def probability_batch(
     """
     if plan is None:
         plan, _ = _DEFAULT_PLAN_CACHE.get_or_build(query)
-    return [_evaluate_float(plan, tid) for tid in tids]
+    return evaluate_plan_batch(plan, tids)
 
 
 def probability_by_raw_inclusion_exclusion(

@@ -44,20 +44,23 @@ The plan is an IR of small frozen ops (:class:`IndependentJoin`,
 :class:`IndependentUnion`, :class:`IndependentProject`,
 :class:`Complement`, :class:`InclusionExclusion`, :class:`LeafAtom`,
 and :class:`HRunKernel`, which delegates an ``h``-run to the vectorized
-chain DP of :mod:`repro.pqe.safe_plans` so ported h-query plans keep
-their numbers bit-identically).  Three evaluators share one memoized
-recursion: exact :class:`~fractions.Fraction`, exact integers over a
-common denominator (the :mod:`repro.db.columnar` encoding, used when the
-instance's common denominator fits ``EXACT_DENOMINATOR_BITS``), and
-float with numpy-columnar fast paths for projections over single atoms.
+chain DP of :mod:`repro.pqe.safe_plans`, the leaf of every h-query
+plan :func:`repro.pqe.extensional.build_plan` returns).  Three
+evaluators share one memoized recursion: exact
+:class:`~fractions.Fraction`, exact integers over a common denominator
+(the :mod:`repro.db.columnar` encoding, used when the instance's common
+denominator fits ``EXACT_DENOMINATOR_BITS``), and float with
+numpy-columnar fast paths for projections over single atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+
+import numpy as _np
 
 from repro.db.columnar import (
     EXACT_DENOMINATOR_BITS,
@@ -71,11 +74,6 @@ from repro.lattice.poset import FinitePoset
 from repro.pqe.safe_plans import run_probability, run_probability_float
 from repro.queries.cq import Atom, ConjunctiveQuery, Constant
 from repro.queries.ucq import UnionOfCQs, conjoin_cqs, hquery_to_ucq
-
-try:  # numpy is optional, exactly as in repro.db.columnar
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Recursion-depth backstop of the plan search: a cycle the semantic
 #: check misses (canonicalization is heuristic) still terminates as
@@ -182,10 +180,9 @@ class InclusionExclusion:
 
 @dataclass(frozen=True)
 class HRunKernel:
-    """A ported h-query kernel: ``Pr(∨_{i in [a..b]} h_{k,i})`` by the
+    """An h-query kernel: ``Pr(∨_{i in [a..b]} h_{k,i})`` by the
     vectorized chain DP of :mod:`repro.pqe.safe_plans` over the columnar
-    h-view — the op existing extensional plans lower onto, keeping their
-    results bit-identical (exact and float)."""
+    h-view — the leaf of every h-query plan."""
 
     run: tuple
     k: int
@@ -799,7 +796,7 @@ def is_liftable(query) -> bool:
 
 class _Evaluation:
     """One evaluation pass: per-(op, bindings) memo so shared subplans —
-    and the distinct-run dedup of ported h-plans — compute once."""
+    and the distinct runs of h-query plans — compute once."""
 
     def __init__(self, tid: TupleIndependentDatabase):
         self.tid = tid
@@ -980,17 +977,12 @@ def _project_column(op: IndependentProject, env: dict, ev: _Evaluation):
     return groups.get(tuple(key_values), _EMPTY_COLUMN)
 
 
-_EMPTY_COLUMN: tuple = ()
+_EMPTY_COLUMN = _np.zeros(0)
 
 
 def _one_minus_prod(column) -> float:
-    """``1 - prod(1 - column)`` — numpy when the column is an ndarray."""
-    if _np is not None and isinstance(column, _np.ndarray):
-        return float(1.0 - _np.prod(1.0 - column))
-    miss = 1.0
-    for probability in column:
-        miss *= 1.0 - probability
-    return 1.0 - miss
+    """``1 - prod(1 - column)`` over a float probability column."""
+    return float(1.0 - _np.prod(1.0 - column))
 
 
 # -- exact integers over a common denominator ---------------------------

@@ -31,8 +31,8 @@ float backend, and as integer numerators over one common denominator
 state mass after ``j`` chain steps is ``numerator / D**j``, and the one
 ``Fraction`` built at the end canonicalizes, so the result is
 bit-identical to the :class:`~fractions.Fraction` dynamic program).
-Exact maps whose common denominator overflows 64 bits — and float
-evaluation without numpy — fall back to the per-group pure-Python scans.
+Exact maps whose common denominator overflows 64 bits fall back to the
+per-group :class:`~fractions.Fraction` scans.
 """
 
 from __future__ import annotations
@@ -40,13 +40,10 @@ from __future__ import annotations
 from collections.abc import Iterable
 from fractions import Fraction
 
+import numpy as _np
+
 from repro.db.columnar import HColumns, h_columns
 from repro.db.tid import TupleIndependentDatabase
-
-try:  # numpy is optional: the float backend falls back to group loops.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the list fallback
-    _np = None
 
 
 class UnsafeSubqueryError(ValueError):
@@ -196,28 +193,6 @@ def _chain_sweep_float(chains, satisfied_by_first, satisfied_by_last):
     return s01 + s11
 
 
-def _chain_dp_float(probs, satisfied_by_first, satisfied_by_last) -> float:
-    """Scalar float DP — the numpy-free fallback for one group."""
-    m = len(probs)
-    s00, s01, s10, s11 = 1.0, 0.0, 0.0, 0.0
-    for j in range(m):
-        p = probs[j]
-        q = 1.0 - p
-        trigger = (j == 0 and satisfied_by_first) or (
-            j == m - 1 and satisfied_by_last
-        )
-        n00 = q * (s00 + s10)
-        n01 = q * (s01 + s11)
-        if trigger:
-            n10 = 0.0
-            n11 = p * (s00 + s01 + s10 + s11)
-        else:
-            n10 = p * s00
-            n11 = p * (s01 + s10 + s11)
-        s00, s01, s10, s11 = n00, n01, n10, n11
-    return s01 + s11
-
-
 # ----------------------------------------------------------------------
 # Exact backend: integer numerators over one common denominator
 # ----------------------------------------------------------------------
@@ -296,72 +271,36 @@ def _right_exact(a: int, k: int, cols: HColumns) -> Fraction:
 
 
 # ----------------------------------------------------------------------
-# Float backend: numpy column sweeps (group loops without numpy)
+# Float backend: numpy column sweeps
 # ----------------------------------------------------------------------
 
 
 def _interior_float(a: int, b: int, cols: HColumns) -> float:
-    if _np is not None:
-        chains = _np.stack([cols.s_float[i - 1] for i in range(a, b + 2)])
-        sat = _chain_sweep_float(chains, False, False)
-        return float(1.0 - _np.prod(1.0 - sat))
-    miss_all = 1.0
-    nx, ny = cols.layout.nx, cols.layout.ny
-    for x in range(nx):
-        for y in range(ny):
-            chain = [cols.s_float[i - 1][x][y] for i in range(a, b + 2)]
-            miss_all *= 1.0 - _chain_dp_float(chain, False, False)
-    return 1.0 - miss_all
+    chains = _np.stack([cols.s_float[i - 1] for i in range(a, b + 2)])
+    sat = _chain_sweep_float(chains, False, False)
+    return float(1.0 - _np.prod(1.0 - sat))
 
 
 def _left_float(b: int, cols: HColumns) -> float:
-    if _np is not None:
-        chains = _np.stack([cols.s_float[i - 1] for i in range(1, b + 2)])
-        sat_plain = _chain_sweep_float(chains, False, False)
-        sat_fired = _chain_sweep_float(chains, True, False)
-        miss_plain = _np.prod(1.0 - sat_plain, axis=1)
-        miss_fired = _np.prod(1.0 - sat_fired, axis=1)
-        r = cols.r_float
-        hit = r * (1.0 - miss_fired) + (1.0 - r) * (1.0 - miss_plain)
-        return float(1.0 - _np.prod(1.0 - hit))
-    miss_all = 1.0
-    nx, ny = cols.layout.nx, cols.layout.ny
-    for x in range(nx):
-        miss_plain = 1.0
-        miss_fired = 1.0
-        for y in range(ny):
-            chain = [cols.s_float[i - 1][x][y] for i in range(1, b + 2)]
-            miss_plain *= 1.0 - _chain_dp_float(chain, False, False)
-            miss_fired *= 1.0 - _chain_dp_float(chain, True, False)
-        r = cols.r_float[x]
-        hit = r * (1.0 - miss_fired) + (1.0 - r) * (1.0 - miss_plain)
-        miss_all *= 1.0 - hit
-    return 1.0 - miss_all
+    chains = _np.stack([cols.s_float[i - 1] for i in range(1, b + 2)])
+    sat_plain = _chain_sweep_float(chains, False, False)
+    sat_fired = _chain_sweep_float(chains, True, False)
+    miss_plain = _np.prod(1.0 - sat_plain, axis=1)
+    miss_fired = _np.prod(1.0 - sat_fired, axis=1)
+    r = cols.r_float
+    hit = r * (1.0 - miss_fired) + (1.0 - r) * (1.0 - miss_plain)
+    return float(1.0 - _np.prod(1.0 - hit))
 
 
 def _right_float(a: int, k: int, cols: HColumns) -> float:
-    if _np is not None:
-        chains = _np.stack([cols.s_float[i - 1] for i in range(a, k + 1)])
-        sat_plain = _chain_sweep_float(chains, False, False)
-        sat_fired = _chain_sweep_float(chains, False, True)
-        miss_plain = _np.prod(1.0 - sat_plain, axis=0)
-        miss_fired = _np.prod(1.0 - sat_fired, axis=0)
-        t = cols.t_float
-        hit = t * (1.0 - miss_fired) + (1.0 - t) * (1.0 - miss_plain)
-        return float(1.0 - _np.prod(1.0 - hit))
-    miss_all = 1.0
-    nx, ny = cols.layout.nx, cols.layout.ny
-    for y in range(ny):
-        miss_plain = 1.0
-        miss_fired = 1.0
-        for x in range(nx):
-            chain = [cols.s_float[i - 1][x][y] for i in range(a, k + 1)]
-            miss_plain *= 1.0 - _chain_dp_float(chain, False, False)
-            miss_fired *= 1.0 - _chain_dp_float(chain, False, True)
-        t = cols.t_float[y]
-        hit = t * (1.0 - miss_fired) + (1.0 - t) * (1.0 - miss_plain)
-        miss_all *= 1.0 - hit
-    return 1.0 - miss_all
+    chains = _np.stack([cols.s_float[i - 1] for i in range(a, k + 1)])
+    sat_plain = _chain_sweep_float(chains, False, False)
+    sat_fired = _chain_sweep_float(chains, False, True)
+    miss_plain = _np.prod(1.0 - sat_plain, axis=0)
+    miss_fired = _np.prod(1.0 - sat_fired, axis=0)
+    t = cols.t_float
+    hit = t * (1.0 - miss_fired) + (1.0 - t) * (1.0 - miss_plain)
+    return float(1.0 - _np.prod(1.0 - hit))
 
 
 # ----------------------------------------------------------------------
@@ -525,9 +464,8 @@ def run_probability_float(
     *,
     columns: HColumns | None = None,
 ) -> float:
-    """The float backend of :func:`run_probability`: one vectorized sweep
-    over the columnar view (numpy when importable, per-group scans
-    otherwise).
+    """The float backend of :func:`run_probability`: one vectorized numpy
+    sweep over the columnar view.
 
     :raises UnsafeSubqueryError: if the run is all of ``{0..k}``.
     """

@@ -4,8 +4,8 @@ Chaos testing is only useful if a failure found once can be found
 again: :class:`FaultInjector` draws every fault decision from the PR-5
 :class:`~repro.db.tid.DrawStream` counter addressing, keyed by
 ``(shard, request index, attempt)`` — so a fault schedule is a pure
-function of the seed and the admission order, replayable across runs,
-wave schedules, and numpy availability.  Rates are exact
+function of the seed and the admission order, replayable across runs
+and wave schedules.  Rates are exact
 :class:`~fractions.Fraction` thresholds compared against integer draws
 (``draw < numerator`` out of ``denominator``), never float
 comparisons, so ``error_rate=0.1`` means *exactly* 1-in-10 in
@@ -175,7 +175,7 @@ class FaultInjector:
                 lane = _FAULT_LANE_BASE + kind * 997 + shard
                 stream = DrawStream(self.seed, lane)
                 self._streams[key] = stream
-        draw = stream.below(rate.denominator, counter, 1, use_numpy=False)[0]
+        draw = stream.draw(rate.denominator, counter)
         return draw < rate.numerator
 
     def should_fail(self, shard: int, index: int, attempt: int = 0) -> bool:

@@ -253,7 +253,7 @@ class RetryPolicy:
             return backoff
         stream = DrawStream(self.seed, RETRY_JITTER_LANE)
         counter = token * 32 + (attempt & 31)
-        draw = stream.below(1 << 20, counter, 1, use_numpy=False)[0]
+        draw = stream.draw(1 << 20, counter)
         # Jitter pulls the delay down into [backoff*(1-jitter), backoff]:
         # full-magnitude retries never exceed the deterministic envelope.
         return backoff * (1.0 - self.jitter * (draw / float(1 << 20)))
@@ -375,7 +375,7 @@ class HedgePolicy:
             return base
         stream = DrawStream(self.seed, HEDGE_JITTER_LANE)
         counter = token * 32
-        draw = stream.below(1 << 20, counter, 1, use_numpy=False)[0]
+        draw = stream.draw(1 << 20, counter)
         # Like RetryPolicy: jitter pulls the delay down into
         # [base*(1-jitter), base], never above the envelope.
         return base * (1.0 - self.jitter * (draw / float(1 << 20)))

@@ -59,7 +59,8 @@ Backends: this class is the **policy front end** shared by both serving
 backends.  Everything above — queueing, microbatch fusion, admission,
 deadlines, degradation, retries, breaker, fault injection, stats — runs
 here, in the submitting process, for *both* backends; only the route
-*computations* are behind the four ``_execute_*`` hooks.  The thread
+*computations* are behind the four ``_execute_*`` hooks (plus
+``_ensure_compiled``).  The thread
 backend (this class) runs them in-process on the shard's worker pool;
 the process backend (:class:`~repro.serving.worker.ProcessShard`)
 overrides them with RPCs to a dedicated worker process.  Identical
@@ -84,10 +85,7 @@ from repro.pqe.engine import (
     COMPILATION_CACHE_LIMIT,
     CompilationCache,
 )
-from repro.pqe.extensional import (
-    ExtensionalPlanCache,
-    probability_batch as extensional_probability_batch,
-)
+from repro.pqe.extensional import ExtensionalPlanCache
 from repro.pqe.lift import evaluate_plan_batch
 from repro.queries.hqueries import HQuery
 from repro.serving.api import AccuracyBudget, QueryRequest, QueryResponse
@@ -663,28 +661,13 @@ class Shard:
             positions.append(slot)
         return reps, positions
 
-    def _execute_extensional(
-        self, query, group: list[_Pending]
-    ) -> tuple[list[float], bool]:
-        """Serve an extensional group: one lifted columnar sweep per
-        distinct probability map, fanned out.  Returns the per-member
-        floats (group order) and whether the plan was cached."""
-        plan, hit = self.plan_cache.get_or_build(query)
-        reps, positions = self._representatives(group)
-        rep_probabilities = extensional_probability_batch(
-            query,
-            [pending.request.tid for pending in reps],
-            plan=plan,
-        )
-        return [rep_probabilities[slot] for slot in positions], hit
-
     def _execute_lifted(
         self, query, group: list[_Pending]
     ) -> tuple[list[float], bool]:
-        """Serve a general lifted group (non-h safe UCQ/CQ): one IR plan
-        from this shard's plan cache, one evaluator sweep per distinct
-        probability map, fanned out.  Returns the per-member floats
-        (group order) and whether the plan was cached."""
+        """Serve a safe group (h-query or UCQ/CQ): one IR plan from this
+        shard's plan cache, one evaluator sweep per distinct probability
+        map, fanned out.  Returns the per-member floats (group order) and
+        whether the plan was cached."""
         plan, hit = self.plan_cache.get_or_build(query)
         reps, positions = self._representatives(group)
         rep_probabilities = evaluate_plan_batch(
@@ -780,41 +763,22 @@ class Shard:
             self._sample_group(query, degraded, size, degraded=True)
         if not group:
             return
-        if route == "extensional":
-            # Safe monotone queries: lifted inference over the columnar
-            # view — no lineage, no compilation.  The plan is per-query
-            # state from this shard's plan cache; the whole microbatch
-            # shares it, and each distinct probability map is swept
-            # once, so the answers are bit-for-float identical to
-            # direct per-request evaluation.
-            started = time.perf_counter()
-            probabilities, hit = self._execute_extensional(query, group)
-            self._observe_route(
-                "extensional", (time.perf_counter() - started) * 1e3
-            )
-            for pending, probability in zip(group, probabilities):
-                self._finish(
-                    pending,
-                    probability,
-                    "extensional",
-                    cache_hit=hit,
-                    batch_size=size,
-                )
-        elif route == "lifted":
-            # Non-h safe UCQs/CQs: the Dalvi–Suciu plan from the shard's
-            # plan cache, swept by the IR float evaluator — the same
-            # shared-plan / distinct-map grouping as the extensional
-            # route, with the same bit-for-float guarantee.
+        if route in ("extensional", "lifted"):
+            # Safe queries: the lifted plan from this shard's plan cache,
+            # swept over the columnar view — no lineage, no compilation.
+            # The whole microbatch shares the plan, and each distinct
+            # probability map is swept once, so the answers are
+            # bit-for-float identical to direct per-request evaluation.
             started = time.perf_counter()
             probabilities, hit = self._execute_lifted(query, group)
             self._observe_route(
-                "lifted", (time.perf_counter() - started) * 1e3
+                route, (time.perf_counter() - started) * 1e3
             )
             for pending, probability in zip(group, probabilities):
                 self._finish(
                     pending,
                     probability,
-                    "lifted",
+                    route,
                     cache_hit=hit,
                     batch_size=size,
                 )

@@ -29,7 +29,10 @@ Lifecycle (the :class:`SegmentRegistry`, parent side):
 * :meth:`~SegmentRegistry.release` unpins; a stale segment is unlinked
   the moment its pin count reaches zero — a ``probability_version``
   bump therefore reclaims the superseded segment as soon as the last
-  request using it resolves, never under a live reader.
+  request using it resolves, never under a live reader.  Reclaim
+  unlinks under the registry lock, so a request that re-acquires the
+  same digest meanwhile (probabilities flipped back) waits and then
+  republishes the name instead of colliding with the old segment.
 * :meth:`~SegmentRegistry.unlink_all` (``stop()``/``close()``) unlinks
   everything; a stopped service leaves no ``/dev/shm`` entries behind.
 
@@ -138,12 +141,10 @@ class SegmentRegistry:
                 ]
                 for other in reclaim:
                     del self._segments[other.key]
+                    _unlink(other.shm)
             else:
                 fresh = False
-                reclaim = []
             segment.pins += 1
-        for other in reclaim:
-            _unlink(other.shm)
         return SegmentLease(
             key, segment.shm.name, segment.count, segment.overflow, fresh
         )
@@ -168,7 +169,6 @@ class SegmentRegistry:
 
     def release(self, lease: SegmentLease) -> None:
         """Unpin; unlink immediately if the segment is stale and idle."""
-        reclaim = None
         with self._lock:
             segment = self._segments.get(lease.key)
             if segment is None:
@@ -176,9 +176,7 @@ class SegmentRegistry:
             segment.pins -= 1
             if segment.stale and segment.pins <= 0:
                 del self._segments[lease.key]
-                reclaim = segment
-        if reclaim is not None:
-            _unlink(reclaim.shm)
+                _unlink(segment.shm)
 
     @property
     def closed(self) -> bool:

@@ -3,7 +3,7 @@ front end.
 
 :class:`ProcessShard` subclasses :class:`~repro.serving.shard.Shard` and
 overrides exactly the route-compute hooks (``_ensure_compiled`` and the
-five ``_execute_*`` methods) with RPCs into a dedicated worker process.
+four ``_execute_*`` methods) with RPCs into a dedicated worker process.
 Everything else — microbatch fusion, admission control, deadlines,
 degradation, retries, circuit breaker, fault injection, stats counters —
 is inherited unchanged and runs in the submitting process, which is what
@@ -75,10 +75,7 @@ from repro.pqe.engine import (
     CompilationCache,
     HardQueryError,
 )
-from repro.pqe.extensional import (
-    ExtensionalPlanCache,
-    probability_batch as extensional_probability_batch,
-)
+from repro.pqe.extensional import ExtensionalPlanCache
 from repro.pqe.lift import UnsafeQueryError, evaluate_plan_batch
 from repro.queries.cq import Atom, ConjunctiveQuery, Constant
 from repro.queries.hqueries import HQuery
@@ -310,14 +307,6 @@ def _serve_op(state: _WorkerState, op: str, payload: tuple):
                 for key in keys
             ]
         )
-    if op == "extensional":
-        encoded_query, keys = payload
-        query = decode_query(encoded_query)
-        plan, hit = state.plan_cache.get_or_build(query)
-        probabilities = extensional_probability_batch(
-            query, [state.tid(key) for key in keys], plan=plan
-        )
-        return (list(probabilities), hit)
     if op == "lifted":
         encoded_query, keys = payload
         query = decode_query(encoded_query)
@@ -823,20 +812,6 @@ class ProcessShard(Shard):
         return shard_key
 
     # -- route compute hooks -------------------------------------------
-
-    def _execute_extensional(self, query, group: list[_Pending]):
-        reps, positions = self._representatives(group)
-        leases = [self._lease(pending.request.tid) for pending in reps]
-        try:
-            rep_probabilities, hit = self._client.call(
-                "extensional",
-                encode_query(query),
-                [lease.key for lease in leases],
-            )
-        finally:
-            for lease in leases:
-                self._registry.release(lease)
-        return [rep_probabilities[slot] for slot in positions], hit
 
     def _execute_lifted(self, query, group: list[_Pending]):
         reps, positions = self._representatives(group)

@@ -12,7 +12,8 @@ from repro.db.generator import complete_tid
 from repro.db.tid import exact_bernoulli
 from repro.pqe.approximate import (
     Estimate,
-    _bisect,
+    SamplingPlan,
+    _choose_clauses,
     karp_luby_probability,
     monte_carlo_probability,
 )
@@ -129,76 +130,30 @@ class TestKarpLuby:
         assert abs(mean - truth) <= 0.05
 
 
-class TestScalarIncidenceFix:
-    """The first-satisfied-clause detection was rewritten from an O(m)
-    per-sample subset scan to per-tuple clause-incidence counting; the
-    draw stream and the estimates must be unchanged."""
+class TestWrapperContract:
+    """``monte_carlo_probability`` / ``karp_luby_probability`` take one
+    64-bit seed from ``rng`` and run the fixed-count sampling plan under
+    it: the same ``rng`` state gives the same estimate, and the ``rng``
+    advances by exactly that one draw."""
 
-    @staticmethod
-    def _reference_karp_luby(query, tid, samples, rng):
-        """The pre-incidence sampler, reimplemented verbatim: linear
-        first-satisfied scan over all clauses via subset tests."""
-        import math as _math
-
-        from repro.db.tid import exact_bernoulli
-        from repro.queries.ucq import hquery_to_ucq
-
-        ucq = hquery_to_ucq(query)
-        clauses = sorted(
-            ucq.grounding_sets(tid.instance),
-            key=lambda clause: sorted(clause),
-        )
-        if not clauses:
-            return (0.0, samples)
-        prob = tid.probability_map()
-        weights = []
-        for clause in clauses:
-            w = Fraction(1)
-            for tuple_id in clause:
-                w *= prob[tuple_id]
-            weights.append(w)
-        total_weight = sum(weights, Fraction(0))
-        if total_weight == 0:
-            return (0.0, samples)
-        denominator = _math.lcm(*(w.denominator for w in weights))
-        cumulative, running = [], 0
-        for w in weights:
-            running += w.numerator * (denominator // w.denominator)
-            cumulative.append(running)
-        all_tuples = tid.instance.tuple_ids()
-        hits = 0
-        for _ in range(samples):
-            draw = rng.randrange(cumulative[-1])
-            index = _bisect(cumulative, draw)
-            forced = clauses[index]
-            world = set(forced)
-            for tuple_id in all_tuples:
-                if tuple_id in forced:
-                    continue
-                if exact_bernoulli(rng, prob[tuple_id]):
-                    world.add(tuple_id)
-            first = next(
-                j for j, clause in enumerate(clauses) if clause <= world
-            )
-            if first == index:
-                hits += 1
-        return (float(total_weight) * (hits / samples), samples)
-
-    def test_incidence_scan_matches_subset_scan(self):
+    @pytest.mark.parametrize(
+        "sampler, engine",
+        [
+            (monte_carlo_probability, "monte_carlo"),
+            (karp_luby_probability, "karp_luby"),
+        ],
+    )
+    def test_wrapper_runs_plan_under_one_seed_from_rng(self, sampler, engine):
         query = hard_full_disjunction(2)
-        for prob, seed in (
-            (Fraction(1, 3), 11),
-            (Fraction(1, 2), 12),
-            (Fraction(2, 7), 13),
-        ):
-            tid = complete_tid(2, 2, 2, prob=prob)
-            reference = self._reference_karp_luby(
-                query, tid, 400, random.Random(seed)
-            )
-            estimate = karp_luby_probability(
-                query, tid, 400, random.Random(seed)
-            )
-            assert (estimate.value, estimate.samples) == reference
+        tid = complete_tid(2, 2, 2, prob=Fraction(1, 3))
+        rng = random.Random(31)
+        estimate = sampler(query, tid, 300, rng, interval="wilson")
+        reference = random.Random(31)
+        seed = reference.getrandbits(64)
+        assert estimate == SamplingPlan(query, tid, engine=engine).run_fixed(
+            300, seed, "wilson"
+        )
+        assert rng.getstate() == reference.getstate()
 
 
 class TestHalfWidthFloorFix:
@@ -247,34 +202,56 @@ class TestExactDraws:
     completion must be bias-free for probabilities (1/3, 1/7, ...) that
     no binary float represents."""
 
+    @staticmethod
+    def _select(cumulative, draws):
+        """Clause choices on both selection branches: ``searchsorted``
+        over ``cumulative`` as given, and ``bisect_right`` once a trailing
+        clause of weight ``2**63`` lifts the total past int64 (which no
+        draw below the original total can reach)."""
+        vector = _choose_clauses(cumulative, draws).tolist()
+        wide = _choose_clauses(
+            cumulative + [cumulative[-1] + (1 << 63)], draws
+        )
+        assert wide.tolist() == vector
+        return vector
+
     def test_bisect_boundary_selects_next_clause(self):
         # Clause i owns the half-open interval
         # [cumulative[i-1], cumulative[i]): a draw exactly equal to a
         # prefix boundary belongs to the *next* clause.
         cumulative = [1, 3, 6]
-        assert _bisect(cumulative, 0) == 0
-        assert _bisect(cumulative, 1) == 1  # boundary draw -> next clause
-        assert _bisect(cumulative, 2) == 1
-        assert _bisect(cumulative, 3) == 2  # boundary draw -> next clause
-        assert _bisect(cumulative, 4) == 2
-        assert _bisect(cumulative, 5) == 2
+        assert self._select(cumulative, [0, 1, 2, 3, 4, 5]) == [
+            0,
+            1,  # boundary draw -> next clause
+            1,
+            2,  # boundary draw -> next clause
+            2,
+            2,
+        ]
 
     def test_bisect_never_selects_zero_weight_clause(self):
         # A zero-weight clause has an empty interval; under the strict
         # boundary convention no draw can land in it (the old ``<`` test
         # handed boundary draws to it).
         cumulative = [2, 2, 5]
-        for needle in range(5):
-            assert _bisect(cumulative, needle) != 1
+        assert 1 not in self._select(cumulative, list(range(5)))
 
     def test_bisect_intervals_are_exactly_proportional(self):
         # Exhaustive: over all draws in [0, total), clause i is selected
         # exactly w_i * D times.
         cumulative = [2, 5, 6, 10]
         counts = [0] * len(cumulative)
-        for needle in range(cumulative[-1]):
-            counts[_bisect(cumulative, needle)] += 1
+        for index in self._select(cumulative, list(range(cumulative[-1]))):
+            counts[index] += 1
         assert counts == [2, 3, 1, 4]
+
+    def test_wide_totals_select_by_exact_integers(self):
+        # Totals of 2**63 or more take the bisect_right branch: boundaries
+        # past int64 still select the next clause, exactly.
+        big = 1 << 64
+        cumulative = [big, big + 1, 2 * big]
+        draws = [big - 1, big, big + 1, 2 * big - 1]
+        assert _choose_clauses(cumulative, draws).tolist() == [0, 1, 2, 2]
 
     def test_exact_bernoulli_draw_semantics(self):
         p = Fraction(1, 3)

@@ -173,20 +173,6 @@ class TestTapeAgainstReference:
             singles = [tape.evaluate_floats(m) for m in maps]
             assert batch == pytest.approx(singles, abs=1e-12)
 
-    def test_batch_fallback_matches_vectorized(self):
-        rng = random.Random(23)
-        circuit = random_dd(rng, ["a", "b", "c", "d"])
-        tape = tape_for(circuit)
-        maps = [random_prob_map(rng, circuit, exact=False) for _ in range(6)]
-        rows = [
-            [float(m.get(label, 0)) for m in maps]
-            for label in tape.var_labels
-        ]
-        fallback = tape._batch_fallback(tape._compiled(), rows, len(maps))
-        assert tape.evaluate_batch(maps) == pytest.approx(
-            fallback, abs=1e-12
-        )
-
     def test_batch_rejects_conflicting_arguments(self):
         circuit = random_dd(random.Random(1), ["a", "b"])
         tape = tape_for(circuit)

@@ -30,6 +30,7 @@ from repro.pqe.extensional import (
     probability_batch,
     probability_float,
 )
+from repro.pqe.lift import HRunKernel, InclusionExclusion, LiftPlan
 from repro.queries.hqueries import HQuery, q9
 
 
@@ -110,61 +111,25 @@ class TestColumnarView:
         assert h_columns(tid, 3) is k3_first
 
 
-class TestNumpyFreeFallback:
-    """The pure-Python float backends (list columns, per-group scalar
-    chain DP) must agree with the oracle when numpy is absent."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.db.columnar as columnar_module
-        import repro.pqe.safe_plans as safe_plans_module
-
-        monkeypatch.setattr(columnar_module, "_np", None)
-        monkeypatch.setattr(safe_plans_module, "_np", None)
-
-    def test_fallback_agrees_with_exact_and_brute_force(self, no_numpy):
-        rng = random.Random(77)
-        checked = 0
-        while checked < 3:
-            tid = random_tid(3, 2, 2, rng, tuple_density=0.5)
-            if not 0 < len(tid) <= 12:
-                continue
-            cols = h_columns(tid, 3)
-            assert isinstance(cols.s_float, list)
-            assert not hasattr(cols.r_float, "dtype")
-            exact = probability(q9(), tid)
-            assert exact == probability_by_world_enumeration(q9(), tid)
-            assert probability_float(q9(), tid) == pytest.approx(
-                float(exact), abs=1e-9
-            )
-            checked += 1
-
-    def test_fallback_batch_matches_singles(self, no_numpy):
-        rng = random.Random(78)
-        tids = [
-            random_tid(3, 2, 2, rng, tuple_density=0.8) for _ in range(4)
-        ]
-        plan, _ = plan_for(q9())
-        assert probability_batch(q9(), tids, plan=plan) == [
-            probability_float(q9(), tid, plan=plan) for tid in tids
-        ]
-
-
 class TestPlans:
     def test_q9_plan_shares_runs_across_terms(self):
         plan = build_plan(q9())
-        assert plan.constant is None
-        assert len(plan.terms) == 7
-        # The seven Möbius terms reference eleven runs, collapsing to
-        # seven distinct ones: the per-run group reductions are shared
+        assert isinstance(plan, LiftPlan)
+        assert isinstance(plan.root, InclusionExclusion)
+        assert len(plan.root.terms) == 7
+        # The seven Möbius terms reference eleven run kernels, collapsing
+        # to seven distinct ones: the per-run group reductions are shared
         # across lattice elements, not recomputed per term.
-        references = [rid for _, ids in plan.terms for rid in ids]
+        references = [
+            kernel for _, union in plan.root.terms for kernel in union.parts
+        ]
+        assert all(isinstance(kernel, HRunKernel) for kernel in references)
         assert len(references) == 11
-        assert len(plan.runs) == 7
-        assert set(plan.runs) == {
+        assert len(set(references)) == 7
+        assert len({id(kernel) for kernel in references}) == 7
+        assert {kernel.run for kernel in references} == {
             (0, 0), (3, 3), (1, 1), (2, 3), (0, 2), (0, 1), (1, 3),
         }
-        assert sorted(set(references)) == list(range(len(plan.runs)))
 
     def test_constant_plans(self):
         tid = complete_tid(2, 1, 1)

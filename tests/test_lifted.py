@@ -25,15 +25,17 @@ from repro.pqe.engine import HardQueryError, evaluate, evaluate_batch
 from repro.pqe.extensional import (
     extensional_plan_stats,
     lattice_cache_counters,
-    plan_ir,
     plan_for,
 )
 from repro.pqe.extensional import probability as extensional_probability
 from repro.pqe.lift import (
     Complement,
+    HRunKernel,
+    InclusionExclusion,
     IndependentJoin,
     IndependentUnion,
     LeafAtom,
+    LiftPlan,
     UnsafeQueryError,
     describe_plan,
     evaluate_plan,
@@ -44,7 +46,7 @@ from repro.pqe.lift import (
     lifted_probability_float,
 )
 from repro.queries.cq import Atom, ConjunctiveQuery, Constant
-from repro.queries.hqueries import HQuery
+from repro.queries.hqueries import HQuery, q9
 from repro.queries.ucq import UnionOfCQs, hquery_to_ucq
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -131,18 +133,28 @@ class TestHQueryParity:
             assert lifted == extensional, f"k={k} table={table}"
 
     def test_extensional_plan_lowers_onto_ir(self):
-        # The h-query fast path itself now evaluates through the IR:
-        # plan_ir(plan) carries one HRunKernel per run and the Möbius
-        # inclusion-exclusion terms as IndependentUnion sums.
-        query = HQuery(2, BooleanFunction.variable(1, 3))
-        plan, _ = plan_for(query)
-        ir = plan_ir(plan)
-        assert ir.op_count() >= 1
+        # The h-query fast path evaluates through the IR: q9's plan is an
+        # inclusion-exclusion over its seven Möbius terms, each an
+        # IndependentUnion of HRunKernel leaves, eleven references to
+        # seven distinct kernels.
+        plan, _ = plan_for(q9())
+        assert isinstance(plan, LiftPlan)
+        assert isinstance(plan.root, InclusionExclusion)
+        assert len(plan.root.terms) == 7
+        kernels = [
+            kernel
+            for _, union in plan.root.terms
+            for kernel in union.parts
+        ]
+        assert all(isinstance(kernel, HRunKernel) for kernel in kernels)
+        assert len(kernels) == 11
+        assert len(set(kernels)) == 7
+        assert plan.op_count() == 1 + 7 + 7
         rng = random.Random(0xD1CE)
-        tid = random_tid(rng, h_schema(2))
-        assert evaluate_plan(ir, tid) == extensional_probability(query, tid)
-        assert evaluate_plan_float(ir, tid) == pytest.approx(
-            float(extensional_probability(query, tid)), abs=1e-12
+        tid = random_tid(rng, h_schema(3))
+        assert evaluate_plan(plan, tid) == extensional_probability(q9(), tid)
+        assert evaluate_plan_float(plan, tid) == pytest.approx(
+            float(extensional_probability(q9(), tid)), abs=1e-12
         )
 
 
@@ -298,9 +310,7 @@ class TestLatticeCacheCounters:
 
     def test_counters_shape(self):
         counters = lattice_cache_counters()
-        assert set(counters) == {
-            "mobius_terms", "cnf_lattice", "dnf_lattice", "plan_ir"
-        }
+        assert set(counters) == {"mobius_terms", "cnf_lattice", "dnf_lattice"}
         for info in counters.values():
             assert set(info) == {"hits", "misses", "size", "limit"}
             assert info["limit"] is not None
@@ -318,7 +328,7 @@ class TestLatticeCacheCounters:
             >= before["hits"] + before["misses"]
         )
         stats = extensional_plan_stats()
-        assert stats.lattice_caches["plan_ir"]["limit"] is not None
+        assert stats.lattice_caches["mobius_terms"]["limit"] is not None
 
 
 class TestServingLiftedRoute:

@@ -343,6 +343,65 @@ class TestShmLifecycle:
             registry.unlink_all()
         assert not shm_entries()
 
+    def test_reacquire_during_reclaim_republishes_cleanly(self, monkeypatch):
+        # Releasing the last lease on a stale segment reclaims it.  A
+        # request that re-acquires the same digest meanwhile (the
+        # probabilities flipped back) must republish the name, never
+        # collide with the segment being unlinked.
+        import threading
+
+        import repro.serving.shm as shm_module
+        from repro.db.columnar import probability_columns
+
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        shard_key = tid.instance.shard_key()
+        old_digest = tid.probability_digest()
+        old_columns = probability_columns(tid)
+        tid.set_probability(tid.instance.tuple_ids()[0], Fraction(1, 7))
+        new_digest = tid.probability_digest()
+        new_columns = probability_columns(tid)
+        registry = SegmentRegistry()
+        real_unlink = shm_module._unlink
+        racers: list[threading.Thread] = []
+        outcome: dict = {}
+
+        def reacquire():
+            try:
+                outcome["lease"] = registry.acquire(
+                    shard_key, old_digest, old_columns
+                )
+            except FileExistsError as error:
+                outcome["error"] = error
+
+        def racing_unlink(shm):
+            # The competing acquire runs while this reclaim is in
+            # flight, with time to reach publication, before the unlink
+            # completes.
+            if not racers:
+                racers.append(threading.Thread(target=reacquire))
+                racers[0].start()
+                racers[0].join(timeout=0.25)
+            real_unlink(shm)
+
+        try:
+            old = registry.acquire(shard_key, old_digest, old_columns)
+            new = registry.acquire(shard_key, new_digest, new_columns)
+            monkeypatch.setattr(shm_module, "_unlink", racing_unlink)
+            registry.release(old)  # last pin on the stale segment
+            assert racers
+            racers[0].join(timeout=10)
+            assert not racers[0].is_alive()
+            assert "error" not in outcome, outcome.get("error")
+            lease = outcome["lease"]
+            assert lease.fresh
+            attached = read_columns(lease.name, lease.count, lease.overflow)
+            assert attached.fractions() == old_columns.fractions()
+            registry.release(lease)
+            registry.release(new)
+        finally:
+            registry.unlink_all()
+        assert not shm_entries()
+
     def test_probability_version_bump_reclaims_stale_segment(self):
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
         service = ShardedService(

@@ -3,9 +3,10 @@ on the counter-based draw stream of :mod:`repro.db.tid`).
 
 The contracts under test:
 
-* **draw-stream determinism** — the numpy path and the pure-Python
-  fallback emit bit-identical draws, worlds and estimates for a fixed
-  seed, and the stream has the prefix property (wave/chunk boundaries
+* **draw-stream determinism** — vector draws and worlds equal the
+  scalar definition :func:`~repro.db.tid._py_uniform_below` cell by cell,
+  fixed-seed estimates equal a per-sample scalar evaluation of the same
+  stream, and the stream has the prefix property (wave/chunk boundaries
   are invisible);
 * **exactness** — per-tuple draws are exactly ``Bernoulli(p)`` by
   integer rejection, including probabilities whose denominators exceed
@@ -22,7 +23,10 @@ The contracts under test:
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm, prod
 
 import pytest
 
@@ -37,6 +41,8 @@ from repro.db.tid import (
     _stream_base,
 )
 from repro.pqe.approximate import (
+    CLAUSE_LANE,
+    WORLD_LANE,
     AccuracyBudget,
     Estimate,
     SamplingPlan,
@@ -51,6 +57,7 @@ from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.engine import HardQueryError, evaluate, evaluate_batch
 from repro.queries.hqueries import HQuery, q9
 from repro.queries.lineage import hquery_lineage_circuit_naive
+from repro.queries.ucq import hquery_to_ucq
 
 
 def hard_full_disjunction(k: int) -> HQuery:
@@ -68,6 +75,55 @@ def hard_non_monotone(k: int = 3) -> HQuery:
             return HQuery(k, phi)
 
 
+def scalar_reference(query, tid, samples, seed, engine):
+    """The fixed-count estimate, one sample at a time on the scalar draw
+    definition: world cell ``(s, t)`` is present iff world-lane draw
+    ``s * n + t`` lands below tuple ``t``'s numerator; Karp–Luby picks
+    the clause owning clause-lane draw ``s``, forces its tuples, and
+    hits iff that clause is the first satisfied one in canonical order;
+    Monte Carlo hits iff the query holds in the world."""
+    ids = tid.instance.tuple_ids()
+    probabilities = [tid.probability_of(t) for t in ids]
+    world_base = _stream_base(seed, WORLD_LANE)
+    clause_base = _stream_base(seed, CLAUSE_LANE)
+    scale = 1.0
+    if engine == "karp_luby":
+        clauses = sorted(
+            hquery_to_ucq(query).grounding_sets(tid.instance), key=sorted
+        )
+        weights = [
+            prod((tid.probability_of(t) for t in clause), start=Fraction(1))
+            for clause in clauses
+        ]
+        denominator = lcm(*(w.denominator for w in weights))
+        cumulative = list(
+            accumulate(
+                w.numerator * (denominator // w.denominator) for w in weights
+            )
+        )
+        scale = float(sum(weights))
+    hits = 0
+    for s in range(samples):
+        world = {
+            t
+            for column, (t, p) in enumerate(zip(ids, probabilities))
+            if _py_uniform_below(
+                world_base, s * len(ids) + column, p.denominator
+            ) < p.numerator
+        }
+        if engine == "monte_carlo":
+            hits += query.holds_in(tid.instance.restrict_to(frozenset(world)))
+            continue
+        draw = _py_uniform_below(clause_base, s, cumulative[-1])
+        index = bisect_right(cumulative, draw)
+        world |= clauses[index]
+        first = next(j for j, c in enumerate(clauses) if c <= world)
+        hits += first == index
+    return Estimate(
+        scale * (hits / samples), half_width(hits, samples, scale), samples
+    )
+
+
 class TestDrawStream:
     def test_numpy_and_python_worlds_identical(self):
         probabilities = [
@@ -80,17 +136,26 @@ class TestDrawStream:
             Fraction(1, 2**70 + 3),  # big-denominator path
         ]
         sampler = WorldSampler(probabilities, seed=42)
-        vectorized = sampler.sample(0, 64, use_numpy=True)
-        fallback = sampler.sample(0, 64, use_numpy=False)
-        assert vectorized.tolist() == fallback
+        base = _stream_base(42, 0)
+        n = len(probabilities)
+        scalar = [
+            [
+                int(
+                    _py_uniform_below(base, s * n + t, p.denominator)
+                    < p.numerator
+                )
+                for t, p in enumerate(probabilities)
+            ]
+            for s in range(64)
+        ]
+        assert sampler.sample(0, 64).tolist() == scalar
 
     def test_prefix_property_across_wave_boundaries(self):
         probabilities = [Fraction(1, 3)] * 5
         sampler = WorldSampler(probabilities, seed=9)
-        whole = sampler.sample(0, 40, use_numpy=False)
-        split = sampler.sample(0, 13, use_numpy=False) + sampler.sample(
-            13, 27, use_numpy=False
-        )
+        whole = sampler.sample(0, 40).tolist()
+        split = sampler.sample(0, 13).tolist()
+        split += sampler.sample(13, 27).tolist()
         assert whole == split
 
     def test_draws_uniform_and_exact_over_small_denominator(self):
@@ -98,7 +163,7 @@ class TestDrawStream:
         # sit near 1/3 (the draw itself is exact per counter; this is a
         # sanity check of the mix quality, not of rounding).
         sampler = WorldSampler([Fraction(1, 3)], seed=7)
-        worlds = sampler.sample(0, 30_000, use_numpy=True)
+        worlds = sampler.sample(0, 30_000)
         frequency = float(worlds.mean())
         assert abs(frequency - 1 / 3) < 0.01
 
@@ -111,7 +176,7 @@ class TestDrawStream:
             Fraction(1), Fraction(1, 3), Fraction(2, 5), Fraction(0)
         ]
         sampler = WorldSampler(probabilities, seed=3)
-        for row in sampler.sample(0, 20, use_numpy=False):
+        for row in sampler.sample(0, 20):
             assert row[0] == 1 and row[3] == 0
 
     def test_uniform_below_big_bound_in_range(self):
@@ -123,56 +188,40 @@ class TestDrawStream:
 
     def test_draw_stream_below_matches_backends(self):
         stream = DrawStream(5, lane=1)
-        vectorized = stream.below(999_983, 0, 500, use_numpy=True)
-        fallback = stream.below(999_983, 0, 500, use_numpy=False)
-        assert [int(d) for d in vectorized] == fallback
-        assert all(0 <= d < 999_983 for d in fallback)
+        base = _stream_base(5, 1)
+        scalar = [_py_uniform_below(base, i, 999_983) for i in range(500)]
+        assert stream.below(999_983, 0, 500).tolist() == scalar
+        assert [stream.draw(999_983, i) for i in range(500)] == scalar
+        assert all(0 <= d < 999_983 for d in scalar)
 
     def test_bound_one_draws_nothing(self):
-        assert DrawStream(1).below(1, 0, 5) == [0, 0, 0, 0, 0]
+        assert DrawStream(1).below(1, 0, 5).tolist() == [0, 0, 0, 0, 0]
+        assert DrawStream(1).draw(1, 3) == 0
         with pytest.raises(ValueError):
             DrawStream(1).below(0, 0, 5)
 
 
 class TestBackendEquivalence:
-    """Fixed-seed scalar(fallback)-vs-vectorized draw-stream equivalence
-    for whole estimates."""
+    """Fixed-seed whole estimates equal the per-sample scalar definition
+    on the same draw stream."""
 
     @pytest.mark.parametrize("prob", [Fraction(1, 2), Fraction(1, 3)])
     def test_karp_luby_backends_identical(self, prob):
         query = hard_full_disjunction(2)
         tid = complete_tid(2, 3, 3, prob=prob)
         plan = SamplingPlan(query, tid)
-        vectorized = plan.run_fixed(400, seed=13, use_numpy=True)
-        fallback = plan.run_fixed(400, seed=13, use_numpy=False)
-        assert vectorized == fallback
+        assert plan.run_fixed(400, seed=13) == scalar_reference(
+            query, tid, 400, 13, "karp_luby"
+        )
 
     def test_monte_carlo_backends_identical_non_monotone(self):
         query = hard_non_monotone(3)
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 3))
         plan = SamplingPlan(query, tid)
         assert plan.engine == "monte_carlo"
-        vectorized = plan.run_fixed(300, seed=8, use_numpy=True)
-        fallback = plan.run_fixed(300, seed=8, use_numpy=False)
-        assert vectorized == fallback
-
-    def test_no_numpy_module_fallback_runs(self, monkeypatch):
-        # Simulate a numpy-free interpreter: the engine must produce the
-        # same estimate through the pure-Python paths end to end.
-        import repro.db.tid as tid_module
-        import repro.pqe.approximate as approximate_module
-
-        query = hard_full_disjunction(2)
-        tid = complete_tid(2, 2, 2, prob=Fraction(1, 3))
-        with_numpy = SamplingPlan(query, tid).run(
-            AccuracyBudget(epsilon=0.1, min_samples=50, seed=4)
+        assert plan.run_fixed(300, seed=8) == scalar_reference(
+            query, tid, 300, 8, "monte_carlo"
         )
-        monkeypatch.setattr(tid_module, "_np", None)
-        monkeypatch.setattr(approximate_module, "_np", None)
-        without_numpy = SamplingPlan(query, tid).run(
-            AccuracyBudget(epsilon=0.1, min_samples=50, seed=4)
-        )
-        assert with_numpy == without_numpy
 
     def test_reproducible_for_fixed_seed(self):
         query = hard_full_disjunction(3)
@@ -245,9 +294,10 @@ class TestStatisticalCoverage:
         tid.set_probability(ids[1], Fraction(3, 7))
         truth = float(probability_by_world_enumeration(query, tid))
         plan = SamplingPlan(query, tid)
-        vectorized = plan.run_fixed(2000, seed=2, use_numpy=True)
-        fallback = plan.run_fixed(2000, seed=2, use_numpy=False)
-        assert vectorized == fallback
+        vectorized = plan.run_fixed(2000, seed=2)
+        assert vectorized == scalar_reference(
+            query, tid, 2000, 2, "karp_luby"
+        )
         assert abs(vectorized.value - truth) <= max(
             2 * vectorized.half_width, 0.05
         )
