@@ -382,10 +382,10 @@ class EvaluationTape:
         """``Pr(circuit)`` for a batch of pre-resolved slot vectors — one
         per batch member, as produced by :meth:`probability_vector`.
 
-        The microbatch entry of the serving layer
-        (:meth:`repro.serving.shard.Shard._process`): each grouped
-        request's probability map is resolved to a slot vector once,
-        and the whole group then shares a single sweep.  Equivalent to
+        The microbatch entry of the serving layer's intensional route
+        (:func:`repro.serving.shard.compute`): each distinct probability
+        map of a group is resolved to a slot vector once, and the whole
+        group then shares a single sweep.  Equivalent to
         :meth:`evaluate_batch` on the corresponding maps, float for
         float.
         """

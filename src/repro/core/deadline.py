@@ -37,9 +37,10 @@ class Deadline:
     Built once at admission from a relative latency budget
     (``Deadline(deadline_ms)``), then carried with the request and
     checked wherever work could be abandoned.  Comparisons and
-    :meth:`latest` let shared sweeps (one sampling pass serving a whole
-    microbatch subgroup) run under the *least* restrictive member
-    deadline: the sweep aborts only once nobody could use its result.
+    :meth:`latest` let shared computations (one evaluation serving
+    several microbatch members) run under the *least* restrictive
+    member deadline: the work aborts only once nobody could use its
+    result.
     """
 
     __slots__ = ("_expires_at", "_clock")
@@ -97,7 +98,7 @@ class Deadline:
 
     @staticmethod
     def latest(deadlines: Iterable["Deadline"]) -> "Deadline":
-        """The member with the latest expiry (for shared sweeps).
+        """The member with the latest expiry (for shared computations).
 
         :raises ValueError: on an empty iterable.
         """

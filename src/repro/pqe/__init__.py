@@ -37,6 +37,7 @@ from repro.pqe.degenerate import (
 )
 from repro.pqe.engine import (
     BRUTE_FORCE_LIMIT,
+    ROUTES,
     BatchEvaluationResult,
     CompilationCache,
     CompilationCacheStats,
@@ -47,6 +48,7 @@ from repro.pqe.engine import (
     compile_lineage_cached,
     evaluate,
     evaluate_batch,
+    route_of,
 )
 from repro.pqe.dichotomy import (
     Classification,
@@ -113,6 +115,7 @@ from repro.pqe.safe_plans import (
 __all__ = [
     "AccuracyBudget",
     "BRUTE_FORCE_LIMIT",
+    "ROUTES",
     "BatchEvaluationResult",
     "CompilationCache",
     "CompilationCacheStats",
@@ -145,6 +148,7 @@ __all__ = [
     "disjunction_probability_float",
     "evaluate",
     "evaluate_batch",
+    "route_of",
     "extensional_plan_stats",
     "extensional_probability",
     "extensional_probability_batch",

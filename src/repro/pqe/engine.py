@@ -4,7 +4,8 @@ Downstream users mostly want one call: "give me the probability of this
 query, pick the right algorithm, and tell me what you did".  This module
 wraps the three engines behind :func:`evaluate`:
 
-* ``method="auto"`` consults the dichotomy classifier: *safe monotone*
+* ``method="auto"`` consults the dichotomy classifier through
+  :func:`route_of`, the one routing rule: *safe monotone*
   queries (H+, degenerate or zero-Euler) take the extensional fast path —
   lifted inference over columnar probability views, with no lineage and
   no d-D construction at all; the remaining zero-Euler queries (the
@@ -66,6 +67,9 @@ from repro.pqe.lift import evaluate_plan, evaluate_plan_batch
 from repro.queries.hqueries import HQuery
 
 BRUTE_FORCE_LIMIT = 18  #: max tuples auto mode will hand to brute force
+
+#: Every route :func:`route_of` can pick, in Figure-1 order.
+ROUTES = ("extensional", "lifted", "intensional", "brute_force", "sampling")
 
 COMPILATION_CACHE_LIMIT = 64  #: max compiled lineages kept (LRU)
 
@@ -292,6 +296,34 @@ def clear_compilation_cache(cache: CompilationCache | None = None) -> None:
     reset_pair_cache_counters()
 
 
+def route_of(
+    query,
+    classification: Classification,
+    tuples: int,
+    brute_force_limit: int = BRUTE_FORCE_LIMIT,
+) -> str:
+    """The route the Figure-1 dichotomy sends ``query`` down, one of
+    :data:`ROUTES`; the first match wins:
+
+    * a safe query takes the lifted plan: ``"extensional"`` for an
+      :class:`~repro.queries.hqueries.HQuery` (the Möbius-inversion
+      plans of the paper's safe side), ``"lifted"`` otherwise;
+    * an h-query in d-D(PTIME) is compiled: ``"intensional"``;
+    * a hard query is enumerated on at most ``brute_force_limit``
+      tuples (``"brute_force"``) and sampled above that
+      (``"sampling"``).
+
+    ``tuples`` is the instance size.  This is the one routing rule:
+    :func:`evaluate`, :func:`evaluate_batch` and the serving shards all
+    dispatch on it.
+    """
+    if classification.extensional_safe:
+        return _plan_label(query)
+    if classification.h_query and classification.dd_ptime:
+        return "intensional"
+    return "brute_force" if tuples <= brute_force_limit else "sampling"
+
+
 def evaluate(
     query: HQuery,
     tid: TupleIndependentDatabase,
@@ -312,7 +344,8 @@ def evaluate(
         route lift → brute force → sampling in auto mode and report
         ``engine="lifted"`` on the lifted path.  ``"lifted"`` on an
         h-query is the extensional fast path (the h-kernels *are* lift
-        IR ops).
+        IR ops).  Auto mode picks the route with :func:`route_of` and
+        then runs exactly the code the explicit method runs.
     :param cache: a caller-owned :class:`CompilationCache` for the
         intensional route (defaults to the process-wide cache).
     :param plan_cache: a caller-owned
@@ -341,20 +374,23 @@ def evaluate(
     if deadline is not None:
         deadline.check("evaluation admission")
     classification = classify_query(query)
+    route = method
     if method == "auto":
-        return _auto(
-            query, tid, classification, cache, plan_cache, budget, deadline
+        route = route_of(query, classification, len(tid))
+        if route == "sampling" and budget is None:
+            raise HardQueryError(_refusal(classification, len(tid)))
+    if route in ("extensional", "lifted"):
+        # The Dalvi–Suciu plan from the plan cache, evaluated by the IR
+        # backends: no lineage, no circuit, no compilation.
+        plan, hit = plan_for(query, plan_cache)
+        return EvaluationResult(
+            evaluate_plan(plan, tid),
+            _plan_label(query),
+            classification,
+            cache_hit=hit,
         )
-    if method == "sampling":
-        return _sampling(query, tid, classification, budget, deadline)
-    if method in ("extensional", "lifted"):
-        return _lifted(query, tid, classification, plan_cache)
-    if method == "intensional":
-        if not isinstance(query, HQuery):
-            raise ValueError(
-                "the intensional compiler handles h-queries only; use "
-                "method='lifted' (or 'auto') for general UCQs"
-            )
+    if route == "intensional":
+        _require_h_query(query)
         compiled, hit = compile_lineage_cached(query, tid.instance, cache=cache)
         if deadline is not None:
             deadline.check("post-compilation")
@@ -366,11 +402,23 @@ def evaluate(
             cache_hit=hit,
             compile_ms=0.0 if hit else compiled.compile_ms,
         )
-    if method == "brute_force":
+    if route == "brute_force":
         return EvaluationResult(
             probability_by_world_enumeration(query, tid),
             "brute_force",
             classification,
+        )
+    if route == "sampling":
+        # The served probability is the estimate clamped to [0, 1]
+        # (Karp–Luby's unbiased W * fraction can land outside when the
+        # union-bound weight exceeds 1); the raw estimate rides along.
+        plan = sampling_plan(query, tid)
+        estimate = plan.run(budget, deadline=deadline)
+        return EvaluationResult(
+            Fraction(min(1.0, max(0.0, estimate.value))),
+            plan.engine,
+            classification,
+            estimate=estimate,
         )
     raise ValueError(f"unknown method {method!r}")
 
@@ -382,77 +430,16 @@ def _plan_label(query) -> str:
     return "extensional" if isinstance(query, HQuery) else "lifted"
 
 
-def _lifted(
-    query,
-    tid: TupleIndependentDatabase,
-    classification: Classification,
-    plan_cache: ExtensionalPlanCache | None = None,
-) -> EvaluationResult:
-    """The lifted-plan route: the Dalvi–Suciu plan from the plan cache,
-    evaluated by the IR backends — no lineage, no circuit, no
-    compilation."""
-    plan, hit = plan_for(query, plan_cache)
-    return EvaluationResult(
-        evaluate_plan(plan, tid),
-        _plan_label(query),
-        classification,
-        cache_hit=hit,
-    )
-
-
-def _sampling(
-    query: HQuery,
-    tid: TupleIndependentDatabase,
-    classification: Classification,
-    budget: AccuracyBudget | None = None,
-    deadline: Deadline | None = None,
-) -> EvaluationResult:
-    """The randomized route: the vectorized budget-adaptive sampler of
-    :mod:`repro.pqe.approximate`.  The served probability is the
-    estimate clamped to ``[0, 1]`` (Karp–Luby's unbiased ``W * fraction``
-    can land outside when the union-bound weight exceeds 1); the raw
-    estimate rides along on ``EvaluationResult.estimate``."""
-    plan = sampling_plan(query, tid)
-    estimate = plan.run(budget, deadline=deadline)
-    return EvaluationResult(
-        Fraction(min(1.0, max(0.0, estimate.value))),
-        plan.engine,
-        classification,
-        estimate=estimate,
-    )
-
-
-def _auto(
-    query: HQuery,
-    tid: TupleIndependentDatabase,
-    classification: Classification,
-    cache: CompilationCache | None = None,
-    plan_cache: ExtensionalPlanCache | None = None,
-    budget: AccuracyBudget | None = None,
-    deadline: Deadline | None = None,
-) -> EvaluationResult:
-    if classification.extensional_safe:
-        return _lifted(query, tid, classification, plan_cache)
-    if classification.h_query and classification.dd_ptime:
-        compiled, hit = compile_lineage_cached(query, tid.instance, cache=cache)
-        if deadline is not None:
-            deadline.check("post-compilation")
-        return EvaluationResult(
-            compiled.probability(tid),
-            "intensional",
-            classification,
-            compiled,
-            cache_hit=hit,
-            compile_ms=0.0 if hit else compiled.compile_ms,
+def _require_h_query(query) -> None:
+    if not isinstance(query, HQuery):
+        raise ValueError(
+            "the intensional compiler handles h-queries only; use "
+            "method='lifted' (or 'auto') for general UCQs"
         )
-    if len(tid) <= BRUTE_FORCE_LIMIT:
-        return EvaluationResult(
-            probability_by_world_enumeration(query, tid),
-            "brute_force",
-            classification,
-        )
-    if budget is not None:
-        return _sampling(query, tid, classification, budget, deadline)
+
+
+def _refusal(classification: Classification, tuples: int) -> str:
+    """Why auto mode refuses a hard query on ``tuples`` tuples."""
     if classification.h_query:
         adjective = (
             "#P-hard" if classification.region is Region.HARD else
@@ -464,9 +451,9 @@ def _auto(
             "the safe-plan search found no plan "
             "(#P-hard by the UCQ dichotomy)"
         )
-    raise HardQueryError(
+    return (
         f"{diagnosis} and the "
-        f"instance has {len(tid)} > {BRUTE_FORCE_LIMIT} tuples; pass "
+        f"instance has {tuples} > {BRUTE_FORCE_LIMIT} tuples; pass "
         f"budget= (or method='sampling') for a randomized estimate, or "
         f"method='brute_force' to force the exponential engine"
     )
@@ -530,12 +517,10 @@ def evaluate_batch(
     classification = classify_query(query)
     if method not in ("auto", "intensional", "extensional", "lifted", "sampling"):
         raise ValueError(f"unknown batch method {method!r}")
-    if method == "intensional" and not isinstance(query, HQuery):
-        raise ValueError(
-            "the intensional compiler handles h-queries only; use "
-            "method='lifted' (or 'auto') for general UCQs"
-        )
-    if method == "sampling":
+    # Zero tuples: in auto mode the instance size only splits a hard
+    # query between brute force and sampling, which run per TID below.
+    route = route_of(query, classification, 0) if method == "auto" else method
+    if route == "sampling":
         if not tid_list:
             label = "karp_luby" if query.is_ucq() else "monte_carlo"
             return BatchEvaluationResult([], label, classification)
@@ -547,27 +532,10 @@ def evaluate_batch(
             estimate = plan.run(budget, deadline=deadline)
             probabilities.append(min(1.0, max(0.0, estimate.value)))
         return BatchEvaluationResult(probabilities, label, classification)
-    is_h = isinstance(query, HQuery)
-    extensional_path = method in ("extensional", "lifted") or (
-        method == "auto" and classification.extensional_safe
-    )
-    batched_path = not extensional_path and is_h and (
-        classification.dd_ptime or method == "intensional"
-    )
-    if not tid_list:
-        if extensional_path:
+    if route in ("extensional", "lifted"):
+        if not tid_list:
             label = _plan_label(query)
-        elif batched_path:
-            label = "intensional"
-        else:
-            label = "brute_force"
-        return BatchEvaluationResult(
-            [],
-            label,
-            classification,
-            engines=None if extensional_path or batched_path else [],
-        )
-    if extensional_path:
+            return BatchEvaluationResult([], label, classification)
         plan, hit = plan_for(query, plan_cache)
         return BatchEvaluationResult(
             evaluate_plan_batch(plan, tid_list),
@@ -575,7 +543,7 @@ def evaluate_batch(
             classification,
             cache_hits=int(hit),
         )
-    if not batched_path:
+    if route == "brute_force":
         results = [
             evaluate(
                 query, tid, method="auto", cache=cache, budget=budget,
@@ -584,9 +552,9 @@ def evaluate_batch(
             for tid in tid_list
         ]
         engines = [r.engine for r in results]
-        distinct = set(engines)
         # Per-TID fallbacks may pick different engines (instance-size
         # dependent); a single borrowed label would misreport the rest.
+        distinct = set(engines) or {route}
         label = distinct.pop() if len(distinct) == 1 else "mixed"
         return BatchEvaluationResult(
             [float(r.probability) for r in results],
@@ -594,6 +562,7 @@ def evaluate_batch(
             classification,
             engines=engines,
         )
+    _require_h_query(query)
     groups: OrderedDict[tuple, list[int]] = OrderedDict()
     for position, tid in enumerate(tid_list):
         groups.setdefault(

@@ -10,6 +10,10 @@ eventually process) boundaries without shared mutable state.
 (the sampling engine owns its semantics — adaptive waves, interval
 choice, the worst-case sample arithmetic) and is re-exported here for
 the serving surface.
+
+Queries travel in one JSON-able wire form (:func:`encode_query` /
+:func:`decode_query`): the gateway speaks it over TCP and the process
+backend sends it down the worker pipe.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+from repro.core.boolean_function import BooleanFunction
 from repro.db.tid import TupleIndependentDatabase
 from repro.pqe.approximate import AccuracyBudget, Z_95  # noqa: F401
+from repro.queries.cq import Atom, ConjunctiveQuery, Constant
 from repro.queries.hqueries import HQuery
+from repro.queries.ucq import UnionOfCQs
 
 
 @dataclass(frozen=True)
@@ -111,3 +118,84 @@ class QueryResponse:
     def from_payload(cls, payload: dict) -> "QueryResponse":
         """Rebuild a response serialized by :meth:`to_payload`."""
         return cls(**payload)
+
+
+def encode_query(query) -> dict:
+    """A query's complete content in the JSON-able wire form.
+
+    An h-query is ``{"k": k, "nvars": n, "table": truth table}``; a UCQ
+    is ``{"ucq": [cq, ...]}`` and a bare CQ ``{"cq": cq}``, so each
+    decodes back to its own type.  A CQ is a list of ``[relation,
+    terms]`` atoms, where a term is a variable name string or
+    ``{"const": value}`` for a constant.
+
+    :raises TypeError: for any other query type.
+    """
+    if isinstance(query, HQuery):
+        phi = query.phi
+        return {"k": query.k, "nvars": phi.nvars, "table": phi.table}
+    if isinstance(query, UnionOfCQs):
+        return {"ucq": [_encode_cq(cq) for cq in query.disjuncts]}
+    if isinstance(query, ConjunctiveQuery):
+        return {"cq": _encode_cq(query)}
+    raise TypeError(
+        f"cannot encode query of type {type(query).__name__} for the wire"
+    )
+
+
+def decode_query(payload: dict):
+    """The query :func:`encode_query` encoded (also after a JSON round
+    trip, which turns tuples into lists).
+
+    :raises ValueError: on a term that is neither a variable name nor
+        ``{"const": value}``.
+    """
+    if "ucq" in payload:
+        return UnionOfCQs(tuple(_decode_cq(cq) for cq in payload["ucq"]))
+    if "cq" in payload:
+        return _decode_cq(payload["cq"])
+    return HQuery(
+        payload["k"], BooleanFunction(payload["nvars"], payload["table"])
+    )
+
+
+def decode_values(values) -> tuple:
+    """JSON arrays arrive as lists; facts and constants are hashable
+    tuples."""
+    return tuple(
+        decode_values(value) if isinstance(value, list) else value
+        for value in values
+    )
+
+
+def _encode_cq(cq: ConjunctiveQuery) -> list:
+    return [
+        [
+            atom.relation,
+            [
+                {"const": term.value} if isinstance(term, Constant) else term
+                for term in atom.terms
+            ],
+        ]
+        for atom in cq.atoms
+    ]
+
+
+def _decode_term(term):
+    if isinstance(term, str):
+        return term
+    if isinstance(term, dict) and set(term) == {"const"}:
+        value = term["const"]
+        return Constant(
+            decode_values(value) if isinstance(value, list) else value
+        )
+    raise ValueError(f"bad query term on the wire: {term!r}")
+
+
+def _decode_cq(atoms) -> ConjunctiveQuery:
+    return ConjunctiveQuery(
+        tuple(
+            Atom(relation, tuple(_decode_term(term) for term in terms))
+            for relation, terms in atoms
+        )
+    )

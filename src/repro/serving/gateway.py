@@ -34,12 +34,13 @@ false, "error": "<TypeName>", "message": "..."}``.  A ``register`` fact
 is ``[relation, values]`` or ``[relation, values, [numerator,
 denominator]]`` — probabilities are exact rationals on the wire (never
 floats), defaulting to 1.  Queries travel as their complete content,
-the same discipline the process backend uses across its pipe: an
-h-query as ``{"k": ..., "nvars": ..., "table": ...}``, a general
-UCQ/CQ for the lifted route as ``{"ucq": [[[rel, [term, ...]], ...],
-...]}`` — a list of disjuncts, each a list of ``[relation, terms]``
-atoms, where a term is a variable name string or ``{"const": value}``
-for a constant.
+in the one wire form the process backend also sends down its pipe
+(:func:`repro.serving.api.decode_query`): an h-query as ``{"k": ...,
+"nvars": ..., "table": ...}``, a UCQ as ``{"ucq": [[[rel, [term,
+...]], ...], ...]}`` — a list of disjuncts, each a list of
+``[relation, terms]`` atoms, where a term is a variable name string or
+``{"const": value}`` for a constant — and a bare CQ as ``{"cq":
+[[rel, [term, ...]], ...]}``.
 
 **Durability** (``journal_path=``): every effective ``register`` is
 appended to a checksummed
@@ -100,13 +101,10 @@ import threading
 from collections import OrderedDict
 from fractions import Fraction
 
-from repro.core.boolean_function import BooleanFunction
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
 from repro.pqe.approximate import AccuracyBudget
-from repro.queries.cq import Atom, ConjunctiveQuery, Constant
-from repro.queries.hqueries import HQuery
-from repro.queries.ucq import UnionOfCQs
+from repro.serving.api import decode_query, decode_values
 from repro.serving.faults import FaultInjector
 from repro.serving.journal import JournalStats, RegistrationJournal
 from repro.serving.service import ShardedService
@@ -161,14 +159,6 @@ def _same_content(a, b) -> bool:
     )
 
 
-def _decode_values(values) -> tuple:
-    """JSON arrays arrive as lists; facts are hashable tuples."""
-    return tuple(
-        _decode_values(value) if isinstance(value, list) else value
-        for value in values
-    )
-
-
 def _decode_budget(payload: dict) -> AccuracyBudget:
     allowed = {
         "epsilon",
@@ -183,38 +173,6 @@ def _decode_budget(payload: dict) -> AccuracyBudget:
     if unknown:
         raise ValueError(f"unknown budget fields: {sorted(unknown)}")
     return AccuracyBudget(**payload)
-
-
-def _decode_term(term):
-    """A wire term: a variable name string, or ``{"const": v}``."""
-    if isinstance(term, str):
-        return term
-    if isinstance(term, dict) and set(term) == {"const"}:
-        value = term["const"]
-        return Constant(
-            _decode_values(value) if isinstance(value, list) else value
-        )
-    raise ValueError(f"bad query term on the wire: {term!r}")
-
-
-def _decode_cq(atoms) -> ConjunctiveQuery:
-    return ConjunctiveQuery(
-        tuple(
-            Atom(relation, tuple(_decode_term(t) for t in terms))
-            for relation, terms in atoms
-        )
-    )
-
-
-def _decode_query(payload: dict) -> HQuery | UnionOfCQs:
-    if "ucq" in payload:
-        return UnionOfCQs(
-            tuple(_decode_cq(atoms) for atoms in payload["ucq"])
-        )
-    return HQuery(
-        payload["k"],
-        BooleanFunction(payload["nvars"], payload["table"]),
-    )
 
 
 class Gateway:
@@ -667,7 +625,7 @@ class Gateway:
                 (relation_name, values), probability = fact, None
             else:
                 relation_name, values, probability = fact
-            tuple_id = instance.add(relation_name, _decode_values(values))
+            tuple_id = instance.add(relation_name, decode_values(values))
             if probability is not None:
                 numerator, denominator = probability
                 tid.set_probability(
@@ -781,7 +739,7 @@ class Gateway:
         tid = self._tids.get(name)
         if tid is None:
             raise KeyError(f"unknown instance {name!r} (register it first)")
-        query = _decode_query(message["query"])
+        query = decode_query(message["query"])
         budget = (
             _decode_budget(message["budget"])
             if message.get("budget") is not None

@@ -12,67 +12,64 @@ tabular side machines, shared OBDD managers) lives on the
 ``cached_derivation``; since an instance is routed to exactly one shard,
 those arenas are shard-local too.
 
+Routing: a drain's group takes one route,
+:func:`~repro.pqe.engine.route_of` (the Figure-1 dichotomy rule that
+:func:`~repro.pqe.engine.evaluate` also follows), and
+:func:`compute` is the one function that computes a served
+probability on any route.
+
 Microbatching: every ``submit`` appends to the pending queue and
 schedules a drain on the shard's executor.  A drain takes the queue
 head and *all* pending requests sharing its ``(query, instance
-fingerprint)`` work key, resolves each request's probability map to a
-tape slot vector, and serves the whole group in one
+fingerprint)`` work key and serves them together: members whose
+probability maps agree (equal
+:meth:`~repro.db.tid.TupleIndependentDatabase.probability_digest`)
+share **one** evaluation whose float is fanned out to every twin, and
+an exact route computes all of the group's distinct maps in one call —
+one plan or circuit probe and, on the intensional route, one
 :meth:`~repro.circuits.evaluator.EvaluationTape.evaluate_vectors` sweep
-of the compiled tape — one cache probe and one vectorized pass for the
-group, however it interleaved with other traffic.  Because numpy's
-elementwise kernels and the generated float function are per-element
-IEEE operations, batch composition never changes any individual float:
-a microbatched answer is bit-for-float identical to a single-threaded
-:func:`~repro.pqe.engine.evaluate_batch`.  Safe monotone groups take the
-extensional sweep instead (one shared plan, one columnar sweep per
-request's probability map) with the same grouping and the same
-bit-for-float guarantee.  Hard large groups take the sampling analogue:
+of the compiled tape.  Hard large groups take the sampling analogue:
 one vectorized budget-adaptive sweep per distinct ``(budget,
-probability map)`` in the group, sharing the microbatch's cached
-lineage structure — deterministic per budget seed, so sharing is
-invisible in the responses.
-
-Fused groups additionally dedup *identical work*: members of one group
-share instance content by construction, so members whose probability
-maps also agree (equal
-:meth:`~repro.db.tid.TupleIndependentDatabase.probability_digest`) are
-served by **one** evaluation whose float is fanned out to every twin —
-a hot same-instance wave costs one sweep, not one per request.  Because
-the shared float is exactly the float each twin would have computed
-alone, fan-out is invisible in the responses.
+probability map)``, sharing the instance's cached lineage structure.
+Because every kernel is per-element IEEE arithmetic and every sweep is
+deterministic per budget seed, batch composition never changes any
+individual float: a microbatched answer is bit-for-float identical to
+a single-threaded :func:`~repro.pqe.engine.evaluate_batch`.
 
 Resilience: requests may carry a deadline and a priority.  Admission
 control bounds the queue and sheds the newest lowest-priority request
 when the queue (or the per-shard circuit breaker) cannot absorb more;
-deadlines are checked cooperatively at admission, at dequeue, between
-compilation and the sweep, and between sampling waves; an exact route
-predicted (per-route latency EWMAs) to miss a request's deadline is
-downgraded to the sampling route under a deadline-derived budget
-(``degraded=True`` responses, nonzero ``half_width``).  A group whose
-sweep raises is retried member-by-member, so one poisoned request
-fails alone; transient faults additionally get a deterministic
-jittered-backoff retry.  Every rejection is a *typed* error set on the
-future — a submitted request always resolves.  The full degradation
-ladder and the policies live in ``docs/serving.md``.
+deadlines are checked cooperatively at admission, at dequeue, and
+inside each computation (at entry, after compilation, between
+enumerations and between sampling waves) under the latest deadline of
+the members sharing it; an exact route predicted (per-route latency
+EWMAs) to miss a request's deadline is downgraded to the sampling route
+under a deadline-derived budget (``degraded=True`` responses, nonzero
+``half_width``).  A group whose computation raises is retried
+member-by-member, so one poisoned request fails alone; transient faults
+additionally get a deterministic jittered-backoff retry.  Every
+rejection is a *typed* error set on the future — a submitted request
+always resolves.  The full degradation ladder and the policies live in
+``docs/serving.md``.
 
 Backends: this class is the **policy front end** shared by both serving
 backends.  Everything above — queueing, microbatch fusion, admission,
 deadlines, degradation, retries, breaker, fault injection, stats — runs
-here, in the submitting process, for *both* backends; only the route
-*computations* are behind the four ``_execute_*`` hooks (plus
-``_ensure_compiled``).  The thread
-backend (this class) runs them in-process on the shard's worker pool;
-the process backend (:class:`~repro.serving.worker.ProcessShard`)
-overrides them with RPCs to a dedicated worker process.  Identical
-policy code plus content-determined compute is what makes the two
-backends bit-for-float identical and fault-replay equivalent.
+here, in the submitting process, for *both* backends; the computation
+sits behind one hook, :meth:`Shard._compute`.  The thread backend (this
+class) calls :func:`compute` in-process on the shard's worker pool; the
+process backend (:class:`~repro.serving.worker.ProcessShard`) overrides
+the hook with one RPC to a dedicated worker process, which calls the
+same :func:`compute`.  Identical policy code plus identical compute is
+what makes the two backends bit-for-float identical and fault-replay
+equivalent.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -83,11 +80,12 @@ from repro.pqe.dichotomy import classify_query
 from repro.pqe.engine import (
     BRUTE_FORCE_LIMIT,
     COMPILATION_CACHE_LIMIT,
+    ROUTES,
     CompilationCache,
+    route_of,
 )
 from repro.pqe.extensional import ExtensionalPlanCache
 from repro.pqe.lift import evaluate_plan_batch
-from repro.queries.hqueries import HQuery
 from repro.serving.api import AccuracyBudget, QueryRequest, QueryResponse
 from repro.serving.faults import (
     FaultInjector,
@@ -110,8 +108,55 @@ from repro.serving.stats import (
     ShardStats,
 )
 
-#: The route labels the shed/degradation policies keep EWMAs for.
-_ROUTES = ("extensional", "lifted", "intensional", "brute_force", "sampling")
+
+def compute(cache, plan_cache, route, query, tids, budget, deadline):
+    """The one computation behind every served probability.
+
+    Runs ``route`` (one of :data:`~repro.pqe.engine.ROUTES`) for
+    ``query`` over ``tids`` — one TID per distinct probability map of a
+    microbatch group, all sharing instance content — against a shard's
+    compilation and plan caches.  The thread backend calls it
+    in-process (:meth:`Shard._compute`); the process backend's worker
+    calls it on its rehydrated TIDs, so both backends run the same
+    arithmetic.
+
+    Returns ``(values, engine, cache_hit, compile_ms)``: one float per
+    TID on the exact routes (the sampling route takes exactly one TID
+    and returns its :class:`~repro.pqe.approximate.Estimate`), the
+    engine label, whether a cached plan or circuit was reused, and the
+    compile time (0.0 unless this call compiled).  ``deadline`` is
+    checked cooperatively: at entry, after compilation, between
+    enumerations and between sampling waves.
+    """
+    if deadline is not None:
+        deadline.check("computation admission")
+    if route in ("extensional", "lifted"):
+        plan, hit = plan_cache.get_or_build(query)
+        return evaluate_plan_batch(plan, tids), route, hit, 0.0
+    if route == "intensional":
+        instance = tids[0].instance
+        compiled, hit = cache.get_or_compile(
+            query, instance, instance.content_fingerprint()
+        )
+        if deadline is not None:
+            deadline.check("post-compilation")
+        tape = compiled.tape
+        values = tape.evaluate_vectors(
+            [tape.probability_vector(tid.probability_map()) for tid in tids]
+        )
+        return values, route, hit, 0.0 if hit else compiled.compile_ms
+    if route == "brute_force":
+        values = []
+        for tid in tids:
+            if values and deadline is not None:
+                deadline.check("between enumerations")
+            values.append(float(probability_by_world_enumeration(query, tid)))
+        return values, route, False, 0.0
+    if route == "sampling":
+        (tid,) = tids
+        plan = sampling_plan(query, tid)
+        return plan.run(budget, deadline=deadline), plan.engine, False, 0.0
+    raise ValueError(f"unknown route {route!r}")
 
 
 @dataclass
@@ -200,7 +245,7 @@ class Shard:
         self._samples_drawn = 0
         self._sampling_max_half_width = 0.0
         self._route_ewma = {
-            route: LatencyEwma(ewma_alpha) for route in _ROUTES
+            route: LatencyEwma(ewma_alpha) for route in ROUTES
         }
         self._service_ewma = LatencyEwma(ewma_alpha)
         self._sampling_rate = LatencyEwma(ewma_alpha)  # samples per ms
@@ -383,28 +428,23 @@ class Shard:
         return self.healthy() and self.queue_depth() < self.max_queue_depth
 
     def route_for(self, request: QueryRequest) -> str:
-        """The route label this request would take (mirrors
-        :meth:`_process`'s dispatch) — what the hedge-delay policy keys
-        its latency quantile on."""
-        classification = classify_query(request.query)
-        if classification.extensional_safe:
-            return (
-                "extensional"
-                if isinstance(request.query, HQuery)
-                else "lifted"
-            )
-        if classification.h_query and classification.dd_ptime:
-            return "intensional"
-        if len(request.tid) <= self.brute_force_limit:
-            return "brute_force"
-        return "sampling"
+        """The route this request takes:
+        :func:`~repro.pqe.engine.route_of` under this shard's
+        brute-force limit.  :meth:`_process` dispatches on it, and the
+        hedge-delay policy keys its latency quantile on it."""
+        return route_of(
+            request.query,
+            classify_query(request.query),
+            len(request.tid),
+            self.brute_force_limit,
+        )
 
     def route_quantile_ms(self, route: str, z: float = 2.0) -> float:
         """An upper-quantile latency estimate for ``route`` (0.0 before
         any observation) — the hedge-delay input."""
         if route not in self._route_ewma:
             raise ValueError(
-                f"unknown route {route!r}; expected one of {_ROUTES}"
+                f"unknown route {route!r}; expected one of {ROUTES}"
             )
         return self._route_ewma[route].quantile_ms(z)
 
@@ -477,10 +517,6 @@ class Shard:
         """
         try:
             self._process(group)
-        except DeadlineExceeded as error:
-            for pending in group:
-                if not pending.future.done():
-                    self._resolve_deadline(pending, error)
         except BaseException as error:  # noqa: BLE001 - futures carry it
             survivors = [p for p in group if not p.future.done()]
             if len(survivors) > 1:
@@ -536,10 +572,10 @@ class Shard:
         pending.future.set_exception(error)
 
     def _drop_expired(self, group: list[_Pending]) -> list[_Pending]:
-        """Split out members whose deadline already passed, resolving
-        each with :class:`DeadlineExceeded`; returns the still-live
-        rest.  Run at dequeue and again after compilation — the two
-        points where meaningful time may have passed since admission."""
+        """Split out members whose deadline already passed at dequeue,
+        resolving each with :class:`DeadlineExceeded`; returns the
+        still-live rest.  Later checks run inside the computation, under
+        the latest member deadline (:meth:`_serve_route`)."""
         ready = []
         for pending in group:
             if pending.deadline is not None and pending.deadline.expired():
@@ -632,86 +668,16 @@ class Shard:
     # Route compute — the backend boundary
     # ------------------------------------------------------------------
     #
-    # Everything below `_process` is policy; the four `_execute_*` hooks
-    # (plus `_ensure_compiled`) are the only places a probability is
-    # actually computed.  The process backend overrides exactly these
-    # with RPCs into its worker process; the policy code above and in
-    # `_process` never notices which backend it is running on.
+    # Everything above `_compute` is policy; `_compute` is the only place
+    # a probability is actually computed.  The process backend overrides
+    # exactly this hook with an RPC into its worker process; the policy
+    # code never notices which backend it is running on.
 
-    @staticmethod
-    def _representatives(
-        group: list[_Pending],
-    ) -> tuple[list[_Pending], list[int]]:
-        """Collapse a fused group onto one representative per distinct
-        probability map (equal ``probability_digest``), returning the
-        representatives in first-occurrence order plus each member's
-        representative slot.  Members of a group share instance content
-        by construction, so an equal digest means an equal map — the
-        representative's float *is* the twin's float."""
-        reps: list[_Pending] = []
-        slots: dict[int, int] = {}
-        positions: list[int] = []
-        for pending in group:
-            digest = pending.request.tid.probability_digest()
-            slot = slots.get(digest)
-            if slot is None:
-                slot = len(reps)
-                slots[digest] = slot
-                reps.append(pending)
-            positions.append(slot)
-        return reps, positions
-
-    def _execute_lifted(
-        self, query, group: list[_Pending]
-    ) -> tuple[list[float], bool]:
-        """Serve a safe group (h-query or UCQ/CQ): one IR plan from this
-        shard's plan cache, one evaluator sweep per distinct probability
-        map, fanned out.  Returns the per-member floats (group order) and
-        whether the plan was cached."""
-        plan, hit = self.plan_cache.get_or_build(query)
-        reps, positions = self._representatives(group)
-        rep_probabilities = evaluate_plan_batch(
-            plan, [pending.request.tid for pending in reps]
+    def _compute(self, route, query, tids, budget, deadline):
+        """Run :func:`compute` against this shard's caches."""
+        return compute(
+            self.cache, self.plan_cache, route, query, tids, budget, deadline
         )
-        return [rep_probabilities[slot] for slot in positions], hit
-
-    def _ensure_compiled(self, query, head: _Pending):
-        """Compile (or probe) the group's circuit ahead of the
-        post-compilation deadline check.  Returns ``(token, hit,
-        compile_ms)``; the token is backend-opaque and handed back to
-        :meth:`_execute_intensional`."""
-        compiled, hit = self.cache.get_or_compile(
-            query, head.request.tid.instance, head.key[1]
-        )
-        return compiled, hit, (0.0 if hit else compiled.compile_ms)
-
-    def _execute_intensional(
-        self, query, group: list[_Pending], token
-    ) -> list[float]:
-        """Serve a compiled group: one tape sweep per distinct
-        probability map, fanned out to every member (group order)."""
-        tape = token.tape
-        reps, positions = self._representatives(group)
-        rep_probabilities = tape.evaluate_vectors(
-            [
-                tape.probability_vector(
-                    pending.request.tid.probability_map()
-                )
-                for pending in reps
-            ]
-        )
-        return [rep_probabilities[slot] for slot in positions]
-
-    def _execute_brute(self, query, tid) -> float:
-        """Serve one small hard request by world enumeration."""
-        return float(probability_by_world_enumeration(query, tid))
-
-    def _execute_sampling(self, query, tid, budget, wave_deadline):
-        """Run one budget-adaptive sampling sweep; returns
-        ``(estimate, engine_label)`` or raises
-        :class:`~repro.core.deadline.DeadlineExceeded`."""
-        plan = sampling_plan(query, tid)
-        return plan.run(budget, deadline=wave_deadline), plan.engine
 
     def _observe_route(self, route: str, elapsed_ms: float) -> None:
         self._route_ewma[route].observe(elapsed_ms)
@@ -724,7 +690,7 @@ class Shard:
         shedding still learns from real traffic only."""
         if route not in self._route_ewma:
             raise ValueError(
-                f"unknown route {route!r}; expected one of {_ROUTES}"
+                f"unknown route {route!r}; expected one of {ROUTES}"
             )
         self._route_ewma[route].observe(latency_ms)
 
@@ -732,8 +698,6 @@ class Shard:
         group = self._drop_expired(group)
         if not group:
             return
-        query = group[0].request.query
-        classification = classify_query(query)
         size = len(group)
         # Counters first: a client unblocked by its future may read
         # stats() immediately and must already see itself counted.  The
@@ -749,128 +713,38 @@ class Shard:
                 pending.counted = True
         if self._fault_injector is not None:
             self._inject(group)
-        if classification.extensional_safe:
-            route = (
-                "extensional" if isinstance(query, HQuery) else "lifted"
-            )
-        elif classification.h_query and classification.dd_ptime:
-            route = "intensional"
-        else:
-            route = None
+        # A group shares its query and instance content, so every member
+        # takes the same route.
+        route = self.route_for(group[0].request)
         degraded = self._split_degraded(group, route)
-        group = [pending for pending in group if pending not in degraded]
         if degraded:
-            self._sample_group(query, degraded, size, degraded=True)
-        if not group:
-            return
-        if route in ("extensional", "lifted"):
-            # Safe queries: the lifted plan from this shard's plan cache,
-            # swept over the columnar view — no lineage, no compilation.
-            # The whole microbatch shares the plan, and each distinct
-            # probability map is swept once, so the answers are
-            # bit-for-float identical to direct per-request evaluation.
-            started = time.perf_counter()
-            probabilities, hit = self._execute_lifted(query, group)
-            self._observe_route(
-                route, (time.perf_counter() - started) * 1e3
-            )
-            for pending, probability in zip(group, probabilities):
-                self._finish(
-                    pending,
-                    probability,
-                    route,
-                    cache_hit=hit,
-                    batch_size=size,
-                )
-        elif route == "intensional":
-            started = time.perf_counter()
-            token, hit, compile_ms = self._ensure_compiled(
-                query, group[0]
-            )
-            if compile_ms:
-                with self._lock:
-                    self._compile_ms += compile_ms
-            # Compilation is the expensive prefix of this route: members
-            # whose deadline ran out during it are resolved late now
-            # rather than swept for nobody.
-            group = self._drop_expired(group)
-            if not group:
-                return
-            probabilities = self._execute_intensional(query, group, token)
-            self._observe_route(
-                "intensional", (time.perf_counter() - started) * 1e3
-            )
-            for pending, probability in zip(group, probabilities):
-                self._finish(
-                    pending,
-                    probability,
-                    "intensional",
-                    cache_hit=hit,
-                    batch_size=size,
-                )
-        else:
-            brute = [
-                pending
-                for pending in group
-                if len(pending.request.tid) <= self.brute_force_limit
-            ]
-            sampled = [
-                pending
-                for pending in group
-                if len(pending.request.tid) > self.brute_force_limit
-            ]
-            enumerated: dict[int, float] = {}
-            for pending in brute:
-                if (
-                    pending.deadline is not None
-                    and pending.deadline.expired()
-                ):
-                    self._resolve_deadline(pending)
-                    continue
-                digest = pending.request.tid.probability_digest()
-                probability = enumerated.get(digest)
-                if probability is None:
-                    started = time.perf_counter()
-                    probability = self._execute_brute(
-                        query, pending.request.tid
-                    )
-                    self._observe_route(
-                        "brute_force",
-                        (time.perf_counter() - started) * 1e3,
-                    )
-                    enumerated[digest] = probability
-                self._finish(
-                    pending,
-                    probability,
-                    "brute_force",
-                    batch_size=size,
-                )
-            if sampled:
-                self._sample_group(query, sampled, batch_size=size)
+            self._serve_route("sampling", degraded, size, degraded=True)
+        rest = [pending for pending in group if pending not in degraded]
+        if rest:
+            self._serve_route(route, rest, size)
 
     def _split_degraded(
-        self, group: list[_Pending], route: str | None
+        self, group: list[_Pending], route: str
     ) -> list[_Pending]:
         """The members to downgrade to the sampling route: deadline'd
         requests whose exact route's latency EWMA predicts a miss, when
         a deadline-derived budget is still affordable.  Members without
-        a deadline, routes with no observations yet, and requests
-        already bound for sampling are never degraded — prediction from
-        nothing would be guessing."""
-        if not self.degrade_to_sampling:
+        a deadline, routes with no observations yet, and groups already
+        bound for sampling are never degraded — prediction from nothing
+        would be guessing."""
+        ewma = self._route_ewma[route]
+        if (
+            not self.degrade_to_sampling
+            or route == "sampling"
+            or ewma.samples == 0
+        ):
             return []
         degraded = []
         for pending in group:
             if pending.deadline is None:
                 continue
-            exact_route = route
-            if exact_route is None:
-                if len(pending.request.tid) > self.brute_force_limit:
-                    continue  # already the sampling route
-                exact_route = "brute_force"
-            ewma = self._route_ewma[exact_route]
             remaining_ms = pending.deadline.remaining_ms()
-            if ewma.samples == 0 or ewma.value() <= remaining_ms:
+            if ewma.value() <= remaining_ms:
                 continue
             base = pending.request.budget or self.default_budget
             rate = (
@@ -884,90 +758,117 @@ class Shard:
                 degraded.append(pending)
         return degraded
 
-    def _sample_group(
+    def _serve_route(
         self,
-        query,
+        route: str,
         group: list[_Pending],
         batch_size: int,
         degraded: bool = False,
     ) -> None:
-        """The large-hard-query route: one vectorized budget-adaptive
-        sampling sweep per distinct ``(budget, probability map)`` in the
-        microbatch.
+        """Serve ``group`` on ``route``, sharing identical work.
 
-        All requests in the group already share the ``(query, instance
-        fingerprint)`` work key, so the lineage structure (clauses,
-        incidence matrices, indicator tape) is built once per instance
-        content; requests whose budgets *and* probability fingerprints
-        also agree would draw byte-identical sample paths, so they share
-        one sweep outright — the sampling analogue of the microbatched
-        tape sweep.  Estimates are deterministic per budget seed, so the
-        sharing is invisible in the responses.  Degraded members arrive
-        here with their deadline-derived ``budget_override`` (quantized,
-        so near-identical deadlines share sweeps too).
+        Members share instance content by construction, so members with
+        equal :meth:`~repro.db.tid.TupleIndependentDatabase.
+        probability_digest` share one computation whose answer goes to
+        each of them — on the sampling route only when their budgets
+        agree too (a degraded member carries its deadline-derived
+        ``budget_override``, quantized so near-identical deadlines
+        share).  An exact route computes all of the group's distinct
+        maps in one call; a sampling sweep adapts to its ``(budget,
+        map)``, so each one runs alone.  Because the shared float is
+        exactly the float each member would have computed alone, the
+        sharing is invisible in the responses.
 
-        A shared sweep runs under the *latest* member deadline — it is
-        abandoned (all members resolved late, typed) only once nobody
-        could use the result; the wave loop checks only between waves,
-        so a sweep that completes delivers to everyone, bit-identical to
-        an unhurried run.
+        Each computation runs under the *latest* member deadline (none
+        if any member has none): it is abandoned — every member
+        resolved late, typed — only once nobody could use its result.
         """
-        subgroups: OrderedDict[tuple, list[_Pending]] = OrderedDict()
+        query = group[0].request.query
+        sampling = route == "sampling"
+        shares: dict[tuple, list[_Pending]] = {}
         for pending in group:
-            budget = (
-                pending.budget_override
-                or pending.request.budget
-                or self.default_budget
+            key = (pending.request.tid.probability_digest(),)
+            if sampling:
+                key += (self._budget_of(pending),)
+            shares.setdefault(key, []).append(pending)
+        calls = (
+            [[share] for share in shares.values()]
+            if sampling
+            else [list(shares.values())]
+        )
+        for call in calls:
+            members = [pending for share in call for pending in share]
+            deadlines = [pending.deadline for pending in members]
+            deadline = (
+                None
+                if any(d is None for d in deadlines)
+                else Deadline.latest(deadlines)
             )
-            key = (budget, pending.request.tid.probability_fingerprint())
-            subgroups.setdefault(key, []).append(pending)
-        for (budget, _), pendings in subgroups.items():
-            wave_deadline = None
-            if all(pending.deadline is not None for pending in pendings):
-                wave_deadline = Deadline.latest(
-                    [pending.deadline for pending in pendings]
-                )
+            budget = self._budget_of(members[0]) if sampling else None
             started = time.perf_counter()
             try:
-                estimate, engine = self._execute_sampling(
-                    query, pendings[0].request.tid, budget, wave_deadline
+                values, engine, hit, compile_ms = self._compute(
+                    route,
+                    query,
+                    [share[0].request.tid for share in call],
+                    budget,
+                    deadline,
                 )
             except DeadlineExceeded as error:
-                for pending in pendings:
+                for pending in members:
                     self._resolve_deadline(pending, error)
                 continue
             elapsed_ms = (time.perf_counter() - started) * 1e3
-            self._observe_route("sampling", elapsed_ms)
-            with self._lock:
-                self._sampled_requests += len(pendings)
-                self._sampling_sweeps += 1
-                self._sampling_waves += estimate.waves
-                self._samples_drawn += estimate.samples
-                self._sampling_max_half_width = max(
-                    self._sampling_max_half_width, estimate.half_width
-                )
-                if degraded:
-                    self._degraded += len(pendings)
-                if estimate.samples and elapsed_ms > 0:
-                    self._sampling_rate.observe(
-                        estimate.samples / elapsed_ms
+            self._observe_route(route, elapsed_ms)
+            extra = {}
+            if sampling:
+                estimate = values
+                with self._lock:
+                    self._sampled_requests += len(members)
+                    self._sampling_sweeps += 1
+                    self._sampling_waves += estimate.waves
+                    self._samples_drawn += estimate.samples
+                    self._sampling_max_half_width = max(
+                        self._sampling_max_half_width, estimate.half_width
                     )
-            for pending in pendings:
+                    if degraded:
+                        self._degraded += len(members)
+                    if estimate.samples and elapsed_ms > 0:
+                        self._sampling_rate.observe(
+                            estimate.samples / elapsed_ms
+                        )
                 # The unbiased Karp-Luby estimate W * fraction can land
                 # outside [0, 1] when the union-bound weight W exceeds 1;
                 # a *served* probability is clamped (never further from
                 # the truth, which is a probability).  The half-width is
                 # reported unclamped.
-                self._finish(
-                    pending,
-                    min(1.0, max(0.0, estimate.value)),
-                    engine,
-                    batch_size=batch_size,
-                    half_width=estimate.half_width,
-                    samples=estimate.samples,
-                    waves=estimate.waves,
-                    degraded=degraded,
-                )
+                values = [min(1.0, max(0.0, estimate.value))]
+                extra = {
+                    "half_width": estimate.half_width,
+                    "samples": estimate.samples,
+                    "waves": estimate.waves,
+                    "degraded": degraded,
+                }
+            elif compile_ms:
+                with self._lock:
+                    self._compile_ms += compile_ms
+            for share, value in zip(call, values):
+                for pending in share:
+                    self._finish(
+                        pending,
+                        value,
+                        engine,
+                        cache_hit=hit,
+                        batch_size=batch_size,
+                        **extra,
+                    )
+
+    def _budget_of(self, pending: _Pending) -> AccuracyBudget:
+        return (
+            pending.budget_override
+            or pending.request.budget
+            or self.default_budget
+        )
 
     def _finish(
         self,

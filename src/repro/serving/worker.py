@@ -2,29 +2,33 @@
 front end.
 
 :class:`ProcessShard` subclasses :class:`~repro.serving.shard.Shard` and
-overrides exactly the route-compute hooks (``_ensure_compiled`` and the
-four ``_execute_*`` methods) with RPCs into a dedicated worker process.
-Everything else — microbatch fusion, admission control, deadlines,
-degradation, retries, circuit breaker, fault injection, stats counters —
-is inherited unchanged and runs in the submitting process, which is what
-makes the two backends bit-for-float identical and lets seeded
+overrides exactly one compute hook, ``_compute``, with one RPC into a
+dedicated worker process, whose ``"compute"`` op runs the same
+:func:`~repro.serving.shard.compute` the thread backend runs
+in-process.  Everything else — routing, microbatch fusion, admission
+control, deadlines, degradation, retries, circuit breaker, fault
+injection, stats counters — is inherited unchanged and runs in the
+submitting process, which is what makes the two backends
+bit-for-float identical and lets seeded
 :class:`~repro.serving.faults.FaultInjector` streams replay identically
-across them.
+across them.  The worker answers four ops: ``"instance"`` and
+``"columns"`` (casts registering content), ``"compute"`` and
+``"stats"``.
 
 What crosses the process boundary, and what does not:
 
-* **Queries** travel as tagged envelopes: h-queries as
-  ``("h", k, nvars, truth table)`` integer tuples, general UCQs/CQs as
-  nested tuples of atoms with variables and constants tagged apart —
-  never as pickled query objects.
+* **Queries** travel in the one JSON-able wire form of
+  :func:`repro.serving.api.encode_query` (the gateway's form) — never
+  as pickled query objects.
 * **Instance content** travels once per shard key: declared relations
   and facts, pickled over the control pipe at first use.
 * **Probability content** travels as shared-memory probability columns
   (:mod:`repro.serving.shm`), content-addressed by
   ``(Instance.shard_key(), probability_digest())`` — republished only
   when ``probability_version`` bumps.
-* **Request envelopes** are tiny: segment keys, budgets as field
-  tuples, remaining deadline milliseconds.
+* **Request envelopes** are tiny: the route, segment keys, the
+  :class:`~repro.pqe.approximate.AccuracyBudget` itself (frozen and
+  self-validating), remaining deadline milliseconds.
 * **Compiled artifacts never cross.**  Plans, tapes, OBDD families and
   the circuit arena are rebuilt inside the worker from
   ``cached_derivation`` over the rehydrated instance — they are
@@ -68,115 +72,22 @@ from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.db.columnar import apply_probability_columns
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
-from repro.pqe.approximate import AccuracyBudget, sampling_plan
-from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.engine import (
     COMPILATION_CACHE_LIMIT,
     CompilationCache,
     HardQueryError,
 )
 from repro.pqe.extensional import ExtensionalPlanCache
-from repro.pqe.lift import UnsafeQueryError, evaluate_plan_batch
-from repro.queries.cq import Atom, ConjunctiveQuery, Constant
-from repro.queries.hqueries import HQuery
-from repro.queries.ucq import UnionOfCQs
+from repro.pqe.lift import UnsafeQueryError
+from repro.serving.api import decode_query, encode_query
 from repro.serving.resilience import ServiceStopped, SupervisorPolicy
-from repro.serving.shard import Shard, _Pending
+from repro.serving.shard import Shard, compute
 from repro.serving.shm import SegmentLease, SegmentRegistry, read_columns
 from repro.serving.stats import SupervisorStats
 
 # ----------------------------------------------------------------------
-# Wire codecs
+# Wire errors
 # ----------------------------------------------------------------------
-
-
-def _encode_cq(cq: ConjunctiveQuery) -> tuple:
-    return tuple(
-        (
-            atom.relation,
-            tuple(
-                ("c", term.value) if isinstance(term, Constant) else ("v", term)
-                for term in atom.terms
-            ),
-        )
-        for atom in cq.atoms
-    )
-
-
-def _decode_cq(encoded: tuple) -> ConjunctiveQuery:
-    return ConjunctiveQuery(
-        tuple(
-            Atom(
-                relation,
-                tuple(
-                    Constant(body) if tag == "c" else body
-                    for tag, body in terms
-                ),
-            )
-            for relation, terms in encoded
-        )
-    )
-
-
-def encode_query(query) -> tuple:
-    """A query's complete content as a tagged, picklable envelope.
-
-    H-queries keep the classic "three ints" wire form under the ``"h"``
-    tag; UCQs and CQs travel as nested tuples of atoms with variables
-    (``("v", name)``) and constants (``("c", value)``) tagged apart.
-    """
-    if isinstance(query, HQuery):
-        return ("h", query.k, query.phi.nvars, query.phi.table)
-    if isinstance(query, UnionOfCQs):
-        return ("ucq", tuple(_encode_cq(cq) for cq in query.disjuncts))
-    if isinstance(query, ConjunctiveQuery):
-        return ("cq", _encode_cq(query))
-    raise TypeError(
-        f"cannot encode query of type {type(query).__name__} for the "
-        f"worker pipe"
-    )
-
-
-def decode_query(encoded: tuple):
-    from repro.core.boolean_function import BooleanFunction
-
-    tag = encoded[0]
-    if tag == "h":
-        _, k, nvars, table = encoded
-        return HQuery(k, BooleanFunction(nvars, table))
-    if tag == "ucq":
-        return UnionOfCQs(tuple(_decode_cq(cq) for cq in encoded[1]))
-    if tag == "cq":
-        return _decode_cq(encoded[1])
-    raise ValueError(f"unknown query envelope tag {tag!r}")
-
-
-def encode_budget(budget: AccuracyBudget) -> tuple:
-    return (
-        budget.epsilon,
-        budget.min_samples,
-        budget.max_samples,
-        budget.seed,
-        budget.adaptive,
-        budget.interval,
-        budget.delta,
-    )
-
-
-def decode_budget(encoded: tuple) -> AccuracyBudget:
-    epsilon, min_samples, max_samples, seed, adaptive, interval, delta = (
-        encoded
-    )
-    return AccuracyBudget(
-        epsilon=epsilon,
-        min_samples=min_samples,
-        max_samples=max_samples,
-        seed=seed,
-        adaptive=adaptive,
-        interval=interval,
-        delta=delta,
-    )
-
 
 #: Error types a worker may legitimately raise, rebuilt typed on the
 #: parent side.  Anything else comes back as a RuntimeError carrying the
@@ -237,9 +148,6 @@ class _WorkerState:
         apply_probability_columns(tid, read_columns(name, count, overflow))
         self.tids[key] = tid
 
-    def tid(self, key: tuple[int, int]) -> TupleIndependentDatabase:
-        return self.tids[key]
-
 
 def worker_main(conn, shard_id: int, cache_limit: int) -> None:
     """The worker process loop: serve control-pipe messages in order
@@ -285,51 +193,20 @@ def _serve_op(state: _WorkerState, op: str, payload: tuple):
     if op == "columns":
         state.register_columns(*payload)
         return None
-    if op == "compile":
-        encoded_query, shard_key = payload
-        query = decode_query(encoded_query)
-        instance = state.instances[shard_key]
-        compiled, hit = state.cache.get_or_compile(
-            query, instance, instance.content_fingerprint()
-        )
-        return (hit, 0.0 if hit else compiled.compile_ms)
-    if op == "intensional":
-        encoded_query, keys = payload
-        query = decode_query(encoded_query)
-        instance = state.instances[keys[0][0]]
-        compiled, _ = state.cache.get_or_compile(
-            query, instance, instance.content_fingerprint()
-        )
-        tape = compiled.tape
-        return tape.evaluate_vectors(
-            [
-                tape.probability_vector(state.tid(key).probability_map())
-                for key in keys
-            ]
-        )
-    if op == "lifted":
-        encoded_query, keys = payload
-        query = decode_query(encoded_query)
-        plan, hit = state.plan_cache.get_or_build(query)
-        probabilities = evaluate_plan_batch(
-            plan, [state.tid(key) for key in keys]
-        )
-        return (list(probabilities), hit)
-    if op == "brute":
-        encoded_query, key = payload
-        query = decode_query(encoded_query)
-        return float(
-            probability_by_world_enumeration(query, state.tid(key))
-        )
-    if op == "sample":
-        encoded_query, key, encoded_budget, remaining_ms = payload
-        query = decode_query(encoded_query)
+    if op == "compute":
+        route, encoded_query, keys, budget, remaining_ms = payload
         deadline = (
             Deadline(remaining_ms) if remaining_ms is not None else None
         )
-        plan = sampling_plan(query, state.tid(key))
-        estimate = plan.run(decode_budget(encoded_budget), deadline=deadline)
-        return (estimate, plan.engine)
+        return compute(
+            state.cache,
+            state.plan_cache,
+            route,
+            decode_query(encoded_query),
+            [state.tids[key] for key in keys],
+            budget,
+            deadline,
+        )
     if op == "stats":
         return (state.cache.stats(), state.plan_cache.stats())
     raise ValueError(f"unknown worker op {op!r}")
@@ -689,12 +566,13 @@ class _Supervisor:
 class ProcessShard(Shard):
     """A shard whose route compute runs in a dedicated worker process.
 
-    The inherited policy front end is untouched; the overridden hooks
-    publish probability content through the shared-memory registry and
-    RPC the worker.  ``stats()`` merges the worker's cache and plan
-    counters into the parent-side snapshot; ``stop()``/``close()`` shut
-    the inherited pool down first (so in-flight RPCs resolve), then the
-    worker, then unlink every published segment.
+    The inherited policy front end is untouched; the overridden
+    ``_compute`` hook publishes probability content through the
+    shared-memory registry and RPCs the worker.  ``stats()`` merges the
+    worker's cache and plan counters into the parent-side snapshot;
+    ``stop()``/``close()`` shut the inherited pool down first (so
+    in-flight RPCs resolve), then the worker, then unlink every
+    published segment.
 
     The worker is *supervised* (see :class:`_Supervisor`): a died
     worker is respawned with every instance registration replayed, so a
@@ -805,72 +683,40 @@ class ProcessShard(Shard):
                 client.cast("instance", shard_key, relations, facts)
             return len(self._instance_payloads)
 
-    def _announce(self, instance: Instance) -> int:
-        shard_key = instance.shard_key()
-        with self._publish_lock:
-            self._announce_locked(instance, shard_key)
-        return shard_key
+    # -- the compute hook ----------------------------------------------
 
-    # -- route compute hooks -------------------------------------------
+    def _compute(self, route, query, tids, budget, deadline):
+        """:func:`~repro.serving.shard.compute` in the worker process:
+        lease every TID's probability segment, send one ``"compute"``
+        RPC, release the leases once it replied.
 
-    def _execute_lifted(self, query, group: list[_Pending]):
-        reps, positions = self._representatives(group)
-        leases = [self._lease(pending.request.tid) for pending in reps]
+        ``compute`` checks its deadline at entry; an already-expired
+        deadline cannot cross the pipe (the worker rebuilds it from the
+        remaining milliseconds), so that check runs here, in the
+        parent, on one reading of the clock."""
+        leases = []
         try:
-            rep_probabilities, hit = self._client.call(
-                "lifted",
+            for tid in tids:
+                leases.append(self._lease(tid))
+            remaining_ms = None
+            if deadline is not None:
+                remaining_ms = deadline.remaining_ms()
+                if remaining_ms <= 0:
+                    raise DeadlineExceeded(
+                        f"deadline exceeded at computation admission "
+                        f"({-remaining_ms:.3f} ms past expiry)"
+                    )
+            return self._client.call(
+                "compute",
+                route,
                 encode_query(query),
                 [lease.key for lease in leases],
-            )
-        finally:
-            for lease in leases:
-                self._registry.release(lease)
-        return [rep_probabilities[slot] for slot in positions], hit
-
-    def _ensure_compiled(self, query, head: _Pending):
-        shard_key = self._announce(head.request.tid.instance)
-        hit, compile_ms = self._client.call(
-            "compile", encode_query(query), shard_key
-        )
-        return None, hit, compile_ms
-
-    def _execute_intensional(self, query, group: list[_Pending], token):
-        reps, positions = self._representatives(group)
-        leases = [self._lease(pending.request.tid) for pending in reps]
-        try:
-            rep_probabilities = self._client.call(
-                "intensional",
-                encode_query(query),
-                [lease.key for lease in leases],
-            )
-        finally:
-            for lease in leases:
-                self._registry.release(lease)
-        return [rep_probabilities[slot] for slot in positions]
-
-    def _execute_brute(self, query, tid) -> float:
-        lease = self._lease(tid)
-        try:
-            return self._client.call("brute", encode_query(query), lease.key)
-        finally:
-            self._registry.release(lease)
-
-    def _execute_sampling(self, query, tid, budget, wave_deadline):
-        lease = self._lease(tid)
-        remaining_ms = (
-            wave_deadline.remaining_ms() if wave_deadline is not None else None
-        )
-        try:
-            estimate, engine = self._client.call(
-                "sample",
-                encode_query(query),
-                lease.key,
-                encode_budget(budget),
+                budget,
                 remaining_ms,
             )
         finally:
-            self._registry.release(lease)
-        return estimate, engine
+            for lease in leases:
+                self._registry.release(lease)
 
     # -- supervision hooks ---------------------------------------------
 

@@ -354,28 +354,39 @@ class TestServingLiftedRoute:
                 assert response.probability == reference
 
     def test_worker_codec_round_trips_every_query_shape(self):
-        from repro.serving.worker import decode_query, encode_query
+        # The worker pipe and the gateway share one wire form; every
+        # query shape survives it, also through JSON, as its own type.
+        import json
+
+        from repro.serving.api import decode_query, encode_query
 
         h = HQuery(2, BooleanFunction.variable(0, 3))
         cq = ConjunctiveQuery((
             Atom("R", ("x", Constant(7))),
-            Atom("S", (Constant((1, 2)), "y")),
+            Atom("S", (Constant((1, (2, 3))), "y")),
         ))
         ucq = UnionOfCQs((cq, ConjunctiveQuery((Atom("T", ("z",)),))))
         for query in (h, cq, ucq):
-            assert decode_query(encode_query(query)) == query
+            wire = encode_query(query)
+            for payload in (wire, json.loads(json.dumps(wire))):
+                decoded = decode_query(payload)
+                assert decoded == query
+                assert type(decoded) is type(query)
         with pytest.raises(TypeError):
             encode_query(object())
 
     def test_gateway_wire_form_decodes_ucqs(self):
-        from repro.serving.gateway import _decode_query
+        from repro.serving.api import decode_query
 
-        decoded = _decode_query(
+        decoded = decode_query(
             {"ucq": [[["R", ["x", {"const": 3}]]], [["S", ["x", "y"]]]]}
         )
         assert decoded == UnionOfCQs((
             ConjunctiveQuery((Atom("R", ("x", Constant(3))),)),
             ConjunctiveQuery((Atom("S", ("x", "y")),)),
         ))
+        assert decode_query({"cq": [["S", ["x", "y"]]]}) == (
+            ConjunctiveQuery((Atom("S", ("x", "y")),))
+        )
         with pytest.raises(ValueError):
-            _decode_query({"ucq": [[["R", [{"bogus": 1}]]]]})
+            decode_query({"ucq": [[["R", [{"bogus": 1}]]]]})

@@ -258,8 +258,61 @@ class TestBackendParity:
         assert any(kind == "TransientFaultError" for kind, _ in threads)
         assert any(kind == "ok" for kind, _ in threads)
 
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_deadline_passed_before_compute_is_typed(self, backend):
+        # An injected 80 ms stall between dequeue and the sampling
+        # sweep outlives the 40 ms deadline.  Both backends answer with
+        # a typed DeadlineExceeded, which is the caller's budget running
+        # out rather than a shard failure: the process backend must not
+        # send the negative remaining time to its worker.
+        from repro.core.deadline import DeadlineExceeded
+
+        query = hard_full_disjunction(3)
+        tid = complete_tid(3, 3, 3, prob=Fraction(1, 3))
+        assert len(tid) > BRUTE_FORCE_LIMIT
+        service = ShardedService(
+            shards=1,
+            fault_injector=FaultInjector(
+                seed=1, latency_rate=1, latency_ms=80
+            ),
+            degrade_to_sampling=False,
+            backend=backend,
+        )
+        try:
+            future = service.submit(query, tid, deadline_ms=40)
+            error = future.exception(timeout=60)
+            stats = service.stats()
+        finally:
+            service.stop(wait=True)
+        assert isinstance(error, DeadlineExceeded)
+        assert stats.resilience.failures == 0
+        assert stats.resilience.deadline_exceeded == 1
+
 
 class TestProcessStats:
+    def test_compile_cache_counters_identical_across_backends(self):
+        # One compile-cache lookup per intensional group on either
+        # backend: four sequential requests are one miss and three hits.
+        query = nonmonotone_dd_query()
+        tid = complete_tid(3, 3, 3, prob=Fraction(1, 2))
+
+        def run(backend):
+            service = ShardedService(
+                shards=1, workers_per_shard=1, backend=backend
+            )
+            try:
+                for _ in range(4):
+                    assert service.submit(query, tid).result().engine == (
+                        "intensional"
+                    )
+                return service.stats().shards[0].cache
+            finally:
+                service.stop(wait=True)
+
+        threads = run("threads")
+        assert (threads.hits, threads.misses) == (3, 1)
+        assert run("processes") == threads
+
     def test_worker_cache_counters_merge_into_snapshot(self):
         query = nonmonotone_dd_query()
         tid = complete_tid(3, 3, 3, prob=Fraction(1, 2))

@@ -10,15 +10,22 @@ import pytest
 
 from repro.core.boolean_function import BooleanFunction
 from repro.db.generator import complete_tid
+from repro.db.relation import Instance
+from repro.db.tid import TupleIndependentDatabase
 from repro.pqe.brute_force import probability_by_world_enumeration
+from repro.pqe.dichotomy import classify_query
 from repro.pqe.engine import (
     BRUTE_FORCE_LIMIT,
     CompilationCache,
     evaluate,
     evaluate_batch,
+    route_of,
 )
+from repro.queries.cq import Atom, ConjunctiveQuery
 from repro.queries.hqueries import HQuery, q9
+from repro.queries.ucq import UnionOfCQs
 from repro.serving import AccuracyBudget, ShardedService
+from repro.serving.api import QueryRequest
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -283,6 +290,65 @@ class TestEngineRouting:
         with ShardedService(shards=2, workers_per_shard=2) as service:
             responses = service.submit_batch(q9(), tids)
         assert [r.probability for r in responses] == reference.probabilities
+
+
+def safe_ucq_workload():
+    """The safe non-h UCQ ``R(x),S(x,y) ∨ T(z)`` over a small TID."""
+    query = UnionOfCQs((
+        ConjunctiveQuery((Atom("R", ("x",)), Atom("S", ("x", "y")))),
+        ConjunctiveQuery((Atom("T", ("z",)),)),
+    ))
+    instance = Instance()
+    tid = TupleIndependentDatabase(instance)
+    facts = [
+        ("R", (0,)), ("R", (1,)), ("S", (0, 1)), ("S", (1, 1)), ("T", (2,))
+    ]
+    for i, (relation, values) in enumerate(facts):
+        tid.set_probability(instance.add(relation, values), Fraction(i + 1, 7))
+    return query, tid
+
+
+class TestRouteTable:
+    """One routing rule: for one query per Figure-1 row, ``route_of``,
+    the shard's ``route_for`` (the hedge-delay key), auto-mode
+    ``evaluate`` and the served response all name the same route."""
+
+    @staticmethod
+    def rows():
+        hard = hard_full_disjunction(3)
+        small = complete_tid(3, 1, 1, prob=Fraction(1, 3))
+        large = complete_tid(3, 3, 3, prob=Fraction(1, 3))
+        assert len(small) <= BRUTE_FORCE_LIMIT < len(large)
+        return [
+            (q9(), complete_tid(3, 2, 2, prob=Fraction(1, 3)), "extensional"),
+            (*safe_ucq_workload(), "lifted"),
+            (
+                nonmonotone_dd_query(),
+                complete_tid(3, 2, 2, prob=Fraction(1, 2)),
+                "intensional",
+            ),
+            (hard, small, "brute_force"),
+            (hard, large, "sampling"),
+        ]
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_every_figure1_row_names_one_route(self, backend):
+        budget = AccuracyBudget(epsilon=0.2, seed=7)
+        with ShardedService(shards=1, backend=backend) as service:
+            shard = service._shards[0]
+            for query, tid, route in self.rows():
+                engines = (
+                    {"karp_luby", "monte_carlo"}
+                    if route == "sampling"
+                    else {route}
+                )
+                classification = classify_query(query)
+                assert route_of(query, classification, len(tid)) == route
+                request = QueryRequest(query, tid, budget)
+                assert shard.route_for(request) == route
+                assert evaluate(query, tid, budget=budget).engine in engines
+                served = service.submit(query, tid, budget).result()
+                assert served.engine in engines
 
 
 class TestHardRoutes:
