@@ -49,6 +49,15 @@ The injector is wired through :class:`~repro.serving.shard.Shard` /
 :class:`~repro.serving.service.ShardedService` and
 :class:`~repro.serving.gateway.Gateway` as an optional hook; a
 ``None`` injector costs nothing on the hot path.
+
+Every fault is counted once, where it fires: the injector keeps one
+:class:`~repro.serving.stats.Counters` store keyed by ``(kind, shard or
+connection)``, one count per affected request attempt (a microbatch of
+eight requests all delayed by the latency lane counts eight latency
+events, though the worker sleeps once).  :meth:`FaultInjector.stats`
+sums each kind over every key; :meth:`FaultInjector.fired` is one
+shard's share, which that shard reports as its ``injected_*``
+:class:`~repro.serving.stats.ResilienceStats` fields.
 """
 
 from __future__ import annotations
@@ -57,15 +66,33 @@ import threading
 from fractions import Fraction
 
 from repro.db.tid import DrawStream
+from repro.serving.stats import Counters
 
 __all__ = ["FaultInjector", "TransientFaultError", "WorkerCrashError"]
 
 #: Lane block for fault streams, far from the samplers' lanes 0/1 and
 #: the retry-jitter lane.  Each (kind, shard) pair gets its own lane.
 _FAULT_LANE_BASE = 9001
-_KIND_ERROR, _KIND_LATENCY, _KIND_PRESSURE = 0, 1, 2
-_KIND_KILL, _KIND_STRAGGLER = 3, 4
-_KIND_CONN_DROP, _KIND_PARTIAL_WRITE, _KIND_SLOW_CLIENT = 5, 6, 7
+#: The fault kinds, in stream-lane order; each name is also the key
+#: :meth:`FaultInjector.stats` reports that kind's fired count under.
+_KINDS = (
+    "errors",
+    "latency_events",
+    "pressure_events",
+    "kills",
+    "straggler_events",
+    "conn_drops",
+    "partial_writes",
+    "slow_client_events",
+)
+#: The worker-tier kinds a shard reports, by their
+#: :class:`~repro.serving.stats.ResilienceStats` field.
+_SHARD_FIELDS = {
+    "injected_errors": "errors",
+    "injected_latency_events": "latency_events",
+    "injected_kills": "kills",
+    "injected_stragglers": "straggler_events",
+}
 #: Draws are addressed by ``index * 32 + attempt`` so a retried request
 #: re-rolls its fault independently of its first attempt.
 _ATTEMPT_STRIDE = 32
@@ -97,9 +124,10 @@ class FaultInjector:
     """Seeded, replayable fault schedules for chaos tests and benches.
 
     All decisions are pure functions of ``(seed, shard, index,
-    attempt)``; the injector keeps only *observability* state (counters
-    of faults actually fired), so sharing one injector across shards and
-    threads is safe and does not perturb the schedule.
+    attempt)``; the injector keeps only *observability* state (counts
+    of faults actually fired, per shard or connection), so sharing one
+    injector across shards and threads is safe and does not perturb the
+    schedule.
     """
 
     def __init__(
@@ -151,78 +179,59 @@ class FaultInjector:
             )
         self.slow_client_ms = slow_client_ms
         self._lock = threading.Lock()
-        self._streams: dict[tuple[int, int], DrawStream] = {}
-        self._errors = 0
-        self._latency_events = 0
-        self._pressure_events = 0
-        self._kills = 0
-        self._straggler_events = 0
-        self._conn_drops = 0
-        self._partial_writes = 0
-        self._slow_client_events = 0
+        self._streams: dict[tuple[str, int], DrawStream] = {}
+        #: fired faults, keyed ``(kind, shard or connection)``
+        self._fired = Counters()
 
-    def _hit(
-        self, kind: int, shard: int, rate: Fraction, counter: int
+    def _fires(
+        self, kind: str, shard: int, rate: Fraction, index: int, attempt: int
     ) -> bool:
+        """Whether ``kind`` fires for this attempt, counting it if so."""
         if rate == 0:
             return False
-        if rate == 1:
-            return True
-        key = (kind, shard)
-        with self._lock:
-            stream = self._streams.get(key)
-            if stream is None:
-                lane = _FAULT_LANE_BASE + kind * 997 + shard
-                stream = DrawStream(self.seed, lane)
-                self._streams[key] = stream
-        draw = stream.draw(rate.denominator, counter)
-        return draw < rate.numerator
+        if rate < 1:
+            with self._lock:
+                stream = self._streams.get((kind, shard))
+                if stream is None:
+                    lane = _FAULT_LANE_BASE + _KINDS.index(kind) * 997 + shard
+                    stream = DrawStream(self.seed, lane)
+                    self._streams[(kind, shard)] = stream
+            counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
+            if stream.draw(rate.denominator, counter) >= rate.numerator:
+                return False
+        self._fired.add((kind, shard))
+        return True
 
     def should_fail(self, shard: int, index: int, attempt: int = 0) -> bool:
         """Whether request ``index`` on ``shard`` fails this ``attempt``."""
         if (shard, index) in self.broken_requests:
-            with self._lock:
-                self._errors += 1
+            self._fired.add(("errors", shard))
             return True
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self._hit(_KIND_ERROR, shard, self.error_rate, counter):
-            with self._lock:
-                self._errors += 1
-            return True
-        return False
+        return self._fires("errors", shard, self.error_rate, index, attempt)
 
     def latency_ms_for(
         self, shard: int, index: int, attempt: int = 0
     ) -> float:
         """Extra latency (ms) to inject before serving this attempt."""
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self.latency_ms > 0 and self._hit(
-            _KIND_LATENCY, shard, self.latency_rate, counter
+        if self.latency_ms > 0 and self._fires(
+            "latency_events", shard, self.latency_rate, index, attempt
         ):
-            with self._lock:
-                self._latency_events += 1
             return self.latency_ms
         return 0.0
 
     def should_kill(self, shard: int, index: int, attempt: int = 0) -> bool:
         """Whether to crash ``shard``'s worker under this attempt."""
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self._hit(_KIND_KILL, shard, self.worker_kill_rate, counter):
-            with self._lock:
-                self._kills += 1
-            return True
-        return False
+        return self._fires(
+            "kills", shard, self.worker_kill_rate, index, attempt
+        )
 
     def straggler_ms_for(
         self, shard: int, index: int, attempt: int = 0
     ) -> float:
         """Straggler delay (ms) to inject before serving this attempt."""
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self.straggler_ms > 0 and self._hit(
-            _KIND_STRAGGLER, shard, self.straggler_rate, counter
+        if self.straggler_ms > 0 and self._fires(
+            "straggler_events", shard, self.straggler_rate, index, attempt
         ):
-            with self._lock:
-                self._straggler_events += 1
             return self.straggler_ms
         return 0.0
 
@@ -233,60 +242,51 @@ class FaultInjector:
         through the reply to its ``index``-th request.  Like the worker
         lanes, a retried request (new attempt, or the same key resent on
         a new connection) re-rolls independently."""
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self._hit(_KIND_CONN_DROP, conn, self.conn_drop_rate, counter):
-            with self._lock:
-                self._conn_drops += 1
-            return True
-        return False
+        return self._fires(
+            "conn_drops", conn, self.conn_drop_rate, index, attempt
+        )
 
     def should_split_write(
         self, conn: int, index: int, attempt: int = 0
     ) -> bool:
         """Whether to write this reply frame in two drained chunks."""
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self._hit(
-            _KIND_PARTIAL_WRITE, conn, self.partial_write_rate, counter
-        ):
-            with self._lock:
-                self._partial_writes += 1
-            return True
-        return False
+        return self._fires(
+            "partial_writes", conn, self.partial_write_rate, index, attempt
+        )
 
     def slow_client_ms_for(
         self, conn: int, index: int, attempt: int = 0
     ) -> float:
         """Delay (ms) to inject before writing this reply."""
-        counter = index * _ATTEMPT_STRIDE + (attempt % _ATTEMPT_STRIDE)
-        if self.slow_client_ms > 0 and self._hit(
-            _KIND_SLOW_CLIENT, conn, self.slow_client_rate, counter
+        if self.slow_client_ms > 0 and self._fires(
+            "slow_client_events", conn, self.slow_client_rate, index, attempt
         ):
-            with self._lock:
-                self._slow_client_events += 1
             return self.slow_client_ms
         return 0.0
 
     def phantom_depth(self, shard: int, index: int) -> int:
         """Phantom queue depth admission control should add for this
         request (attempt-independent: admission happens once)."""
-        if self.pressure_depth > 0 and self._hit(
-            _KIND_PRESSURE, shard, self.pressure_rate, index * _ATTEMPT_STRIDE
+        if self.pressure_depth > 0 and self._fires(
+            "pressure_events", shard, self.pressure_rate, index, 0
         ):
-            with self._lock:
-                self._pressure_events += 1
             return self.pressure_depth
         return 0
 
     def stats(self) -> dict[str, int]:
-        """Counters of faults actually fired (observability only)."""
-        with self._lock:
-            return {
-                "errors": self._errors,
-                "latency_events": self._latency_events,
-                "pressure_events": self._pressure_events,
-                "kills": self._kills,
-                "straggler_events": self._straggler_events,
-                "conn_drops": self._conn_drops,
-                "partial_writes": self._partial_writes,
-                "slow_client_events": self._slow_client_events,
-            }
+        """Fired faults per kind, summed over shards and connections
+        (observability only)."""
+        totals = dict.fromkeys(_KINDS, 0)
+        for (kind, _), count in self._fired.snapshot().items():
+            totals[kind] += count
+        return totals
+
+    def fired(self, shard: int) -> dict[str, int]:
+        """The worker-tier faults fired on ``shard``, as that shard's
+        ``injected_*`` :class:`~repro.serving.stats.ResilienceStats`
+        fields."""
+        counts = self._fired.snapshot()
+        return {
+            name: counts.get((kind, shard), 0)
+            for name, kind in _SHARD_FIELDS.items()
+        }

@@ -108,7 +108,7 @@ from repro.serving.api import decode_query, decode_values
 from repro.serving.faults import FaultInjector
 from repro.serving.journal import JournalStats, RegistrationJournal
 from repro.serving.service import ShardedService
-from repro.serving.stats import GatewayStats, IdempotencyStats
+from repro.serving.stats import Counters, GatewayStats, IdempotencyStats
 
 #: register/query lines may carry whole instances; the default 64 KiB
 #: readline limit is too small for that.
@@ -252,18 +252,8 @@ class Gateway:
         #: (tenant, key) -> completed reply body (dict) or the in-flight
         #: execution task (asyncio.Future); bounded LRU.
         self._idempotency: OrderedDict = OrderedDict()
-        self._connections_total = 0
-        self._rejected_connections = 0
-        self._idle_timeouts = 0
-        self._line_too_long = 0
-        self._requests = 0
-        self._draining_rejections = 0
-        self._overloaded_rejections = 0
-        self._quota_rejections = 0
-        self._replayed_instances = 0
-        self._idem_hits = 0
-        self._idem_joins = 0
-        self._idem_evictions = 0
+        self._counts = Counters()  #: GatewayStats, keyed by field
+        self._idem_counts = Counters()  #: IdempotencyStats
 
     # -- lifecycle -----------------------------------------------------
 
@@ -286,7 +276,7 @@ class Gateway:
         if self._journal is not None and not self._replayed:
             for record in self._journal.replay():
                 self._apply_register(record)
-                self._replayed_instances += 1
+                self._counts.add("replayed_instances")
             self._replayed = True
         self._idle = asyncio.Event()
         self._idle.set()
@@ -363,7 +353,7 @@ class Gateway:
         self._idempotency.move_to_end(key)
         while len(self._idempotency) > self.idempotency_capacity:
             self._idempotency.popitem(last=False)
-            self._idem_evictions += 1
+            self._idem_counts.add("evictions")
 
     def gateway_stats(self) -> GatewayStats:
         """This gateway's edge counters (see
@@ -379,28 +369,18 @@ class Gateway:
             else {}
         )
         return GatewayStats(
-            connections=self._connections_total,
             active_connections=len(self._connections),
-            rejected_connections=self._rejected_connections,
-            idle_timeouts=self._idle_timeouts,
-            line_too_long=self._line_too_long,
-            requests=self._requests,
-            draining_rejections=self._draining_rejections,
-            overloaded_rejections=self._overloaded_rejections,
-            quota_rejections=self._quota_rejections,
-            replayed_instances=self._replayed_instances,
             journal=journal,
             idempotency=IdempotencyStats(
-                hits=self._idem_hits,
-                joins=self._idem_joins,
                 entries=len(self._idempotency),
-                evictions=self._idem_evictions,
+                **self._idem_counts.snapshot(),
             ),
             injected_conn_drops=injected.get("conn_drops", 0),
             injected_partial_writes=injected.get("partial_writes", 0),
             injected_slow_client_events=injected.get(
                 "slow_client_events", 0
             ),
+            **self._counts.snapshot(),
         )
 
     # -- connection handling -------------------------------------------
@@ -433,7 +413,7 @@ class Gateway:
     ) -> None:
         if self._draining:
             # Accepted in the window before the listener closed.
-            self._rejected_connections += 1
+            self._counts.add("rejected_connections")
             await self._reject_connection(
                 writer, GatewayDraining("gateway is draining")
             )
@@ -442,7 +422,7 @@ class Gateway:
             self.max_connections is not None
             and len(self._connections) >= self.max_connections
         ):
-            self._rejected_connections += 1
+            self._counts.add("rejected_connections")
             await self._reject_connection(
                 writer,
                 TooManyConnections(
@@ -452,7 +432,7 @@ class Gateway:
             return
         conn_id = self._conn_counter
         self._conn_counter += 1
-        self._connections_total += 1
+        self._counts.add("connections")
         reply_index = 0
         task = asyncio.current_task()
         if task is not None:
@@ -467,7 +447,7 @@ class Gateway:
                     else:
                         line = await reader.readline()
                 except (TimeoutError, asyncio.TimeoutError):
-                    self._idle_timeouts += 1
+                    self._counts.add("idle_timeouts")
                     with contextlib.suppress(ConnectionError):
                         writer.write(
                             json.dumps(
@@ -485,7 +465,7 @@ class Gateway:
                 except (asyncio.LimitOverrunError, ValueError):
                     # Oversized line: answer typed, then close — framing
                     # cannot be trusted past an overrun.
-                    self._line_too_long += 1
+                    self._counts.add("line_too_long")
                     with contextlib.suppress(ConnectionError):
                         writer.write(
                             json.dumps(
@@ -691,7 +671,7 @@ class Gateway:
 
     async def _serve_register(self, message: dict) -> dict:
         if self._draining:
-            self._draining_rejections += 1
+            self._counts.add("draining_rejections")
             raise GatewayDraining(
                 "gateway is draining; register against the restarted "
                 "gateway"
@@ -720,18 +700,18 @@ class Gateway:
             entry = self._idem_get(idem_key)
             if isinstance(entry, dict):
                 # Completed: replay the recorded reply verbatim.
-                self._idem_hits += 1
+                self._idem_counts.add("hits")
                 return {"id": message_id, **entry}
             if entry is not None:
                 # In flight: join the same execution — no duplicate
                 # submission, no duplicate sampling sweep.  Shielded so
                 # one joiner's connection dying cannot cancel the
                 # shared work.
-                self._idem_joins += 1
+                self._idem_counts.add("joins")
                 body = await asyncio.shield(entry)
                 return {"id": message_id, **body}
         if self._draining:
-            self._draining_rejections += 1
+            self._counts.add("draining_rejections")
             raise GatewayDraining(
                 "gateway is draining; retry against the restarted gateway"
             )
@@ -747,12 +727,12 @@ class Gateway:
         )
         quota = self.tenant_quotas.get(tenant, self.default_tenant_quota)
         if self._inflight >= self.max_inflight:
-            self._overloaded_rejections += 1
+            self._counts.add("overloaded_rejections")
             raise GatewayOverloaded(
                 f"gateway at max_inflight={self.max_inflight}"
             )
         if self._tenant_inflight.get(tenant, 0) >= quota:
-            self._quota_rejections += 1
+            self._counts.add("quota_rejections")
             raise TenantQuotaExceeded(
                 f"tenant {tenant!r} at quota {quota}"
             )
@@ -810,7 +790,7 @@ class Gateway:
             else:
                 self._tenant_inflight.pop(tenant, None)
             self._check_idle()
-        self._requests += 1
+        self._counts.add("requests")
         if idem_key is not None:
             self._idem_put(idem_key, body)
         return body

@@ -52,8 +52,9 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import asdict, dataclass
 from pathlib import Path
+
+from repro.serving.stats import JournalStats
 
 __all__ = [
     "JournalCorrupt",
@@ -72,34 +73,6 @@ class JournalCorrupt(RuntimeError):
     (not merely torn by a crash mid-append), and replaying around the
     damage would silently drop registrations.  Recovery is manual by
     design — serve from a backup or accept the explicit data loss."""
-
-
-@dataclass(frozen=True)
-class JournalStats:
-    """Counters for one journal's lifetime (payload-round-trippable,
-    merged into :class:`~repro.serving.stats.GatewayStats`).
-
-    ``appended``/``replayed`` count records written and records applied
-    by the last :meth:`~RegistrationJournal.replay`; ``live`` is the
-    number of distinct instance names currently recorded, ``dead`` the
-    superseded records compaction would drop; ``compactions`` the
-    rewrites performed, ``torn_records`` / ``torn_bytes`` what tail
-    truncation discarded across replays."""
-
-    appended: int = 0
-    replayed: int = 0
-    live: int = 0
-    dead: int = 0
-    compactions: int = 0
-    torn_records: int = 0
-    torn_bytes: int = 0
-
-    def to_payload(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "JournalStats":
-        return cls(**payload)
 
 
 def _canonical(record: dict) -> bytes:

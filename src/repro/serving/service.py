@@ -54,6 +54,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.shard import Shard
 from repro.serving.stats import (
+    Counters,
     HedgeStats,
     ReplicationStats,
     ServiceStats,
@@ -182,13 +183,8 @@ class ShardedService:
         self._state_lock = threading.Lock()
         self._placements: dict[int, tuple[int, ...]] = {}
         self._route_token = 0
-        self._spread = 0
-        self._failovers = 0
-        self._hedges_launched = 0
-        self._primary_wins = 0
-        self._backup_wins = 0
-        self._hedge_cancelled = 0
-        self._failed_backups = 0
+        self._routing = Counters()  #: ReplicationStats spread/failovers
+        self._hedging = Counters()  #: HedgeStats
         self._shards = [
             shard_type(
                 index,
@@ -344,11 +340,7 @@ class ShardedService:
             return self._shards[primary].submit(request)
         chosen = healthy[token % len(healthy)]
         if chosen != primary:
-            with self._state_lock:
-                if primary in healthy:
-                    self._spread += 1
-                else:
-                    self._failovers += 1
+            self._routing.add("spread" if primary in healthy else "failovers")
         if self._hedge.enabled and len(healthy) > 1:
             race = _HedgeRace(self, request, token, ring, chosen)
             try:
@@ -378,14 +370,6 @@ class ShardedService:
         route = shard.route_for(request)
         quantile = shard.route_quantile_ms(route, self._hedge.quantile_z)
         return self._hedge.delay_ms(token, quantile)
-
-    def _count_hedge(self, **deltas: int) -> None:
-        with self._state_lock:
-            self._hedges_launched += deltas.get("launched", 0)
-            self._primary_wins += deltas.get("primary_wins", 0)
-            self._backup_wins += deltas.get("backup_wins", 0)
-            self._hedge_cancelled += deltas.get("cancelled", 0)
-            self._failed_backups += deltas.get("failed_backups", 0)
 
     def submit_batch(
         self,
@@ -417,25 +401,7 @@ class ShardedService:
         for shard in self._shards:
             latencies.extend(shard.latency_snapshot())
         with self._state_lock:
-            replication = ReplicationStats(
-                replicated_instances=sum(
-                    1
-                    for ring in self._placements.values()
-                    if len(ring) > 1
-                ),
-                replicas_placed=sum(
-                    len(ring) - 1 for ring in self._placements.values()
-                ),
-                spread=self._spread,
-                failovers=self._failovers,
-            )
-            hedging = HedgeStats(
-                launched=self._hedges_launched,
-                primary_wins=self._primary_wins,
-                backup_wins=self._backup_wins,
-                cancelled=self._hedge_cancelled,
-                failed_backups=self._failed_backups,
-            )
+            rings = list(self._placements.values())
         return ServiceStats(
             shards=shard_stats,
             requests=sum(s.requests for s in shard_stats),
@@ -447,8 +413,12 @@ class ShardedService:
             compile_ms=sum(s.compile_ms for s in shard_stats),
             p50_ms=percentile(latencies, 0.50),
             p95_ms=percentile(latencies, 0.95),
-            replication=replication,
-            hedging=hedging,
+            replication=ReplicationStats(
+                replicated_instances=sum(1 for ring in rings if len(ring) > 1),
+                replicas_placed=sum(len(ring) - 1 for ring in rings),
+                **self._routing.snapshot(),
+            ),
+            hedging=HedgeStats(**self._hedging.snapshot()),
         )
 
     def close(self, wait: bool = True) -> None:
@@ -565,17 +535,17 @@ class _HedgeRace:
                 self._request, deadline=deadline
             )
         except ServiceStopped:
-            service._count_hedge(failed_backups=1)
+            service._hedging.add("failed_backups")
             self._settle_if_all_failed()
             return
-        service._count_hedge(launched=1)
+        service._hedging.add("launched")
         with self._lock:
             if self._done:
                 # The primary resolved while we were submitting: retire
                 # the just-launched backup straight away.
                 deadline.expire()
                 if future.cancel():
-                    service._count_hedge(cancelled=1)
+                    service._hedging.add("cancelled")
                 return
             slot = len(self._entries)
             self._entries.append((backup_index, future, deadline))
@@ -633,7 +603,7 @@ class _HedgeRace:
             deadline.expire()
             if future.cancel():
                 cancelled += 1
-        self._service._count_hedge(
+        self._service._hedging.update(
             primary_wins=1 if slot == 0 else 0,
             backup_wins=0 if slot == 0 else 1,
             cancelled=cancelled,

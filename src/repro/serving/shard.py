@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -102,6 +102,7 @@ from repro.serving.resilience import (
     degraded_budget,
 )
 from repro.serving.stats import (
+    Counters,
     LatencyWindow,
     ResilienceStats,
     SamplingStats,
@@ -233,32 +234,22 @@ class Shard:
         self._instances: set[tuple] = set()
         self._stopped = False
         self._admitted = 0
-        self._requests = 0
-        self._batches = 0
-        self._max_batch_size = 0
-        self._microbatched = 0
-        self._compile_ms = 0.0
-        self._engines: Counter[str] = Counter()
-        self._sampled_requests = 0
-        self._sampling_sweeps = 0
-        self._sampling_waves = 0
-        self._samples_drawn = 0
-        self._sampling_max_half_width = 0.0
+        # One counter store per ShardStats section, keyed by field.
+        self._counts = Counters(
+            requests=0,
+            batches=0,
+            max_batch_size=0,
+            microbatched_requests=0,
+            compile_ms=0.0,
+        )
+        self._engines = Counters()
+        self._sampling = Counters()
+        self._resilience = Counters()
         self._route_ewma = {
             route: LatencyEwma(ewma_alpha) for route in ROUTES
         }
         self._service_ewma = LatencyEwma(ewma_alpha)
         self._sampling_rate = LatencyEwma(ewma_alpha)  # samples per ms
-        self._shed = 0
-        self._deadline_exceeded = 0
-        self._degraded = 0
-        self._retries = 0
-        self._failures = 0
-        self._breaker_rejected = 0
-        self._injected_errors = 0
-        self._injected_latency = 0
-        self._injected_kills = 0
-        self._injected_stragglers = 0
 
     # ------------------------------------------------------------------
     # Front-end
@@ -318,7 +309,7 @@ class Shard:
             self._admitted += 1
             self._instances.add(pending.key[1])
             if self._breaker is not None and not self._breaker.allow():
-                self._breaker_rejected += 1
+                self._resilience.add("breaker_rejected")
                 rejection = CircuitBreakerOpen(
                     f"shard {self.shard_id} circuit breaker is "
                     f"{self._breaker.state}"
@@ -379,7 +370,7 @@ class Shard:
         if not shed:
             self._pending.append(pending)
             return None, None
-        self._shed += 1
+        self._resilience.add("shed")
         for queued in reversed(self._pending):
             if queued.request.priority < pending.request.priority:
                 self._pending.remove(queued)
@@ -520,8 +511,7 @@ class Shard:
         except BaseException as error:  # noqa: BLE001 - futures carry it
             survivors = [p for p in group if not p.future.done()]
             if len(survivors) > 1:
-                with self._lock:
-                    self._retries += len(survivors)
+                self._resilience.add("retries", len(survivors))
                 for pending in survivors:
                     pending.attempt += 1
                     self._serve([pending])
@@ -538,8 +528,7 @@ class Shard:
             isinstance(error, TransientFaultError)
             and pending.attempt + 1 < self._retry.attempts
         ):
-            with self._lock:
-                self._retries += 1
+            self._resilience.add("retries")
             delay_ms = self._retry.delay_ms(
                 pending.index, pending.attempt + 1
             )
@@ -548,8 +537,7 @@ class Shard:
             pending.attempt += 1
             self._serve([pending])
             return
-        with self._lock:
-            self._failures += 1
+        self._resilience.add("failures")
         if self._breaker is not None:
             self._breaker.record_failure()
         pending.future.set_exception(error)
@@ -560,8 +548,7 @@ class Shard:
         """Resolve one request as late (typed), counting it.  Deadline
         misses are the *caller's* budget running out, not shard
         ill-health, so they never feed the breaker."""
-        with self._lock:
-            self._deadline_exceeded += 1
+        self._resilience.add("deadline_exceeded")
         if error is None:
             error = DeadlineExceeded(
                 f"deadline exceeded before shard {self.shard_id} could "
@@ -591,7 +578,9 @@ class Shard:
         respawned worker), sleep the worst injected latency / straggler
         delay of the group, then raise :class:`TransientFaultError` if
         any member is scheduled to fail this attempt (the group-split
-        retry in :meth:`_serve` then isolates the doomed member)."""
+        retry in :meth:`_serve` then isolates the doomed member).  The
+        injector counts every fault it fires, per member attempt; the
+        shard reads those counts back in :meth:`stats`."""
         injector = self._fault_injector
         killers = [
             pending
@@ -601,8 +590,6 @@ class Shard:
             )
         ]
         if killers:
-            with self._lock:
-                self._injected_kills += len(killers)
             # The crash-and-respawn is synchronous: by the time the
             # transient retry re-serves this group, a fresh worker with
             # replayed registrations is in place — so the outcome is a
@@ -614,30 +601,15 @@ class Shard:
                 f"{[pending.index for pending in killers]}, attempt "
                 f"{killers[0].attempt})"
             )
-        delay_ms = 0.0
-        straggler_ms = 0.0
-        for pending in group:
-            delay_ms = max(
-                delay_ms,
-                injector.latency_ms_for(
-                    self.shard_id, pending.index, pending.attempt
-                ),
+        delay_ms = max(
+            max(
+                injector.latency_ms_for(self.shard_id, p.index, p.attempt),
+                injector.straggler_ms_for(self.shard_id, p.index, p.attempt),
             )
-            straggler_ms = max(
-                straggler_ms,
-                injector.straggler_ms_for(
-                    self.shard_id, pending.index, pending.attempt
-                ),
-            )
-        if straggler_ms > 0:
-            with self._lock:
-                self._injected_stragglers += 1
+            for p in group
+        )
         if delay_ms > 0:
-            with self._lock:
-                self._injected_latency += 1
-        total_delay = max(delay_ms, straggler_ms)
-        if total_delay > 0:
-            time.sleep(total_delay / 1e3)
+            time.sleep(delay_ms / 1e3)
         doomed = [
             pending
             for pending in group
@@ -646,8 +618,6 @@ class Shard:
             )
         ]
         if doomed:
-            with self._lock:
-                self._injected_errors += len(doomed)
             raise TransientFaultError(
                 f"injected worker fault on shard {self.shard_id} "
                 f"(request indices "
@@ -702,15 +672,15 @@ class Shard:
         # Counters first: a client unblocked by its future may read
         # stats() immediately and must already see itself counted.  The
         # ``counted`` flag keeps retried members from counting twice.
-        with self._lock:
-            fresh = sum(1 for pending in group if not pending.counted)
-            self._requests += fresh
-            self._batches += 1
-            self._max_batch_size = max(self._max_batch_size, size)
-            if size > 1:
-                self._microbatched += fresh
-            for pending in group:
-                pending.counted = True
+        fresh = sum(1 for pending in group if not pending.counted)
+        self._counts.update(
+            requests=fresh,
+            batches=1,
+            microbatched_requests=fresh if size > 1 else 0,
+        )
+        self._counts.peak("max_batch_size", size)
+        for pending in group:
+            pending.counted = True
         if self._fault_injector is not None:
             self._inject(group)
         # A group shares its query and instance content, so every member
@@ -823,20 +793,17 @@ class Shard:
             extra = {}
             if sampling:
                 estimate = values
-                with self._lock:
-                    self._sampled_requests += len(members)
-                    self._sampling_sweeps += 1
-                    self._sampling_waves += estimate.waves
-                    self._samples_drawn += estimate.samples
-                    self._sampling_max_half_width = max(
-                        self._sampling_max_half_width, estimate.half_width
-                    )
-                    if degraded:
-                        self._degraded += len(members)
-                    if estimate.samples and elapsed_ms > 0:
-                        self._sampling_rate.observe(
-                            estimate.samples / elapsed_ms
-                        )
+                self._sampling.update(
+                    requests=len(members),
+                    sweeps=1,
+                    waves=estimate.waves,
+                    samples=estimate.samples,
+                )
+                self._sampling.peak("max_half_width", estimate.half_width)
+                if degraded:
+                    self._resilience.add("degraded", len(members))
+                if estimate.samples and elapsed_ms > 0:
+                    self._sampling_rate.observe(estimate.samples / elapsed_ms)
                 # The unbiased Karp-Luby estimate W * fraction can land
                 # outside [0, 1] when the union-bound weight W exceeds 1;
                 # a *served* probability is clamped (never further from
@@ -850,8 +817,7 @@ class Shard:
                     "degraded": degraded,
                 }
             elif compile_ms:
-                with self._lock:
-                    self._compile_ms += compile_ms
+                self._counts.add("compile_ms", compile_ms)
             for share, value in zip(call, values):
                 for pending in share:
                     self._finish(
@@ -885,8 +851,7 @@ class Shard:
     ) -> None:
         latency_ms = (time.perf_counter() - pending.enqueued) * 1e3
         self._latencies.record(latency_ms)
-        with self._lock:
-            self._engines[engine] += 1
+        self._engines.add(engine)
         if self._breaker is not None:
             self._breaker.record_success()
         pending.future.set_result(
@@ -909,58 +874,39 @@ class Shard:
     # ------------------------------------------------------------------
 
     def stats(self) -> ShardStats:
-        cache = self.cache.stats()
-        plans = self.plan_cache.stats()
-        p50 = self._latencies.percentile(0.50)
-        p95 = self._latencies.percentile(0.95)
-        route_ewma_ms = {
-            route: ewma.value()
-            for route, ewma in self._route_ewma.items()
-        }
-        breaker_state = (
-            self._breaker.state if self._breaker is not None else "closed"
-        )
-        breaker_trips = (
-            self._breaker.trips if self._breaker is not None else 0
+        breaker = self._breaker
+        injected = (
+            self._fault_injector.fired(self.shard_id)
+            if self._fault_injector is not None
+            else {}
         )
         with self._lock:
-            return ShardStats(
-                shard=self.shard_id,
-                instances=len(self._instances),
-                requests=self._requests,
-                batches=self._batches,
-                max_batch_size=self._max_batch_size,
-                microbatched_requests=self._microbatched,
-                queue_depth=len(self._pending),
-                engines=dict(self._engines),
-                cache=cache,
-                plans=plans,
-                sampling=SamplingStats(
-                    requests=self._sampled_requests,
-                    sweeps=self._sampling_sweeps,
-                    waves=self._sampling_waves,
-                    samples=self._samples_drawn,
-                    max_half_width=self._sampling_max_half_width,
+            instances = len(self._instances)
+            queue_depth = len(self._pending)
+        return ShardStats(
+            shard=self.shard_id,
+            instances=instances,
+            queue_depth=queue_depth,
+            engines=self._engines.snapshot(),
+            cache=self.cache.stats(),
+            plans=self.plan_cache.stats(),
+            sampling=SamplingStats(**self._sampling.snapshot()),
+            p50_ms=self._latencies.percentile(0.50),
+            p95_ms=self._latencies.percentile(0.95),
+            resilience=ResilienceStats(
+                **self._resilience.snapshot(),
+                **injected,
+                breaker_state=(
+                    breaker.state if breaker is not None else "closed"
                 ),
-                compile_ms=self._compile_ms,
-                p50_ms=p50,
-                p95_ms=p95,
-                resilience=ResilienceStats(
-                    shed=self._shed,
-                    deadline_exceeded=self._deadline_exceeded,
-                    degraded=self._degraded,
-                    retries=self._retries,
-                    failures=self._failures,
-                    breaker_state=breaker_state,
-                    breaker_rejected=self._breaker_rejected,
-                    breaker_trips=breaker_trips,
-                    injected_errors=self._injected_errors,
-                    injected_latency_events=self._injected_latency,
-                    injected_kills=self._injected_kills,
-                    injected_stragglers=self._injected_stragglers,
-                ),
-                route_ewma_ms=route_ewma_ms,
-            )
+                breaker_trips=breaker.trips if breaker is not None else 0,
+            ),
+            route_ewma_ms={
+                route: ewma.value()
+                for route, ewma in self._route_ewma.items()
+            },
+            **self._counts.snapshot(),
+        )
 
     def latency_snapshot(self) -> list[float]:
         """The raw latency window (for service-wide percentiles)."""

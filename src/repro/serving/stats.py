@@ -1,27 +1,74 @@
-"""Observability for the sharded service: latency windows and snapshots.
+"""Observability for the sharded service: counters, latency windows and
+snapshots.
 
 The service answers "how is each shard doing" with one immutable
 :class:`ServiceStats` — per-shard compilation-cache hit rates, compile
 cost, queue depth, microbatch shape and p50/p95 latency — cheap enough to
 poll from a monitoring loop without perturbing the workers.
 
-Every snapshot type is **merge-safe across processes**: worker-side
-counters travel as plain payload dicts (``to_payload`` /
-``from_payload`` — JSON-able, so the asyncio gateway can serve them
-over the wire) and round-trip losslessly; cross-shard aggregation keeps
-the in-process semantics (sums, worst achieved half-width, worst
-breaker state) no matter which process a snapshot was taken in.
+**One way to count.**  Every count the shards, the service and the
+gateway report lives in a :class:`Counters` store keyed by the snapshot
+field it fills (or by a ``(field, label)`` pair for a labeled count),
+and a snapshot section is built straight from that store's
+:meth:`Counters.snapshot`.  A fault is counted once, where it fires: in
+the :class:`~repro.serving.faults.FaultInjector`, keyed by shard.  The
+journal, the worker supervisor and the circuit breaker keep their own
+counts, which their own policies read.
+
+**One snapshot protocol.**  Every ``*Stats`` type here inherits
+:class:`Snapshot`: ``to_payload`` / ``from_payload`` (JSON-able dicts,
+so the asyncio gateway can serve them over the wire, round-tripping
+losslessly) and ``merged`` (field by field: sums by default, or the
+rule a field declares — ``max``, the worst breaker state, ``all``,
+``any``), so cross-shard aggregation keeps the in-process semantics no
+matter which process a snapshot was taken in.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import asdict, dataclass, field
+import typing
+from collections import Counter, deque
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from functools import reduce
 
 from repro.pqe.engine import CompilationCacheStats
 from repro.pqe.extensional import ExtensionalPlanCacheStats
-from repro.serving.journal import JournalStats
+
+
+class Counters:
+    """A thread-safe counter store: a :class:`collections.Counter` behind
+    a lock.
+
+    A key is the snapshot field a count fills, or a ``(field, label)``
+    pair for a labeled count; values may be ints or floats.
+    ``Counters(requests=0)`` seeds keys a snapshot must always carry.
+    """
+
+    def __init__(self, **initial):
+        self._counts = Counter(initial)
+        self._lock = threading.Lock()
+
+    def add(self, key, amount=1) -> None:
+        with self._lock:
+            self._counts[key] += amount
+
+    def update(self, **deltas) -> None:
+        """Add several counts under one lock acquisition."""
+        with self._lock:
+            self._counts.update(deltas)
+
+    def peak(self, key, value) -> None:
+        """Raise ``key`` to ``value`` if that is higher (a high-water
+        mark)."""
+        with self._lock:
+            if value > self._counts[key]:
+                self._counts[key] = value
+
+    def snapshot(self) -> dict:
+        """A coherent copy of every count."""
+        with self._lock:
+            return dict(self._counts)
 
 
 class LatencyWindow:
@@ -63,8 +110,93 @@ def percentile(values: list[float], q: float) -> float:
     return ordered[int(rank)]
 
 
+#: Breaker-state severity order for cross-shard aggregation: a service
+#: snapshot reports the *worst* shard breaker.
+_BREAKER_SEVERITY = {"closed": 0, "half_open": 1, "open": 2}
+
+#: How :meth:`Snapshot.merged` combines one field, by the rule name its
+#: ``field(metadata={"merge": ...})`` declares (``"sum"`` if none).
+_MERGE_RULES = {
+    "sum": lambda a, b: a + b,
+    "max": max,
+    "worst_breaker": lambda a, b: max(
+        a, b, key=lambda state: _BREAKER_SEVERITY.get(state, 0)
+    ),
+    "all": lambda a, b: a and b,
+    "any": lambda a, b: a or b,
+}
+
+
+def _merged_by(rule: str, default):
+    """A snapshot field that :meth:`Snapshot.merged` combines by
+    ``rule`` instead of summing."""
+    return field(default=default, metadata={"merge": rule})
+
+
+def _as_lists(value):
+    """``value`` with every tuple turned into a list (as JSON has it)."""
+    if isinstance(value, (tuple, list)):
+        return [_as_lists(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _as_lists(item) for key, item in value.items()}
+    return value
+
+
+def _rebuild(hint, value):
+    """One payload field back as the type its annotation names."""
+    if isinstance(hint, type) and issubclass(hint, Snapshot):
+        return hint.from_payload(value)
+    if is_dataclass(hint):
+        return hint(**value)
+    if typing.get_origin(hint) is tuple:
+        item_hint = typing.get_args(hint)[0]
+        return tuple(_rebuild(item_hint, item) for item in value)
+    return value
+
+
+class Snapshot:
+    """The payload and merge protocol every serving ``*Stats`` dataclass
+    inherits."""
+
+    def to_payload(self) -> dict:
+        """This snapshot as a JSON-able dict (nested snapshots as dicts,
+        tuples as lists)."""
+        return _as_lists(asdict(self))
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        """Rebuild a snapshot serialized by :meth:`to_payload` —
+        ``cls.from_payload(s.to_payload()) == s``.  Nested snapshot
+        fields are rebuilt from the type annotations."""
+        hints = typing.get_type_hints(cls)
+        return cls(
+            **{
+                name: _rebuild(hints[name], value)
+                for name, value in payload.items()
+            }
+        )
+
+    def merged(self, other):
+        """Aggregate two snapshots field by field: sums, unless a field
+        declares another rule (``max``, ``worst_breaker``, ``all``,
+        ``any``) in its metadata."""
+        return type(self)(
+            **{
+                f.name: _MERGE_RULES[f.metadata.get("merge", "sum")](
+                    getattr(self, f.name), getattr(other, f.name)
+                )
+                for f in fields(self)
+            }
+        )
+
+
+def _merge_all(cls, snapshots):
+    """``cls()`` merged with each of ``snapshots`` in turn."""
+    return reduce(cls.merged, snapshots, cls())
+
+
 @dataclass(frozen=True)
-class SamplingStats:
+class SamplingStats(Snapshot):
     """The sampling route's counters: how the hard-query traffic of a
     shard (or the whole service) was served by the vectorized
     budget-adaptive sampler.
@@ -82,37 +214,23 @@ class SamplingStats:
     sweeps: int = 0
     waves: int = 0
     samples: int = 0
-    max_half_width: float = 0.0
-
-    def merged(self, other: "SamplingStats") -> "SamplingStats":
-        """Aggregate two snapshots (sums; worst max_half_width)."""
-        return SamplingStats(
-            self.requests + other.requests,
-            self.sweeps + other.sweeps,
-            self.waves + other.waves,
-            self.samples + other.samples,
-            max(self.max_half_width, other.max_half_width),
-        )
-
-
-#: Breaker-state severity order for cross-shard aggregation: a service
-#: snapshot reports the *worst* shard breaker.
-_BREAKER_SEVERITY = {"closed": 0, "half_open": 1, "open": 2}
+    max_half_width: float = _merged_by("max", 0.0)
 
 
 @dataclass(frozen=True)
-class ResilienceStats:
+class ResilienceStats(Snapshot):
     """The resilience layer's counters for one shard (or merged across
     the service): shed and deadline-failed requests, degraded answers,
     retries and terminal worker failures, circuit-breaker state and
-    activity, and the faults the optional injector actually fired."""
+    activity, and the faults the optional injector fired on this shard
+    (one per affected request attempt)."""
 
     shed: int = 0
     deadline_exceeded: int = 0
     degraded: int = 0
     retries: int = 0
     failures: int = 0
-    breaker_state: str = "closed"
+    breaker_state: str = _merged_by("worst_breaker", "closed")
     breaker_rejected: int = 0
     breaker_trips: int = 0
     injected_errors: int = 0
@@ -120,31 +238,9 @@ class ResilienceStats:
     injected_kills: int = 0
     injected_stragglers: int = 0
 
-    def merged(self, other: "ResilienceStats") -> "ResilienceStats":
-        """Aggregate two snapshots (sums; worst breaker state)."""
-        worst = max(
-            self.breaker_state,
-            other.breaker_state,
-            key=lambda state: _BREAKER_SEVERITY.get(state, 0),
-        )
-        return ResilienceStats(
-            self.shed + other.shed,
-            self.deadline_exceeded + other.deadline_exceeded,
-            self.degraded + other.degraded,
-            self.retries + other.retries,
-            self.failures + other.failures,
-            worst,
-            self.breaker_rejected + other.breaker_rejected,
-            self.breaker_trips + other.breaker_trips,
-            self.injected_errors + other.injected_errors,
-            self.injected_latency_events + other.injected_latency_events,
-            self.injected_kills + other.injected_kills,
-            self.injected_stragglers + other.injected_stragglers,
-        )
-
 
 @dataclass(frozen=True)
-class SupervisorStats:
+class SupervisorStats(Snapshot):
     """The worker supervisor's counters for one shard (or merged across
     the service).  On the ``threads`` backend there is no process to
     supervise, so the defaults — alive, never restarted — hold.
@@ -160,23 +256,12 @@ class SupervisorStats:
     restarts: int = 0
     replayed_instances: int = 0
     respawn_ms: float = 0.0
-    worker_alive: bool = True
-    gave_up: bool = False
-
-    def merged(self, other: "SupervisorStats") -> "SupervisorStats":
-        """Aggregate two snapshots (sums; alive only if all alive,
-        gave_up if any gave up)."""
-        return SupervisorStats(
-            self.restarts + other.restarts,
-            self.replayed_instances + other.replayed_instances,
-            self.respawn_ms + other.respawn_ms,
-            self.worker_alive and other.worker_alive,
-            self.gave_up or other.gave_up,
-        )
+    worker_alive: bool = _merged_by("all", True)
+    gave_up: bool = _merged_by("any", False)
 
 
 @dataclass(frozen=True)
-class ReplicationStats:
+class ReplicationStats(Snapshot):
     """Placement and routing counters for replicated instances.
 
     ``replicated_instances`` / ``replicas_placed`` describe the current
@@ -193,7 +278,7 @@ class ReplicationStats:
 
 
 @dataclass(frozen=True)
-class HedgeStats:
+class HedgeStats(Snapshot):
     """Hedged-request counters for the service.
 
     ``launched`` backups actually issued, ``primary_wins`` /
@@ -210,7 +295,7 @@ class HedgeStats:
 
 
 @dataclass(frozen=True)
-class IdempotencyStats:
+class IdempotencyStats(Snapshot):
     """The gateway's idempotent-retry journal counters.
 
     ``hits`` are retries answered verbatim from a recorded response,
@@ -225,16 +310,30 @@ class IdempotencyStats:
     entries: int = 0
     evictions: int = 0
 
-    def to_payload(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "IdempotencyStats":
-        return cls(**payload)
+@dataclass(frozen=True)
+class JournalStats(Snapshot):
+    """Counters for one :class:`~repro.serving.journal.RegistrationJournal`
+    lifetime, nested into :class:`GatewayStats`.
+
+    ``appended``/``replayed`` count records written and records applied
+    by the last :meth:`~repro.serving.journal.RegistrationJournal.replay`;
+    ``live`` is the number of distinct instance names currently
+    recorded, ``dead`` the superseded records compaction would drop;
+    ``compactions`` the rewrites performed, ``torn_records`` /
+    ``torn_bytes`` what tail truncation discarded across replays."""
+
+    appended: int = 0
+    replayed: int = 0
+    live: int = 0
+    dead: int = 0
+    compactions: int = 0
+    torn_records: int = 0
+    torn_bytes: int = 0
 
 
 @dataclass(frozen=True)
-class GatewayStats:
+class GatewayStats(Snapshot):
     """One gateway's edge counters, payload-round-trippable like
     :class:`ServiceStats` and surfaced by the wire ``stats`` op.
 
@@ -248,7 +347,7 @@ class GatewayStats:
     actually submitted.  ``replayed_instances`` is what journal replay
     re-registered at start; ``journal`` and ``idempotency`` nest the
     durability and retry-journal counters; the ``injected_*`` counters
-    record the network chaos lanes that actually fired here."""
+    record the network chaos lanes the gateway's injector fired."""
 
     connections: int = 0
     active_connections: int = 0
@@ -268,24 +367,12 @@ class GatewayStats:
     injected_partial_writes: int = 0
     injected_slow_client_events: int = 0
 
-    def to_payload(self) -> dict:
-        """This snapshot as a JSON-able dict (plain ints/strs)."""
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "GatewayStats":
-        """Rebuild a snapshot serialized by :meth:`to_payload` —
-        ``GatewayStats.from_payload(s.to_payload()) == s``."""
-        data = dict(payload)
-        data["journal"] = JournalStats(**data["journal"])
-        data["idempotency"] = IdempotencyStats(**data["idempotency"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ShardStats:
+class ShardStats(Snapshot):
     """One shard's snapshot (all counters since construction, latencies
-    over the shard's bounded window)."""
+    over the shard's bounded window).  Each section is a coherent copy
+    of its own counter store."""
 
     shard: int
     instances: int  #: distinct registered instance fingerprints
@@ -322,29 +409,18 @@ class ShardStats:
         accesses = self.plans.hits + self.plans.misses
         return self.plans.hits / accesses if accesses else 0.0
 
-    def to_payload(self) -> dict:
-        """This snapshot as a JSON-able dict (plain ints/floats/strs)."""
-        return asdict(self)
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ShardStats":
-        """Rebuild a snapshot serialized by :meth:`to_payload` —
-        ``ShardStats.from_payload(s.to_payload()) == s``."""
-        data = dict(payload)
-        data["cache"] = CompilationCacheStats(**data["cache"])
-        data["plans"] = ExtensionalPlanCacheStats(**data["plans"])
-        data["sampling"] = SamplingStats(**data["sampling"])
-        data["resilience"] = ResilienceStats(**data["resilience"])
-        if "supervisor" in data:
-            data["supervisor"] = SupervisorStats(**data["supervisor"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class ServiceStats:
+class ServiceStats(Snapshot):
     """The whole service: per-shard snapshots plus cross-shard
     aggregates (latency percentiles are computed over the union of the
-    shards' windows, not averaged per shard)."""
+    shards' windows, not averaged per shard).
+
+    The derived aggregates (``supervision`` / ``sampling`` /
+    ``resilience`` / ``engines``) are properties, not payload fields:
+    the receiving side recomputes them from the shard snapshots, so a
+    payload keeps the exact worst-breaker and max-half-width semantics
+    of an in-process snapshot."""
 
     shards: tuple[ShardStats, ...] = field(default_factory=tuple)
     requests: int = 0
@@ -356,8 +432,7 @@ class ServiceStats:
     p95_ms: float = 0.0
     #: service-level routing counters — these live at the service (the
     #: shards cannot see placement or hedging), so unlike the derived
-    #: ``sampling``/``resilience`` aggregates they are real serialized
-    #: fields
+    #: aggregates they are real serialized fields
     replication: ReplicationStats = field(default_factory=ReplicationStats)
     hedging: HedgeStats = field(default_factory=HedgeStats)
 
@@ -365,28 +440,19 @@ class ServiceStats:
     def supervision(self) -> SupervisorStats:
         """Service-wide supervision counters (per-shard snapshots
         merged: sums, alive only if all workers alive)."""
-        merged = SupervisorStats()
-        for shard in self.shards:
-            merged = merged.merged(shard.supervisor)
-        return merged
+        return _merge_all(SupervisorStats, (s.supervisor for s in self.shards))
 
     @property
     def sampling(self) -> SamplingStats:
         """Service-wide sampling-route counters (per-shard snapshots
         merged: sums, worst achieved half-width)."""
-        merged = SamplingStats()
-        for shard in self.shards:
-            merged = merged.merged(shard.sampling)
-        return merged
+        return _merge_all(SamplingStats, (s.sampling for s in self.shards))
 
     @property
     def resilience(self) -> ResilienceStats:
         """Service-wide resilience counters (per-shard snapshots merged:
         sums, worst breaker state)."""
-        merged = ResilienceStats()
-        for shard in self.shards:
-            merged = merged.merged(shard.resilience)
-        return merged
+        return _merge_all(ResilienceStats, (s.resilience for s in self.shards))
 
     @property
     def cache_hit_rate(self) -> float:
@@ -398,31 +464,7 @@ class ServiceStats:
     @property
     def engines(self) -> dict[str, int]:
         """Service-wide requests answered per engine label."""
-        merged: dict[str, int] = {}
+        merged: Counter[str] = Counter()
         for shard in self.shards:
-            for engine, count in shard.engines.items():
-                merged[engine] = merged.get(engine, 0) + count
-        return merged
-
-    def to_payload(self) -> dict:
-        """This snapshot as a JSON-able dict.  The derived aggregates
-        (``sampling``/``resilience``/``engines``) are *not* materialized
-        — they are recomputed by the receiving side's properties, so a
-        payload merged from worker snapshots keeps the exact worst-
-        breaker/EWMA semantics of an in-process snapshot."""
-        payload = asdict(self)
-        payload["shards"] = [shard.to_payload() for shard in self.shards]
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "ServiceStats":
-        """Rebuild a snapshot serialized by :meth:`to_payload`."""
-        data = dict(payload)
-        data["shards"] = tuple(
-            ShardStats.from_payload(shard) for shard in data["shards"]
-        )
-        if "replication" in data:
-            data["replication"] = ReplicationStats(**data["replication"])
-        if "hedging" in data:
-            data["hedging"] = HedgeStats(**data["hedging"])
-        return cls(**data)
+            merged.update(shard.engines)
+        return dict(merged)

@@ -165,14 +165,6 @@ def worker_main(conn, shard_id: int, cache_limit: int) -> None:
             if message_id is not None:
                 conn.send(("ok", message_id, None))
             break
-        if op == "ping":
-            # Health-check fast path: answered from the loop itself so a
-            # wedged _serve_op cannot fake liveness... which it could not
-            # anyway (the pipe is FIFO) — but keeping ping out of
-            # _serve_op keeps it free of compute-error handling.
-            if message_id is not None:
-                conn.send(("ok", message_id, "pong"))
-            continue
         try:
             result = _serve_op(state, op, payload)
         except BaseException as error:  # noqa: BLE001 - crosses the pipe
@@ -388,39 +380,6 @@ class _WorkerClient:
     def alive(self) -> bool:
         with self._state_lock:
             return not self._dead
-
-    def ping(self, timeout_s: float = 5.0) -> bool:
-        """Health-check RPC with a timeout.  A worker that cannot answer
-        within ``timeout_s`` is declared dead and SIGKILLed — the pipe
-        EOF then runs the normal death path (in-flight RPCs resolve
-        typed, the supervisor respawns)."""
-        rpc = _Rpc()
-        with self._state_lock:
-            if self._dead:
-                return False
-            self._ensure_reader()
-            message_id = self._next_id
-            self._next_id += 1
-            self._rpcs[message_id] = rpc
-        try:
-            with self._send_lock:
-                self._conn.send(("ping", message_id))
-        except (OSError, ValueError):
-            self._fail_pending(
-                ServiceStopped(
-                    f"worker process for shard {self.shard_id} is gone"
-                )
-            )
-            return False
-        if rpc.event.wait(timeout_s):
-            return rpc.error is None
-        with self._state_lock:
-            self._rpcs.pop(message_id, None)
-        try:  # pragma: no cover - timing-dependent
-            self._process.kill()
-        except (AttributeError, OSError):
-            pass
-        return False
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker (idempotent).  Graceful (``wait=True``) asks
@@ -732,12 +691,6 @@ class ProcessShard(Shard):
             and self._client.alive()
             and not self._supervisor.gave_up
         )
-
-    def health_check(self, timeout_s: float = 5.0) -> bool:
-        """Active liveness probe: ping the worker over the control pipe.
-        A timeout kills the worker, which routes into the supervisor's
-        normal death-and-respawn path."""
-        return self._client.ping(timeout_s)
 
     # -- observability & lifecycle -------------------------------------
 

@@ -706,24 +706,22 @@ class TestDrain:
 
             drainer = threading.Thread(target=drain)
             drainer.start()
-            # The draining flag flips on the loop promptly; poll the
-            # pre-existing connection until the typed rejection lands.
+            # Wait for the draining flag, then probe the pre-existing
+            # connection once.  (A probe admitted before the flag flips
+            # is in flight — on the process backend queued behind the
+            # slow sweep — and the drain closes its connection.)
             deadline = time.monotonic() + 10
-            rejection = None
-            while time.monotonic() < deadline:
-                reply = other.rpc(
-                    {
-                        "op": "query",
-                        "id": 4,
-                        "instance": "orders",
-                        "query": CONJUNCTION,
-                    }
-                )
-                if not reply["ok"]:
-                    rejection = reply
-                    break
+            while not server.gateway.draining:
+                assert time.monotonic() < deadline, "draining never engaged"
                 time.sleep(0.01)
-            assert rejection is not None, "draining never engaged"
+            rejection = other.rpc(
+                {
+                    "op": "query",
+                    "id": 4,
+                    "instance": "orders",
+                    "query": CONJUNCTION,
+                }
+            )
             assert rejection["error"] == "GatewayDraining"
             # Registers are rejected the same way while draining.
             reject_register = other.rpc(

@@ -5,8 +5,12 @@ plus the shard/service wiring)."""
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
 import time
 from concurrent.futures import Future
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import pytest
@@ -29,6 +33,17 @@ from repro.serving.resilience import (
     degraded_budget,
 )
 from repro.serving.shard import Shard, _Pending
+from repro.serving.stats import (
+    Counters,
+    GatewayStats,
+    HedgeStats,
+    IdempotencyStats,
+    JournalStats,
+    ReplicationStats,
+    ResilienceStats,
+    SamplingStats,
+    SupervisorStats,
+)
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -379,6 +394,24 @@ class TestFaultInjector:
             "slow_client_events": 0,
         }
 
+    def test_fired_counts_per_shard(self):
+        injector = FaultInjector(
+            seed=0, latency_rate=1, latency_ms=1.0, broken_requests={(1, 0)}
+        )
+        for shard, index in ((0, 0), (0, 1), (1, 0)):
+            assert injector.latency_ms_for(shard, index) == 1.0
+        assert injector.should_fail(1, 0)
+        assert injector.fired(0) == {
+            "injected_errors": 0,
+            "injected_latency_events": 2,
+            "injected_kills": 0,
+            "injected_stragglers": 0,
+        }
+        assert injector.fired(1)["injected_errors"] == 1
+        assert injector.fired(2) == dict.fromkeys(injector.fired(0), 0)
+        assert injector.stats()["latency_events"] == 3
+        assert injector.stats()["errors"] == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FaultInjector(error_rate=1.5)
@@ -653,8 +686,6 @@ class TestDegradation:
 
 class TestResilienceStats:
     def test_merged_sums_and_takes_worst_breaker(self):
-        from repro.serving.stats import ResilienceStats
-
         a = ResilienceStats(shed=1, retries=2, breaker_state="closed")
         b = ResilienceStats(shed=3, failures=1, breaker_state="open")
         merged = a.merged(b)
@@ -672,3 +703,164 @@ class TestResilienceStats:
             assert stats.resilience.breaker_state == "closed"
             shard = stats.shards[service.shard_of(tid)]
             assert shard.route_ewma_ms["extensional"] > 0.0
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_shard_counts_each_injected_latency_event(self, backend):
+        # Eight requests, every attempt delayed: the shard sleeps once
+        # per microbatch, but reports one injected latency event per
+        # delayed request attempt — the injector's own count.
+        injector = FaultInjector(seed=3, latency_rate=1, latency_ms=20.0)
+        service = ShardedService(
+            shards=1,
+            workers_per_shard=1,
+            fault_injector=injector,
+            backend=backend,
+        )
+        try:
+            tid = complete_tid(3, 2, 2)
+            futures = [service.submit(q9(), tid) for _ in range(8)]
+            for future in futures:
+                future.result(timeout=30)
+            stats = service.stats()
+        finally:
+            service.stop(wait=True)
+        assert stats.batches < stats.requests
+        assert (
+            stats.resilience.injected_latency_events
+            == injector.stats()["latency_events"]
+            == 8
+        )
+
+
+#: One non-default instance of every serving snapshot type.
+SNAPSHOTS = [
+    SamplingStats(
+        requests=5, sweeps=2, waves=7, samples=4096, max_half_width=0.015
+    ),
+    ResilienceStats(
+        shed=1,
+        deadline_exceeded=2,
+        degraded=3,
+        retries=4,
+        failures=5,
+        breaker_state="half_open",
+        breaker_rejected=6,
+        breaker_trips=7,
+        injected_errors=8,
+        injected_latency_events=9,
+        injected_kills=10,
+        injected_stragglers=11,
+    ),
+    SupervisorStats(
+        restarts=2,
+        replayed_instances=3,
+        respawn_ms=12.5,
+        worker_alive=False,
+        gave_up=True,
+    ),
+    ReplicationStats(
+        replicated_instances=1, replicas_placed=2, spread=3, failovers=4
+    ),
+    HedgeStats(
+        launched=5,
+        primary_wins=2,
+        backup_wins=3,
+        cancelled=4,
+        failed_backups=1,
+    ),
+    IdempotencyStats(hits=1, joins=2, entries=3, evictions=4),
+    JournalStats(
+        appended=5,
+        replayed=4,
+        live=3,
+        dead=2,
+        compactions=1,
+        torn_records=1,
+        torn_bytes=17,
+    ),
+    GatewayStats(
+        connections=9,
+        active_connections=2,
+        rejected_connections=1,
+        idle_timeouts=3,
+        line_too_long=1,
+        requests=40,
+        draining_rejections=2,
+        overloaded_rejections=4,
+        quota_rejections=5,
+        replayed_instances=6,
+        journal=JournalStats(appended=3, live=2, dead=1, torn_bytes=9),
+        idempotency=IdempotencyStats(hits=4, joins=1, entries=2),
+        injected_conn_drops=1,
+        injected_partial_writes=2,
+        injected_slow_client_events=3,
+    ),
+]
+
+
+class TestSnapshotProtocol:
+    @pytest.mark.parametrize(
+        "snapshot", SNAPSHOTS, ids=lambda snapshot: type(snapshot).__name__
+    )
+    def test_payload_round_trips_through_json(self, snapshot):
+        for f in fields(snapshot):
+            default = (
+                f.default if f.default is not MISSING else f.default_factory()
+            )
+            assert getattr(snapshot, f.name) != default, f.name
+        payload = snapshot.to_payload()
+        assert json.loads(json.dumps(payload)) == payload
+        assert type(snapshot).from_payload(payload) == snapshot
+
+    def test_merge_rules(self):
+        # Sums by default; the half-width takes the worst (max), worker
+        # liveness needs every worker (all), giving up is sticky (any).
+        a = SamplingStats(requests=1, samples=10, max_half_width=0.02)
+        b = SamplingStats(requests=2, samples=5, max_half_width=0.01)
+        assert a.merged(b) == SamplingStats(
+            requests=3, samples=15, max_half_width=0.02
+        )
+        alive = SupervisorStats(restarts=1, respawn_ms=2.0)
+        dark = SupervisorStats(restarts=2, worker_alive=False, gave_up=True)
+        assert alive.merged(dark) == SupervisorStats(
+            restarts=3, respawn_ms=2.0, worker_alive=False, gave_up=True
+        )
+        assert alive.merged(alive) == SupervisorStats(
+            restarts=2, respawn_ms=4.0
+        )
+
+    def test_counters_add_update_peak_snapshot(self):
+        counts = Counters(requests=0)
+        counts.add("requests")
+        counts.update(requests=2, batches=1)
+        counts.add(("errors", 3), 2)
+        counts.peak("max_batch_size", 4)
+        counts.peak("max_batch_size", 2)
+        assert counts.snapshot() == {
+            "requests": 3,
+            "batches": 1,
+            ("errors", 3): 2,
+            "max_batch_size": 4,
+        }
+
+        # More threads than cores and a short switch interval: a lost
+        # read-modify-write update would show as a short total.
+        def hammer():
+            for _ in range(2000):
+                counts.add("requests")
+                counts.update(batches=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        snapshot = counts.snapshot()
+        assert snapshot["requests"] == 3 + 8 * 2000
+        assert snapshot["batches"] == 1 + 8 * 2000
