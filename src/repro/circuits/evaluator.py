@@ -19,7 +19,8 @@ sensitivity sweeps, Monte-Carlo batches over many probability maps):
   arithmetic (a statement per live gate), so a pass costs bytecode only;
 * :meth:`EvaluationTape.evaluate_batch` — batched probability: ``B``
   probability maps are evaluated in one sweep by running the generated
-  function over per-slot numpy rows.
+  function over per-slot numpy rows (a batch of one runs it on Python
+  floats, with the same bits).
 
 Tapes are immutable; :func:`tape_for` memoizes them per circuit (weakly,
 keyed by the circuit's append-only fingerprint), so repeated evaluation
@@ -474,9 +475,19 @@ class EvaluationTape:
         self, rows: list[list[float]], batch_size: int
     ) -> list[float]:
         """Run the compiled function over per-slot rows (the shared
-        backend of :meth:`evaluate_batch` and :meth:`evaluate_vectors`)."""
+        backend of :meth:`evaluate_batch` and :meth:`evaluate_vectors`).
+
+        A batch of one runs the function on Python floats, as
+        :meth:`evaluate_floats` does: one-element numpy rows would pay a
+        ufunc dispatch per gate for nothing.  The function is
+        straight-line ``+``/``*``/``1.0-`` code, and both numeric types
+        round every such operation correctly in binary64, so the two
+        paths return the same bits.
+        """
         if batch_size == 0:
             return []
+        if batch_size == 1:
+            return [float(self._compiled()([row[0] for row in rows]))]
         stacked = (
             _np.array(rows, dtype=float)
             if rows

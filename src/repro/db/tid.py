@@ -102,6 +102,26 @@ class TupleIndependentDatabase:
         """``pi`` as a dict over all facts of the instance."""
         return {t: self.probability_of(t) for t in self.instance.tuple_ids()}
 
+    def probability_floats(self) -> dict[TupleId, float]:
+        """:meth:`probability_map` as correctly rounded floats, for the
+        float evaluation paths.
+
+        Memoized against ``probability_version`` and the instance's
+        relation versions, like :meth:`probability_fingerprint`, so a
+        TID re-evaluated under unchanged probabilities converts them
+        once.  Callers share the returned dict and must not mutate it.
+        """
+        versions = (self._prob_version, self.instance.content_fingerprint())
+        cached = getattr(self, "_prob_floats", None)
+        if cached is not None and cached[0] == versions:
+            return cached[1]
+        floats = {
+            t: float(self.probability_of(t))
+            for t in self.instance.tuple_ids()
+        }
+        self._prob_floats = (versions, floats)
+        return floats
+
     def probability_fingerprint(self) -> tuple:
         """A hashable value identifying the *numeric* content of the TID:
         per-tuple ``(numerator, denominator)`` pairs in ``tuple_ids()``

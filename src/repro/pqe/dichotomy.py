@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.boolean_function import BooleanFunction
 from repro.core.euler import monotone_euler_extremes
@@ -114,13 +115,19 @@ def classify(query: HQuery) -> Classification:
     return classify_function(query.phi)
 
 
+@lru_cache(maxsize=256)
 def classify_query(query) -> Classification:
     """Classify any supported query: :class:`HQuery` via Figure 1,
     arbitrary UCQs/CQs via the Dalvi–Suciu safe-plan search of
     :mod:`repro.pqe.lift` (complete for the UCQ fragment up to the
     search's resource caps, which reject conservatively — a capped
     rejection is reported as hard).  The Euler/degeneracy fields are
-    h-query notions and are zeroed for general UCQs."""
+    h-query notions and are zeroed for general UCQs.
+
+    Memoized by query value in an LRU of 256: the serving tier decodes
+    a new, equal query object per request, whose own memos start
+    empty, and a classification depends only on the query.  The
+    returned :class:`Classification` is frozen, so callers share it."""
     if isinstance(query, HQuery):
         return classify(query)
     from repro.pqe.lift import is_liftable

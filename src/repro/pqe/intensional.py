@@ -96,8 +96,9 @@ class CompiledLineage:
         return self.tape.evaluate(tid.probability_map())
 
     def probability_float(self, tid: TupleIndependentDatabase) -> float:
-        """One pass on the compiled ``float`` backend."""
-        return self.tape.evaluate_floats(tid.probability_map())
+        """One pass on the compiled ``float`` backend, over the TID's
+        memoized float probabilities."""
+        return self.tape.evaluate_floats(tid.probability_floats())
 
     def probability_batch(
         self,
@@ -108,11 +109,12 @@ class CompiledLineage:
         """``Pr(Q_phi)`` for a batch of probability maps in one vectorized
         sweep of the tape's float backend.
 
-        Each batch member is a TID over the compiled instance or a bare
-        probability map; tuples absent from a map default to probability 0.
+        Each batch member is a TID over the compiled instance (read
+        through its memoized float probabilities) or a bare probability
+        map; tuples absent from a map default to probability 0.
         """
         maps = [
-            p.probability_map()
+            p.probability_floats()
             if isinstance(p, TupleIndependentDatabase)
             else p
             for p in probs

@@ -457,9 +457,11 @@ class _HedgeRace:
     queue-full shards are skipped, so hedging composes with admission
     control instead of fighting it).  The first attempt to *succeed*
     resolves the caller's future; the loser is retired cooperatively —
-    its deadline is expired (so queued work is dropped at the next
-    cooperative check) and its future cancelled (dropped at drain-claim
-    if not yet running).  If the primary fails typed before the timer
+    its deadline is retired (:meth:`~repro.core.deadline.Deadline.
+    retire`: expired, so queued work is dropped at the next cooperative
+    check, and counted as ``hedge_retired``, not as a missed deadline)
+    and its future cancelled (dropped at drain-claim if not yet
+    running).  If the primary fails typed before the timer
     fires, the backup fires immediately; if every attempt fails, the
     caller sees the primary's error.  Which attempt wins never changes
     the float: replicas compute content-determined, bit-identical
@@ -543,7 +545,7 @@ class _HedgeRace:
             if self._done:
                 # The primary resolved while we were submitting: retire
                 # the just-launched backup straight away.
-                deadline.expire()
+                deadline.retire()
                 if future.cancel():
                     service._hedging.add("cancelled")
                 return
@@ -600,7 +602,7 @@ class _HedgeRace:
             self._timer.cancel()
         cancelled = 0
         for _, future, deadline in losers:
-            deadline.expire()
+            deadline.retire()
             if future.cancel():
                 cancelled += 1
         self._service._hedging.update(

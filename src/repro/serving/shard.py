@@ -143,7 +143,7 @@ def compute(cache, plan_cache, route, query, tids, budget, deadline):
             deadline.check("post-compilation")
         tape = compiled.tape
         values = tape.evaluate_vectors(
-            [tape.probability_vector(tid.probability_map()) for tid in tids]
+            [tape.probability_vector(tid.probability_floats()) for tid in tids]
         )
         return values, route, hit, 0.0 if hit else compiled.compile_ms
     if route == "brute_force":
@@ -286,7 +286,7 @@ class Shard:
         ``deadline`` lets a caller hand in a pre-built
         :class:`~repro.core.deadline.Deadline` instead of the request's
         relative ``deadline_ms`` — the hedging layer keeps the handle so
-        it can :meth:`~repro.core.deadline.Deadline.expire` the losing
+        it can :meth:`~repro.core.deadline.Deadline.retire` the losing
         attempt cooperatively.
         """
         if deadline is None:
@@ -545,10 +545,15 @@ class Shard:
     def _resolve_deadline(
         self, pending: _Pending, error: DeadlineExceeded | None = None
     ) -> None:
-        """Resolve one request as late (typed), counting it.  Deadline
-        misses are the *caller's* budget running out, not shard
-        ill-health, so they never feed the breaker."""
-        self._resilience.add("deadline_exceeded")
+        """Resolve one request as late (typed), counting it: as
+        ``hedge_retired`` when a hedge retired it (another attempt
+        already answered the caller), else as ``deadline_exceeded`` (the
+        caller's own budget ran out).  Neither is shard ill-health, so
+        neither feeds the breaker."""
+        retired = pending.deadline is not None and pending.deadline.retired
+        self._resilience.add(
+            "hedge_retired" if retired else "deadline_exceeded"
+        )
         if error is None:
             error = DeadlineExceeded(
                 f"deadline exceeded before shard {self.shard_id} could "

@@ -194,6 +194,12 @@ class SegmentRegistry:
         for segment in segments:
             _unlink(segment.shm)
 
+    def unpublished(self, keys) -> list[tuple[int, int]]:
+        """The keys among ``keys`` that have no segment: reclaimed (or
+        never published)."""
+        with self._lock:
+            return [key for key in keys if key not in self._segments]
+
     def live_names(self) -> list[str]:
         """The names currently published (tests and stats)."""
         with self._lock:

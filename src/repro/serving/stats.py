@@ -223,10 +223,16 @@ class ResilienceStats(Snapshot):
     the service): shed and deadline-failed requests, degraded answers,
     retries and terminal worker failures, circuit-breaker state and
     activity, and the faults the optional injector fired on this shard
-    (one per affected request attempt)."""
+    (one per affected request attempt).
+
+    ``deadline_exceeded`` counts requests resolved late because the
+    caller's own budget ran out; ``hedge_retired`` counts hedge losers
+    resolved late after their race was won elsewhere (the caller got
+    its answer from the winner)."""
 
     shed: int = 0
     deadline_exceeded: int = 0
+    hedge_retired: int = 0
     degraded: int = 0
     retries: int = 0
     failures: int = 0

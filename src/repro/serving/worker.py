@@ -11,9 +11,9 @@ injection, stats counters — is inherited unchanged and runs in the
 submitting process, which is what makes the two backends
 bit-for-float identical and lets seeded
 :class:`~repro.serving.faults.FaultInjector` streams replay identically
-across them.  The worker answers four ops: ``"instance"`` and
-``"columns"`` (casts registering content), ``"compute"`` and
-``"stats"``.
+across them.  The worker answers five ops: ``"instance"``,
+``"columns"`` and ``"forget"`` (casts registering and dropping
+content), ``"compute"`` and ``"stats"``.
 
 What crosses the process boundary, and what does not:
 
@@ -25,7 +25,11 @@ What crosses the process boundary, and what does not:
 * **Probability content** travels as shared-memory probability columns
   (:mod:`repro.serving.shm`), content-addressed by
   ``(Instance.shard_key(), probability_digest())`` — republished only
-  when ``probability_version`` bumps.
+  when ``probability_version`` bumps.  Once the registry has reclaimed
+  a key's segment, the next lease on the shard casts ``"forget"`` for
+  it, and the worker drops the TID it rehydrated under that key (with
+  every memo on it), so a worker holds only the probability maps that
+  are still published.
 * **Request envelopes** are tiny: the route, segment keys, the
   :class:`~repro.pqe.approximate.AccuracyBudget` itself (frozen and
   self-validating), remaining deadline milliseconds.
@@ -148,6 +152,9 @@ class _WorkerState:
         apply_probability_columns(tid, read_columns(name, count, overflow))
         self.tids[key] = tid
 
+    def forget_columns(self, shard_key, digest) -> None:
+        self.tids.pop((shard_key, digest), None)
+
 
 def worker_main(conn, shard_id: int, cache_limit: int) -> None:
     """The worker process loop: serve control-pipe messages in order
@@ -185,6 +192,9 @@ def _serve_op(state: _WorkerState, op: str, payload: tuple):
     if op == "columns":
         state.register_columns(*payload)
         return None
+    if op == "forget":
+        state.forget_columns(*payload)
+        return None
     if op == "compute":
         route, encoded_query, keys, budget, remaining_ms = payload
         deadline = (
@@ -200,7 +210,9 @@ def _serve_op(state: _WorkerState, op: str, payload: tuple):
             deadline,
         )
     if op == "stats":
-        return (state.cache.stats(), state.plan_cache.stats())
+        return (
+            state.cache.stats(), state.plan_cache.stats(), len(state.tids)
+        )
     raise ValueError(f"unknown worker op {op!r}")
 
 
@@ -308,6 +320,12 @@ class _WorkerClient:
                 f"worker process for shard {self.shard_id} terminated"
             )
         )
+        # Once started, this thread is the pipe's only closer: a close
+        # from another thread while this one is between recv's
+        # closed-check and its read frees the descriptor number, and
+        # that read then consumes the bytes of whichever pipe is opened
+        # next under the same number — another worker's replies.
+        self._close_conn()
         # EOF is the parent's SIGCHLD: tell the supervisor — unless this
         # death is a deliberate shutdown, which is not a failure.  The
         # reader thread must survive a failed respawn (spawn errors at
@@ -381,6 +399,26 @@ class _WorkerClient:
         with self._state_lock:
             return not self._dead
 
+    def _close_pipe(self) -> threading.Thread | None:
+        """Mark the client dead and close the control pipe — unless a
+        reader thread was started, which closes it itself on EOF (see
+        :meth:`_read_loop`).  Returns that reader, or ``None``."""
+        with self._state_lock:
+            self._dead = True
+            reader = self._reader
+        if reader is None:
+            self._close_conn()
+        return reader
+
+    def _close_conn(self) -> None:
+        # Under the send lock, so no send is between its closed-check
+        # and its write when the descriptor number is freed.
+        with self._send_lock:
+            try:
+                self._conn.close()
+            except OSError:  # pragma: no cover - already closed
+                pass
+
     def shutdown(self, wait: bool = True) -> None:
         """Stop the worker (idempotent).  Graceful (``wait=True``) asks
         and waits for the drain; otherwise the stop is cast best-effort
@@ -406,10 +444,10 @@ class _WorkerClient:
                 f"worker process for shard {self.shard_id} stopped"
             )
         )
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        reader = self._close_pipe()
+        if reader is not None and reader is not threading.current_thread():
+            # The worker is gone, so the reader sees EOF and closes.
+            reader.join(timeout=5.0)
 
 
 class _Supervisor:
@@ -494,10 +532,7 @@ class _Supervisor:
             if delay_ms > 0:
                 time.sleep(delay_ms / 1e3)
         started = time.perf_counter()
-        try:
-            self._shard._client._conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self._shard._client._close_pipe()
         client = self.spawn()
         self._shard._client = client
         self.restarts += 1
@@ -583,7 +618,13 @@ class ProcessShard(Shard):
         """Pin (publishing as needed) ``tid``'s probability segment and
         make sure the worker has been told about it.  Holding the
         publish lock across acquire+cast keeps the announcement ordered
-        before any RPC that references the key (the pipe is FIFO)."""
+        before any RPC that references the key (the pipe is FIFO).
+
+        The same lock orders the ``"forget"`` casts for announced keys
+        whose segment the registry has reclaimed.  A reclaimed segment
+        has no pins, so every RPC that used its key has already replied;
+        a later request for that digest republishes and re-announces it,
+        as a first use does."""
         from repro.db.columnar import probability_columns
 
         instance = tid.instance
@@ -594,12 +635,17 @@ class ProcessShard(Shard):
             lease = self._registry.acquire(
                 shard_key, digest, probability_columns(tid)
             )
-            # Announce per (shard, worker incarnation), not per `fresh`
-            # publication: with a shared registry a replica may have
-            # published the segment already, and a respawned worker has
-            # forgotten every announcement.
-            if lease.key not in self._announced_columns:
-                try:
+            try:
+                for key in self._registry.unpublished(
+                    self._announced_columns
+                ):
+                    self._announced_columns.discard(key)
+                    self._client.cast("forget", *key)
+                # Announce per (shard, worker incarnation), not per
+                # `fresh` publication: with a shared registry a replica
+                # may have published the segment already, and a
+                # respawned worker has forgotten every announcement.
+                if lease.key not in self._announced_columns:
                     self._client.cast(
                         "columns",
                         shard_key,
@@ -608,10 +654,10 @@ class ProcessShard(Shard):
                         lease.count,
                         lease.overflow,
                     )
-                except ServiceStopped:
-                    self._registry.release(lease)
-                    raise
-                self._announced_columns.add(lease.key)
+                    self._announced_columns.add(lease.key)
+            except ServiceStopped:
+                self._registry.release(lease)
+                raise
         return lease
 
     def _announce_locked(self, instance: Instance, shard_key: int) -> None:
@@ -702,7 +748,7 @@ class ProcessShard(Shard):
         if not self._client.alive():
             return base
         try:
-            cache_stats, plan_stats = self._client.call("stats")
+            cache_stats, plan_stats, _ = self._client.call("stats")
         except ServiceStopped:
             return base
         return replace(base, cache=cache_stats, plans=plan_stats)
@@ -710,6 +756,10 @@ class ProcessShard(Shard):
     def segment_names(self) -> list[str]:
         """The currently published shared-memory segments (tests)."""
         return self._registry.live_names()
+
+    def worker_tid_count(self) -> int:
+        """How many probability maps the worker holds (tests)."""
+        return self._client.call("stats")[2]
 
     def close(self, wait: bool = True) -> None:
         self._supervisor.shutdown()

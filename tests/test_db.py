@@ -118,6 +118,27 @@ class TestTid:
             world = tid.sample_world(rng)
             assert sure in world and never not in world
 
+    def test_probability_floats_follow_the_fraction_map(self):
+        tid = TupleIndependentDatabase()
+        first = tid.add("R", ("a",), Fraction(1, 3))
+        tid.add("S1", ("a", "b"), Fraction(2, 7))
+        tid.instance.add("T", ("b",))  # never weighted: probability 1
+
+        def expected():
+            return {t: float(p) for t, p in tid.probability_map().items()}
+
+        floats = tid.probability_floats()
+        assert floats == expected()
+        assert tid.probability_floats() is floats  # memoized
+        tid.set_probability(first, Fraction(5, 9))
+        after_set = tid.probability_floats()
+        assert after_set == expected()
+        assert after_set[first] == float(Fraction(5, 9))
+        added = tid.add("R", ("c",), Fraction(3, 11))
+        after_add = tid.probability_floats()
+        assert after_add == expected()
+        assert after_add[added] == float(Fraction(3, 11))
+
     def test_valuation_probability(self):
         prob = {
             "x": Fraction(1, 2),

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.circuits import evaluator
 from repro.circuits.circuit import Circuit, GateKind
 from repro.circuits.evaluator import EvaluationTape, tape_for
 from repro.circuits.probability import (
@@ -25,6 +26,7 @@ from repro.circuits.validation import (
     check_determinism_by_enumeration,
     is_decomposable,
 )
+from repro.core.boolean_function import BooleanFunction
 from repro.db.generator import complete_tid
 from repro.pqe.engine import (
     clear_compilation_cache,
@@ -34,7 +36,7 @@ from repro.pqe.engine import (
 )
 from repro.pqe.extensional import probability as extensional_probability
 from repro.pqe.intensional import compile_lineage
-from repro.queries.hqueries import q9
+from repro.queries.hqueries import HQuery, q9
 
 
 def reference_gate_probabilities(circuit, prob):
@@ -171,7 +173,7 @@ class TestTapeAgainstReference:
             ]
             batch = tape.evaluate_batch(maps)
             singles = [tape.evaluate_floats(m) for m in maps]
-            assert batch == pytest.approx(singles, abs=1e-12)
+            assert batch == singles
 
     def test_batch_rejects_conflicting_arguments(self):
         circuit = random_dd(random.Random(1), ["a", "b"])
@@ -193,6 +195,89 @@ class TestTapeAgainstReference:
         # The matrix layout has no way to carry a batch size here.
         with pytest.raises(ValueError, match="no variable slots"):
             tape.evaluate_batch(matrix=[])
+
+
+def assert_members_bit_identical(tape, maps):
+    """Each member of one numpy sweep (two or more maps) equals, bit for
+    bit, every batch-of-one entry and the scalar backend on that map."""
+    assert len(maps) >= 2
+    batch = tape.evaluate_batch(maps)
+    for prob, swept in zip(maps, batch):
+        singles = {
+            "evaluate_batch": tape.evaluate_batch([prob])[0],
+            "evaluate_vectors": tape.evaluate_vectors(
+                [tape.probability_vector(prob)]
+            )[0],
+            "evaluate_floats": tape.evaluate_floats(prob),
+        }
+        for name, single in singles.items():
+            assert single == swept, (
+                f"{name} gave {single.hex()}, the numpy sweep "
+                f"{swept.hex()}"
+            )
+
+
+class TestScalarSweep:
+    """A batch of one runs the generated function on Python floats; two
+    or more members run it on numpy rows.  Both round every ``+``, ``*``
+    and ``1.0 -`` correctly in binary64, so they return the same bits."""
+
+    def test_random_dds(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            circuit = random_dd(rng, ["a", "b", "c", "d", "e", "f"])
+            maps = [
+                random_prob_map(rng, circuit, exact=rng.random() < 0.5)
+                for _ in range(rng.randrange(2, 6))
+            ]
+            assert_members_bit_identical(tape_for(circuit), maps)
+
+    def test_compiled_zero_euler_lineage(self):
+        rng = random.Random(29)
+        query = HQuery(3, BooleanFunction(4, 9369))  # e(phi) = 0
+        tids = [complete_tid(3, 2, 3) for _ in range(4)]
+        for tid in tids:
+            for t in tid.instance.tuple_ids():
+                tid.set_probability(t, Fraction(rng.randrange(0, 98), 97))
+        compiled = compile_lineage(query, tids[0].instance)
+        assert_members_bit_identical(
+            compiled.tape, [tid.probability_map() for tid in tids]
+        )
+        batch = compiled.probability_batch(tids)
+        for tid, swept in zip(tids, batch):
+            assert compiled.probability_float(tid) == swept
+            assert compiled.probability_batch([tid]) == [swept]
+            assert swept == pytest.approx(
+                float(compiled.probability(tid)), abs=1e-12
+            )
+
+    def test_constant_output_tape(self):
+        for value in (True, False):
+            circuit = Circuit()
+            circuit.add_var("unused")
+            circuit.set_output(circuit.add_const(value))
+            tape = tape_for(circuit)
+            maps = [{"unused": 0.25}, {}, {"unused": 1.0}]
+            assert tape.evaluate_batch(maps) == [float(value)] * 3
+            assert_members_bit_identical(tape, maps)
+
+    def test_interpreted_fallback(self, monkeypatch):
+        rng = random.Random(37)
+        monkeypatch.setattr(evaluator, "CODEGEN_GATE_LIMIT", 0)
+        for _ in range(20):
+            circuit = random_dd(rng, ["a", "b", "c", "d", "e"])
+            maps = [
+                random_prob_map(rng, circuit, exact=False)
+                for _ in range(3)
+            ]
+            # A fresh tape: the memoized one may already hold generated
+            # code from an earlier test.
+            interpreted = EvaluationTape.from_circuit(circuit)
+            assert_members_bit_identical(interpreted, maps)
+            assert interpreted._compiled().__name__ == "run"
+            assert interpreted.evaluate_batch(maps) == tape_for(
+                circuit
+            ).evaluate_batch(maps)
 
 
 class TestTapeCache:

@@ -19,6 +19,7 @@ import pytest
 from repro.core.boolean_function import BooleanFunction
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
+from repro.pqe import lift
 from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.dichotomy import classify, classify_query
 from repro.pqe.engine import HardQueryError, evaluate, evaluate_batch
@@ -48,6 +49,7 @@ from repro.pqe.lift import (
 from repro.queries.cq import Atom, ConjunctiveQuery, Constant
 from repro.queries.hqueries import HQuery, q9
 from repro.queries.ucq import UnionOfCQs, hquery_to_ucq
+from repro.serving.api import decode_query
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -99,6 +101,30 @@ class TestSafetyAgreement:
         assert not safe_cls.h_query and not hard_cls.h_query
         assert safe_cls.extensional_safe and not hard_cls.extensional_safe
         assert hard_cls.known_hard and not safe_cls.known_hard
+
+    def test_classify_query_is_memoized_by_value(self, monkeypatch):
+        # The gateway decodes a new query object per request: equal
+        # queries must share one safe-plan search, and an unequal one
+        # must not reuse it.  The relation names are this test's own,
+        # so the process-wide memo has not seen these queries.
+        searched = []
+        search = lift.lift_query
+
+        def counting_search(query):
+            searched.append(query)
+            return search(query)
+
+        monkeypatch.setattr(lift, "lift_query", counting_search)
+        safe = [["Rmemo", ["x"]], ["Smemo", ["x", "y"]]]
+        wire = {"ucq": [safe, [["Tmemo", ["z"]]]]}
+        first, second = decode_query(wire), decode_query(wire)
+        assert first == second and first is not second
+        assert classify_query(first) is classify_query(second)
+        assert classify_query(first).extensional_safe
+        assert len(searched) == 1
+        other = decode_query({"ucq": [safe]})
+        assert classify_query(other).extensional_safe
+        assert len(searched) == 2
 
     def test_hard_ucq_h1_rejected(self):
         # The classic hard union R(x)S(x,y) ∨ S(x,y)T(y) (= Q_{h_1} with

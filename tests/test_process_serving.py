@@ -481,6 +481,37 @@ class TestShmLifecycle:
             service.stop(wait=True)
         assert not shm_entries()
 
+    def test_worker_forgets_reclaimed_probability_maps(self):
+        # Each new map supersedes the last one's segment; once the
+        # registry reclaims it, the worker must drop the TID it built
+        # from it (and every memo on that TID) instead of keeping every
+        # map it was ever sent.
+        query = nonmonotone_dd_query()
+        tuple_ids = complete_tid(3, 2, 2).instance.tuple_ids()
+
+        def weighted(version):
+            tid = complete_tid(3, 2, 2)
+            for i, tuple_id in enumerate(tuple_ids):
+                tid.set_probability(
+                    tuple_id, Fraction(1 + (i + version) % 7, 9 + version)
+                )
+            return tid
+
+        service = ShardedService(
+            shards=1, workers_per_shard=1, backend="processes"
+        )
+        try:
+            shard = service._shards[0]
+            for version in list(range(20)) + [0, 1] * 3:
+                tid = weighted(version)
+                served = service.submit(query, tid).result(timeout=60)
+                reference = evaluate_batch(query, [tid])
+                assert served.probability == reference.probabilities[0]
+            assert shard.worker_tid_count() <= 2
+        finally:
+            service.stop(wait=True)
+        assert not shm_entries()
+
     def test_stop_unlinks_every_segment(self):
         tids = [
             complete_tid(3, 2 + i, 2, prob=Fraction(1, 2)) for i in range(3)

@@ -229,6 +229,44 @@ class TestHedging:
             assert stats.hedging.launched > 0
             assert injector.stats()["straggler_events"] > 0
 
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_retired_losers_are_not_missed_deadlines(self, backend):
+        # Every attempt straggles, so most losers are already claimed by
+        # a drain when the winner retires them and are resolved late.
+        # No caller set a deadline and every caller got an answer: those
+        # are retired hedge losers, not missed deadlines.
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        reference = evaluate_batch(q9(), [tid])
+        hedge = HedgePolicy(
+            initial_delay_ms=2.0,
+            min_delay_ms=1.0,
+            max_delay_ms=2.0,
+            jitter=0.0,
+        )
+        service = ShardedService(
+            shards=2,
+            workers_per_shard=1,
+            hedge=hedge,
+            fault_injector=FaultInjector(
+                seed=1, straggler_rate=1.0, straggler_ms=30.0
+            ),
+            backend=backend,
+        )
+        try:
+            service.register(tid, replicas=2)
+            futures = [service.submit(q9(), tid) for _ in range(6)]
+            for future in futures:
+                response = future.result(timeout=120)
+                assert response.probability == reference.probabilities[0]
+        finally:
+            service.close()  # waits until every loser is resolved too
+        stats = service.stats()
+        attempts = len(futures) + stats.hedging.launched
+        served = sum(stats.engines.values())
+        late_losers = attempts - stats.hedging.cancelled - served
+        assert stats.resilience.deadline_exceeded == 0
+        assert stats.resilience.hedge_retired == late_losers
+
     def test_disabled_hedging_never_launches(self):
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
         hedge = HedgePolicy(max_backups=0)

@@ -740,6 +740,7 @@ SNAPSHOTS = [
     ResilienceStats(
         shed=1,
         deadline_exceeded=2,
+        hedge_retired=12,
         degraded=3,
         retries=4,
         failures=5,
