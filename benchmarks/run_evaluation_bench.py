@@ -58,7 +58,8 @@ root, so future PRs can track the perf trajectory:
 ``--sections serving`` (or any subset) reruns just those sections and
 merges them into the existing ``BENCH_evaluation.json``, preserving the
 untouched sections; every section records its own
-``recorded_unix_time``, so partial reruns never lose the trajectory of
+``recorded_unix_time`` and ``recorded_commit`` (the checked-out commit,
+also in ``meta.commit``), so partial reruns never lose the trajectory of
 the sections they skipped.  (The script falls back to inserting ``src/``
 on ``sys.path`` itself.)
 """
@@ -1801,6 +1802,19 @@ SECTIONS = {
 }
 
 
+def _commit() -> str | None:
+    """The checked-out commit, read from ``.git/HEAD`` (``None`` when the
+    tree carries no git metadata or the ref is unreadable)."""
+    git = _REPO_ROOT / ".git"
+    try:
+        ref = (git / "HEAD").read_text().strip()
+        if ref.startswith("ref: "):
+            return (git / ref[5:]).read_text().strip()
+        return ref
+    except OSError:
+        return None
+
+
 def run_all(sections=None):
     try:
         import numpy
@@ -1808,19 +1822,23 @@ def run_all(sections=None):
     except ImportError:
         numpy_version = None
     selected = list(SECTIONS) if sections is None else list(sections)
+    commit = _commit()
     results = {
         "meta": {
             "python": platform.python_version(),
             "platform": platform.platform(),
             "numpy": numpy_version,
             "unix_time": time.time(),
+            "commit": commit,
         },
     }
     for name in selected:
         section = SECTIONS[name]()
         # Every section is stamped individually: merged partial reruns
-        # keep an honest record of when each number was measured.
+        # keep an honest record of when, and at which commit, each
+        # number was measured.
         section["recorded_unix_time"] = time.time()
+        section["recorded_commit"] = commit
         results[name] = section
     return results
 

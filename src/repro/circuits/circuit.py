@@ -16,7 +16,6 @@ arbitrary hashable labels (in this package: tuple identifiers of a database).
 from __future__ import annotations
 
 import enum
-import itertools
 from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 
 
@@ -318,26 +317,18 @@ class Circuit:
         """Evaluate the output under a total assignment of the variables.
 
         Missing variables default to False (absent tuples), matching the
-        valuation-as-subset convention of the paper.
+        valuation-as-subset convention of the paper.  A one-world pass of
+        the evaluation tape's Boolean backend.
         """
-        values = self.evaluate_all(assignment)
-        return values[self.output]
+        from repro.circuits.evaluator import tape_for
 
-    def evaluate_all(self, assignment: Mapping[Hashable, bool]) -> list[bool]:
-        """Evaluate every gate bottom-up; returns a list indexed by gate id."""
-        values: list[bool] = [False] * len(self._gates)
-        for gate_id, gate in enumerate(self._gates):
-            if gate.kind is GateKind.VAR:
-                values[gate_id] = bool(assignment.get(gate.payload, False))
-            elif gate.kind is GateKind.CONST:
-                values[gate_id] = bool(gate.payload)
-            elif gate.kind is GateKind.NOT:
-                values[gate_id] = not values[gate.inputs[0]]
-            elif gate.kind is GateKind.AND:
-                values[gate_id] = all(values[i] for i in gate.inputs)
-            else:
-                values[gate_id] = any(values[i] for i in gate.inputs)
-        return values
+        output = self.output
+        tape = tape_for(self)
+        masks = [
+            1 if assignment.get(label, False) else 0
+            for label in tape.var_labels
+        ]
+        return bool(tape.world_masks(masks, 1)[output])
 
     def gate_variable_sets(self) -> list[frozenset[Hashable]]:
         """``Vars(g)`` for every gate: the variable labels with a directed
@@ -359,13 +350,19 @@ class Circuit:
         """All satisfying assignments, as the sets of variables set to True.
 
         Exponential in the number of variables — only for validation on
-        small instances.
+        small instances.  Models come in ``itertools.product`` order over
+        the labels sorted by ``repr`` (the first label varies slowest).
         """
-        labels = sorted(self._var_ids, key=repr)
-        for bits in itertools.product([False, True], repeat=len(labels)):
-            assignment = dict(zip(labels, bits))
-            if self.evaluate(assignment):
-                yield frozenset(l for l, b in assignment.items() if b)
+        from repro.circuits.operations import circuit_to_boolean_function
+
+        # Table variable i is order[i], so ascending table masks are
+        # product order over the sorted labels.
+        order = sorted(self._var_ids, key=repr)[::-1]
+        table = circuit_to_boolean_function(self, order)
+        for mask in table.satisfying_masks():
+            yield frozenset(
+                label for i, label in enumerate(order) if mask >> i & 1
+            )
 
     def reachable_from_output(self) -> set[int]:
         """Gate ids reachable from the output (the live part of the arena)."""

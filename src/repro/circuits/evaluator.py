@@ -20,7 +20,14 @@ sensitivity sweeps, Monte-Carlo batches over many probability maps):
 * :meth:`EvaluationTape.evaluate_batch` — batched probability: ``B``
   probability maps are evaluated in one sweep by running the generated
   function over per-slot numpy rows (a batch of one runs it on Python
-  floats, with the same bits).
+  floats, with the same bits);
+* :meth:`EvaluationTape.world_masks` — the Boolean backend and the
+  package's only Boolean gate loop: one big-int op per gate evaluates a
+  batch of worlds at once (bit ``s`` = world ``s``).  Sampled worlds
+  (:meth:`EvaluationTape.evaluate_worlds`), single assignments
+  (:meth:`Circuit.evaluate`), truth tables, model enumeration and both
+  determinism checks run on it; :func:`world_chunks` feeds it all
+  ``2**n`` worlds in fixed-size chunks.
 
 Tapes are immutable; :func:`tape_for` memoizes them per circuit (weakly,
 keyed by the circuit's append-only fingerprint), so repeated evaluation
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from math import gcd
 
@@ -58,6 +65,10 @@ CODEGEN_GATE_LIMIT = 500_000
 #: Maximum operands folded into one generated expression; wider gates are
 #: accumulated over several statements to keep the AST shallow.
 _CODEGEN_CHUNK = 32
+
+#: Worlds per chunk of :func:`world_chunks` (a power of two): it caps
+#: every gate mask of a chunk pass at 8 KiB.
+WORLD_CHUNK = 1 << 16
 
 
 class EvaluationTape:
@@ -421,10 +432,8 @@ class EvaluationTape:
         #P-hard query is never a d-D, but its indicator on a sampled
         world is still one tape sweep.
 
-        The batch is evaluated as big-int bitmasks (bit ``s`` of a gate's
-        value is its truth in world ``s``): the columns are bit-packed via
-        ``np.packbits``, then one Python int op per gate covers the whole
-        batch.
+        The columns are bit-packed via ``np.packbits`` into one slot mask
+        each, then :meth:`world_masks` covers the whole batch.
         """
         output = self._output()
         worlds = _np.asarray(worlds, dtype=_np.uint8)
@@ -441,13 +450,32 @@ class EvaluationTape:
             int.from_bytes(packed[:, slot].tobytes(), "little")
             for slot in range(len(self.var_labels))
         ]
-        full = (1 << samples) - 1
+        out = self.world_masks(masks, (1 << samples) - 1)[output]
+        return [bool(out >> s & 1) for s in range(samples)]
+
+    def world_masks(
+        self,
+        masks: Sequence[int],
+        full: int,
+        nodes: Iterable[int] | None = None,
+    ) -> list[int]:
+        """Every node's Boolean value on a batch of worlds, as bitmasks.
+
+        The one Boolean gate loop of :mod:`repro.circuits`.  Bit ``s`` of
+        ``masks[slot]`` is the slot's variable in world ``s``, and
+        ``full`` has one bit per world.  Returns a list indexed by node
+        whose entry ``i`` holds node ``i``'s truth in world ``s`` at bit
+        ``s``: ∧ is AND and ∨ is OR over the input masks, ¬ complements
+        within ``full``, and the constants are ``full`` and 0.  Evaluates
+        the live nodes, or ``nodes`` (ascending) when given; every other
+        entry stays 0.
+        """
         opcodes = self.opcodes
         operands = self.operands
         arity = self.arity
         args = self.args
         values = [0] * len(opcodes)
-        for i in self.live:
+        for i in self.live if nodes is None else nodes:
             op = opcodes[i]
             if op == OP_VAR:
                 values[i] = masks[operands[i]]
@@ -468,8 +496,7 @@ class EvaluationTape:
             elif op == OP_CONST_TRUE:
                 values[i] = full
             # OP_CONST_FALSE keeps the zero initialization.
-        out = values[output]
-        return [bool(out >> s & 1) for s in range(samples)]
+        return values
 
     def _sweep(
         self, rows: list[list[float]], batch_size: int
@@ -561,6 +588,31 @@ def one_like(prob: Mapping[Hashable, Number]) -> Number:
             return Fraction(1)
         return 1.0
     return Fraction(1)
+
+
+def world_chunks(n: int) -> Iterator[tuple[list[int], int, int]]:
+    """All ``2**n`` worlds over ``n`` variable positions, in chunks of at
+    most :data:`WORLD_CHUNK` worlds, for :meth:`EvaluationTape.world_masks`.
+
+    World ``w`` sets position ``j`` true iff bit ``j`` of ``w`` is set.
+    Each chunk is ``(masks, full, first)``: bit ``s`` of ``masks[j]`` is
+    position ``j`` in world ``first + s``, and ``full`` has one bit per
+    world of the chunk.
+    """
+    width = min(1 << n, WORLD_CHUNK)
+    full = (1 << width) - 1
+    # Position j repeats 2**j zeros then 2**j ones.  When that period
+    # fits in a chunk the mask is the same in every chunk; otherwise the
+    # position is constant within a chunk, bit j of its first world.
+    periodic = [
+        full // ((1 << (2 << j)) - 1) * (((1 << (1 << j)) - 1) << (1 << j))
+        for j in range(width.bit_length() - 1)
+    ]
+    for first in range(0, 1 << n, width):
+        constant = [
+            full if first >> j & 1 else 0 for j in range(len(periodic), n)
+        ]
+        yield periodic + constant, full, first
 
 
 # ----------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping
 
 from repro.circuits.circuit import Circuit, GateKind
+from repro.circuits.evaluator import tape_for, world_chunks
 from repro.core.boolean_function import BooleanFunction
 
 
@@ -175,17 +176,19 @@ def circuit_to_boolean_function(
     variable ``i`` of the function is ``variable_order[i]`` of the circuit.
 
     Exponential in the number of variables; used by tests to compare
-    compiled lineages against ground-truth lineages.
+    compiled lineages against ground-truth lineages.  Circuit variables
+    missing from ``variable_order`` are False.  One tape pass per chunk
+    of :func:`~repro.circuits.evaluator.world_chunks`.
     """
-    nvars = len(variable_order)
+    output = circuit.output
+    tape = tape_for(circuit)
+    position = {label: i for i, label in enumerate(variable_order)}
+    slots = [position.get(label) for label in tape.var_labels]
     table = 0
-    for mask in range(1 << nvars):
-        assignment = {
-            variable_order[i]: bool(mask >> i & 1) for i in range(nvars)
-        }
-        if circuit.evaluate(assignment):
-            table |= 1 << mask
-    return BooleanFunction(nvars, table)
+    for world, full, first in world_chunks(len(variable_order)):
+        masks = [0 if j is None else world[j] for j in slots]
+        table |= tape.world_masks(masks, full)[output] << first
+    return BooleanFunction(len(variable_order), table)
 
 
 def constant_circuit(value: bool) -> Circuit:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.operations import copy_into
+from repro.circuits.operations import circuit_to_boolean_function, copy_into
 from repro.core.boolean_function import BooleanFunction
 from repro.db.relation import Instance
 from repro.queries.cq import ConjunctiveQuery
@@ -122,13 +122,8 @@ def lineage_equivalent(
     tuple_ids = db.tuple_ids()
     if len(tuple_ids) > 20:
         raise ValueError("equivalence check limited to 20 tuples")
-    for mask in range(1 << len(tuple_ids)):
-        assignment = {
-            tuple_ids[j]: bool(mask >> j & 1) for j in range(len(tuple_ids))
-        }
-        if circuit_a.evaluate(assignment) != circuit_b.evaluate(assignment):
-            return False
-    return True
+    table_a = circuit_to_boolean_function(circuit_a, tuple_ids)
+    return table_a == circuit_to_boolean_function(circuit_b, tuple_ids)
 
 
 def lineage_truth_table_of_circuit(
@@ -140,11 +135,4 @@ def lineage_truth_table_of_circuit(
     tuple_ids = db.tuple_ids()
     if len(tuple_ids) > 22:
         raise ValueError("truth table limited to 22 tuples")
-    table = 0
-    for mask in range(1 << len(tuple_ids)):
-        assignment = {
-            tuple_ids[j]: bool(mask >> j & 1) for j in range(len(tuple_ids))
-        }
-        if circuit.evaluate(assignment):
-            table |= 1 << mask
-    return tuple_ids, BooleanFunction(len(tuple_ids), table)
+    return tuple_ids, circuit_to_boolean_function(circuit, tuple_ids)

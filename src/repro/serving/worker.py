@@ -70,6 +70,7 @@ import multiprocessing
 import os
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 from repro.core.deadline import Deadline, DeadlineExceeded
@@ -160,7 +161,14 @@ def worker_main(conn, shard_id: int, cache_limit: int) -> None:
     """The worker process loop: serve control-pipe messages in order
     until ``stop`` (or pipe EOF).  Casts (``message_id is None``) get no
     reply; calls reply ``("ok", id, payload)`` or ``("err", id, kind,
-    message)`` — the loop itself never dies to a compute error."""
+    message)`` — the loop itself never dies to a compute error.
+
+    A forked worker first closes the parent-side pipe ends it inherited
+    (its own and every earlier worker's): then the parent's are the only
+    ones left, so when the parent dies, even by SIGKILL, ``recv`` sees
+    EOF and the worker exits."""
+    for parent_end in list(_PARENT_ENDS):
+        parent_end.close()
     state = _WorkerState(cache_limit)
     while True:
         try:
@@ -238,6 +246,12 @@ def _start_method(requested: str | None) -> str:
     return method
 
 
+#: The parent-side pipe end of every worker client in this process.  A
+#: forked worker inherits these and closes them (:func:`worker_main`); a
+#: spawned one starts from a fresh import, where the set is empty.
+_PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
+
+
 class _Rpc:
     __slots__ = ("event", "result", "error")
 
@@ -266,6 +280,7 @@ class _WorkerClient:
         self._closing = False
         context = multiprocessing.get_context(_start_method(start_method))
         self._conn, child_conn = context.Pipe(duplex=True)
+        _PARENT_ENDS.add(self._conn)
         self._process = context.Process(
             target=worker_main,
             args=(child_conn, shard_id, cache_limit),

@@ -3,6 +3,7 @@ and the knowledge-compilation reuse tasks."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from repro.circuits import (
     GateKind,
     assert_d_d,
     check_determinism_by_enumeration,
+    check_determinism_by_sampling,
     circuit_to_boolean_function,
     conditioned_probability,
     copy_into,
@@ -25,7 +27,9 @@ from repro.circuits import (
     sample_model,
     to_nnf,
 )
-from repro.circuits.validation import CircuitPropertyError
+from repro.circuits import evaluator
+from repro.circuits.validation import EXHAUSTIVE_LIMIT, CircuitPropertyError
+from repro.core.boolean_function import BooleanFunction
 
 
 def xor_dd() -> Circuit:
@@ -36,6 +40,109 @@ def xor_dd() -> Circuit:
     right = circuit.add_and([circuit.add_not(x), y])
     circuit.set_output(circuit.add_or([left, right]))
     return circuit
+
+
+def reference_values(circuit: Circuit, assignment) -> list[bool]:
+    """Per-world reference evaluator: every gate's value in one world."""
+    values: list[bool] = []
+    for _, gate in circuit.gates():
+        if gate.kind is GateKind.VAR:
+            values.append(bool(assignment.get(gate.payload, False)))
+        elif gate.kind is GateKind.CONST:
+            values.append(bool(gate.payload))
+        elif gate.kind is GateKind.NOT:
+            values.append(not values[gate.inputs[0]])
+        elif gate.kind is GateKind.AND:
+            values.append(all(values[i] for i in gate.inputs))
+        else:
+            values.append(any(values[i] for i in gate.inputs))
+    return values
+
+
+def reference_overlap(circuit: Circuit, values: list[bool]) -> bool:
+    """Whether some ∨-gate has two true inputs in the world of ``values``."""
+    return any(
+        gate.kind is GateKind.OR and sum(values[i] for i in gate.inputs) > 1
+        for _, gate in circuit.gates()
+    )
+
+
+def random_circuit(rng: random.Random) -> Circuit:
+    """0–7 variables (added in shuffled order) and 1–25 further gates,
+    hash-consed or not: constants, ¬ over any gate, ∧/∨ with repeated
+    inputs, gates left unreachable from a randomly chosen output, and
+    sometimes no output."""
+    circuit = Circuit(dedup=rng.random() < 0.5)
+    labels = [f"x{i}" for i in range(rng.randint(0, 7))]
+    ids = [circuit.add_var(label) for label in rng.sample(labels, len(labels))]
+    for _ in range(rng.randint(1, 25)):
+        roll = rng.random()
+        if roll < 0.1 or not ids:
+            ids.append(circuit.add_const(rng.random() < 0.5))
+        elif roll < 0.3:
+            ids.append(circuit.add_not(rng.choice(ids)))
+        else:
+            inputs = [rng.choice(ids) for _ in range(rng.randint(2, 4))]
+            add = circuit.add_and if roll < 0.65 else circuit.add_or
+            ids.append(add(inputs))
+    if rng.random() < 0.9:
+        circuit.set_output(rng.choice(ids))
+    return circuit
+
+
+def assert_boolean_pass_matches_reference(
+    circuit: Circuit, rng: random.Random
+) -> None:
+    """Every consumer of the tape's Boolean pass agrees with the per-world
+    reference on ``circuit``."""
+    labels = sorted(circuit.variables(), key=repr)
+    worlds = [
+        dict(zip(labels, bits))
+        for bits in itertools.product([False, True], repeat=len(labels))
+    ]
+    per_world = [reference_values(circuit, world) for world in worlds]
+    assert check_determinism_by_enumeration(circuit) == (
+        not any(reference_overlap(circuit, v) for v in per_world)
+    )
+    # Few samples make the verdict depend on exactly which worlds are
+    # drawn, so the draw order is checked too.
+    seed, samples = rng.randrange(1 << 32), rng.choice([1, 2, 3, 5, 200])
+    sampler, sampled_verdict = random.Random(seed), True
+    for _ in range(samples):
+        world = {label: sampler.random() < 0.5 for label in labels}
+        if reference_overlap(circuit, reference_values(circuit, world)):
+            sampled_verdict = False
+            break
+    assert (
+        check_determinism_by_sampling(circuit, random.Random(seed), samples)
+        == sampled_verdict
+    )
+    try:
+        output = circuit.output
+    except ValueError:
+        with pytest.raises(ValueError):
+            circuit.evaluate({})
+        return
+    assert list(circuit.models_by_enumeration()) == [
+        frozenset(label for label in labels if world[label])
+        for world, values in zip(worlds, per_world)
+        if values[output]
+    ]
+    order = rng.sample(labels, len(labels))[1:]  # shuffled, one dropped
+    table = 0
+    for mask in range(1 << len(order)):
+        world = {label: bool(mask >> i & 1) for i, label in enumerate(order)}
+        if reference_values(circuit, world)[output]:
+            table |= 1 << mask
+    assert circuit_to_boolean_function(circuit, order) == BooleanFunction(
+        len(order), table
+    )
+    for _ in range(4):  # labels left out default to False
+        world = {
+            label: rng.random() < 0.5 for label in labels if rng.random() < 0.7
+        }
+        expected = reference_values(circuit, world)[output]
+        assert circuit.evaluate(world) == expected
 
 
 class TestConstruction:
@@ -132,6 +239,26 @@ class TestValidation:
         circuit.set_output(circuit.add_or([x, y]))  # overlap at x=y=1
         assert is_decomposable(circuit)
         assert not check_determinism_by_enumeration(circuit)
+        with pytest.raises(CircuitPropertyError):
+            assert_d_d(circuit)
+
+    @pytest.mark.parametrize("chunk", [evaluator.WORLD_CHUNK, 2])
+    def test_boolean_pass_matches_per_world_reference(
+        self, chunk, monkeypatch
+    ):
+        # Chunks of two worlds put every chunk boundary to the test.
+        monkeypatch.setattr(evaluator, "WORLD_CHUNK", chunk)
+        rng = random.Random(0xB001)
+        for _ in range(400):
+            assert_boolean_pass_matches_reference(random_circuit(rng), rng)
+
+    @pytest.mark.parametrize("nvars", [16, EXHAUSTIVE_LIMIT])
+    def test_overlap_in_a_single_world_is_proved(self, nvars):
+        # a ∨ a overlaps only in the world where all of a's variables are
+        # true: 200 sampled worlds miss it, an exhaustive proof cannot.
+        circuit = Circuit()
+        a = circuit.add_and([circuit.add_var(i) for i in range(nvars)])
+        circuit.set_output(circuit.add_or([a, a]))
         with pytest.raises(CircuitPropertyError):
             assert_d_d(circuit)
 

@@ -15,7 +15,10 @@ import glob
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -60,6 +63,16 @@ def shm_entries() -> set[str]:
         os.path.basename(path)
         for path in glob.glob(f"/dev/shm/{segment_prefix()}*")
     }
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a live process.  A zombie is not: it has exited
+    and only waits for its new parent to reap it."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 def run_backend(backend: str, workload):
@@ -620,6 +633,57 @@ class TestProcessStopSemantics:
         with pytest.raises(ServiceStopped):
             service.submit(q9(), complete_tid(3, 2, 2))
         assert not shm_entries()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states in /proc"
+    )
+    def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
+        # The owner of a 2-shard process service dies without running
+        # any cleanup.  Each worker must see its pipe's EOF and exit: no
+        # worker may still hold an inherited parent-side end open.
+        script = (
+            "import sys\n"
+            "from repro.db.generator import complete_tid\n"
+            "from repro.queries.hqueries import q9\n"
+            "from repro.serving import ShardedService\n"
+            "from repro.serving.api import QueryRequest\n"
+            "service = ShardedService(shards=2, backend='processes')\n"
+            "for shard in service._shards:\n"
+            "    shard.submit(QueryRequest(q9(), complete_tid(3, 2, 2)))"
+            ".result()\n"
+            "print(*(s._client._process.pid for s in service._shards),"
+            " flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        errors = tmp_path / "owner.err"
+        pids: list[int] = []
+        with errors.open("w") as stderr, subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            env=env,
+            cwd=str(root),
+        ) as owner:
+            try:
+                pids = [int(pid) for pid in owner.stdout.readline().split()]
+                assert len(pids) == 2, errors.read_text()
+                owner.kill()
+                owner.wait(timeout=30)
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and any(
+                    running(pid) for pid in pids
+                ):
+                    time.sleep(0.05)
+                assert not [pid for pid in pids if running(pid)]
+            finally:
+                owner.kill()
+                for pid in pids:
+                    if running(pid):
+                        os.kill(pid, signal.SIGKILL)
 
     def test_close_then_stop_is_idempotent(self):
         service = ShardedService(shards=1, backend="processes")
