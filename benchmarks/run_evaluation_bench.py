@@ -15,11 +15,12 @@ Compares, on q_9's compiled d-D lineage and on grounding workloads:
   (closure automata, fresh managers, append-only arenas — reimplemented
   verbatim below), plus the circuit-size reduction from sharing.
 
-* **serving** (PR 3): the sharded concurrent service
-  (:mod:`repro.serving`) — cold/warm sweep throughput over a
-  multi-instance workload spread across the shards, a 256-request
-  hot-instance microbatch wave, bit-for-float agreement with the
-  single-threaded ``evaluate_batch``, and per-shard cache/latency stats.
+* **serving**: the sharded concurrent service
+  (:mod:`repro.serving`) — a multi-instance spread workload (cold, then
+  warm) and a 256-request hot-instance microbatch wave, bit-for-float
+  equal to the single-threaded ``evaluate_batch`` on the thread backend
+  and on 1-, 2- and 4-shard process backends.  Flags only: serving
+  speed is the ``perfbench`` section's.
 
 * **extensional** (PR 4): the vectorized extensional fast path — the
   seed per-term ``Fraction`` loops vs. the columnar Möbius-batched
@@ -43,19 +44,33 @@ Compares, on q_9's compiled d-D lineage and on grounding workloads:
   definition ``_py_uniform_below``), and budget-adaptive vs fixed-count
   sample economics (run in CI under ``PYTHONHASHSEED=0``).
 
-* **resilience** (PR 6): sustained overload under injected faults — an
-  under-provisioned service flooded with deadline-carrying mixed-route
-  traffic must resolve every request (answer or typed error), keep the
-  served p99 within the SLO by shedding and degrading instead of
-  queueing, and produce bit-identical degraded answers across clock
+* **resilience**: degraded sampling budgets derived from
+  different remaining deadlines give bit-identical answers across clock
   jitter (the ``degraded_identical`` exactness gate).
+
+* **replication**: hedged and unhedged sweeps under seeded
+  straggler injection answer the ``evaluate_batch`` floats
+  (``hedged_identical``), and a process-backend shard whose worker is
+  SIGKILLed answers the same float once the supervisor has respawned it
+  (``recovered_identical``).
+
+* **gateway**: a gateway torn down SIGKILL-style and rebuilt
+  from its registration journal answers bit-identically over TCP
+  (``recovered_identical``).
+
+* **perfbench**: the result line of perfbench's last ``--seed 1
+  --trace 0`` run of each ``BENCHMARK.json`` workload, read from
+  ``.perfbench/`` with its commit (``null`` when there is none).
+  perfbench is the one benchmark that times serving, over the wire;
+  run it first (``python3 perfbench/run.py --workload W --seed 1
+  --seconds 30 --trace 0``) for this section to record it.
 
 Run as a script to write ``BENCH_evaluation.json`` at the repository
 root, so future PRs can track the perf trajectory:
 
     PYTHONPATH=src python benchmarks/run_evaluation_bench.py
 
-``--sections serving`` (or any subset) reruns just those sections and
+``--sections perfbench`` (or any subset) reruns just those sections and
 merges them into the existing ``BENCH_evaluation.json``, preserving the
 untouched sections; every section records its own
 ``recorded_unix_time`` and ``recorded_commit`` (the checked-out commit,
@@ -598,28 +613,23 @@ def bench_compilation(n=8, num_queries=24, repeats=5):
 def bench_serving(
     shards=4, requests_per_instance=64, hot_requests=256, workers=2
 ):
-    """The sharded service vs. the single-threaded batch path.
+    """The sharded service answers exactly what the single-threaded
+    batch path answers, on both backends.
 
     Workload one (*spread*): distinct-content instances covering every
     shard, ``requests_per_instance`` q9-evaluations each, submitted as
     one ``submit_batch`` wave — cold (caches empty, compiles on every
     shard) then warm.  Workload two (*hot*): ``hot_requests`` requests
     against a single instance, exercising the microbatcher on one shard.
-    Both must agree bit-for-float with ``evaluate_batch``; throughput is
-    warm requests per second, and per-shard stats document the cache hit
-    rates and p50/p95 the service saw.
+    ``bit_identical_with_evaluate_batch``: every thread-backend float
+    equals ``evaluate_batch``'s.
 
-    The same two workloads then run on ``backend="processes"`` —
-    ``backends_identical`` asserts every process-backend float equals
-    its thread-backend counterpart (the exactness gate for the worker
-    tier) — and a scaling sweep runs the spread workload over 1/2/4
-    worker processes, recording ``rps_per_core``.  The curve is honest
-    about the machine: ``cores_available`` is recorded next to it, and
-    on a single-core runner the per-worker rps simply documents the
-    overhead of the process boundary rather than a speedup.
+    ``backends_identical``: the same waves on ``backend="processes"``
+    equal their thread-backend counterparts, and 1-, 2- and 4-shard
+    process services answer the spread workload with the reference
+    floats.  Serving speed is perfbench's to measure, over the wire (the
+    ``perfbench`` section).
     """
-    import os
-
     from repro.pqe.engine import CompilationCache, evaluate_batch
     from repro.serving import ShardedService
 
@@ -634,86 +644,56 @@ def bench_serving(
             covered.add(index)
             tids.append(tid)
     requests = [tid for tid in tids for _ in range(requests_per_instance)]
+    hot = [tids[0]] * hot_requests
 
     single_cache = CompilationCache()
-    start = time.perf_counter()
     reference = evaluate_batch(query, requests, cache=single_cache)
-    single_cold = time.perf_counter() - start
-    start = time.perf_counter()
     reference_warm = evaluate_batch(query, requests, cache=single_cache)
-    single_warm = time.perf_counter() - start
-
-    start = time.perf_counter()
-    cold_wave = service.submit_batch(query, requests)
-    service_cold = time.perf_counter() - start
-    start = time.perf_counter()
-    warm_wave = service.submit_batch(query, requests)
-    service_warm = time.perf_counter() - start
-
-    identical = (
-        [r.probability for r in cold_wave] == reference.probabilities
-        and [r.probability for r in warm_wave]
-        == reference_warm.probabilities
-    )
-
-    hot = [tids[0]] * hot_requests
     hot_reference = evaluate_batch(query, hot, cache=single_cache)
-    start = time.perf_counter()
-    hot_wave = service.submit_batch(query, hot)
-    hot_seconds = time.perf_counter() - start
-    identical = identical and (
-        [r.probability for r in hot_wave] == hot_reference.probabilities
-    )
 
-    stats = service.stats()
-    service.close()
+    def probabilities(wave):
+        return [r.probability for r in wave]
 
-    # -- process backend: identity, then per-core scaling --------------
+    try:
+        waves = [
+            probabilities(service.submit_batch(query, batch))
+            for batch in (requests, requests, hot)
+        ]
+    finally:
+        service.close()
+    identical = waves == [
+        reference.probabilities,
+        reference_warm.probabilities,
+        hot_reference.probabilities,
+    ]
+
     process_service = ShardedService(
         shards=shards, workers_per_shard=workers, backend="processes"
     )
     try:
-        process_cold = process_service.submit_batch(query, requests)
-        start = time.perf_counter()
-        process_warm = process_service.submit_batch(query, requests)
-        process_warm_seconds = time.perf_counter() - start
-        start = time.perf_counter()
-        process_hot = process_service.submit_batch(query, hot)
-        process_hot_seconds = time.perf_counter() - start
+        process_waves = [
+            probabilities(process_service.submit_batch(query, batch))
+            for batch in (requests, requests, hot)
+        ]
     finally:
         process_service.stop(wait=True)
-    backends_identical = (
-        [r.probability for r in process_cold]
-        == [r.probability for r in cold_wave]
-        and [r.probability for r in process_warm]
-        == [r.probability for r in warm_wave]
-        and [r.probability for r in process_hot]
-        == [r.probability for r in hot_wave]
-    )
+    backends_identical = process_waves == waves
 
-    scaling = []
-    for worker_count in (1, 2, 4):
+    process_shard_counts = (1, 2, 4)
+    for shard_count in process_shard_counts:
         scaled = ShardedService(
-            shards=worker_count,
+            shards=shard_count,
             workers_per_shard=workers,
             backend="processes",
         )
         try:
-            scaled.submit_batch(query, requests)  # warm every worker
-            start = time.perf_counter()
-            wave = scaled.submit_batch(query, requests)
-            seconds = time.perf_counter() - start
+            cold = probabilities(scaled.submit_batch(query, requests))
+            warm = probabilities(scaled.submit_batch(query, requests))
         finally:
             scaled.stop(wait=True)
         backends_identical = backends_identical and (
-            [r.probability for r in wave] == reference_warm.probabilities
-        )
-        scaling.append(
-            {
-                "worker_processes": worker_count,
-                "warm_throughput_rps": len(requests) / seconds,
-                "rps_per_core": len(requests) / seconds / worker_count,
-            }
+            cold == reference.probabilities
+            and warm == reference_warm.probabilities
         )
 
     return {
@@ -721,41 +701,10 @@ def bench_serving(
         "workers_per_shard": workers,
         "instances": len(tids),
         "spread_requests": len(requests),
-        "single_thread_cold_ms": single_cold * 1e3,
-        "single_thread_warm_ms": single_warm * 1e3,
-        "service_cold_ms": service_cold * 1e3,
-        "service_warm_ms": service_warm * 1e3,
-        "warm_throughput_rps": len(requests) / service_warm,
         "hot_requests": hot_requests,
-        "hot_wave_ms": hot_seconds * 1e3,
-        "hot_throughput_rps": hot_requests / hot_seconds,
+        "process_shard_counts": list(process_shard_counts),
         "bit_identical_with_evaluate_batch": identical,
-        "process_warm_throughput_rps": (
-            len(requests) / process_warm_seconds
-        ),
-        "process_hot_throughput_rps": hot_requests / process_hot_seconds,
         "backends_identical": backends_identical,
-        "cores_available": os.cpu_count(),
-        "worker_scaling": scaling,
-        "p50_ms": stats.p50_ms,
-        "p95_ms": stats.p95_ms,
-        "compile_ms": stats.compile_ms,
-        "microbatched_requests": stats.microbatched_requests,
-        "per_shard": [
-            {
-                "shard": s.shard,
-                "requests": s.requests,
-                "batches": s.batches,
-                "max_batch_size": s.max_batch_size,
-                "cache_hits": s.cache.hits,
-                "cache_misses": s.cache.misses,
-                "cache_hit_rate": s.cache_hit_rate,
-                "compile_ms": s.compile_ms,
-                "p50_ms": s.p50_ms,
-                "p95_ms": s.p95_ms,
-            }
-            for s in stats.shards
-        ],
     }
 
 
@@ -1261,36 +1210,20 @@ def bench_sampling(n=18, vector_samples=4000, repeats=3):
     }
 
 
-def bench_resilience(rounds=40, slo_ms=250.0, seed=17):
-    """Sustained overload under injected faults (PR 6).
-
-    Floods a deliberately under-provisioned service (tiny queues,
-    injected worker latency and errors) with a mixed-route workload
-    carrying deadlines and priorities, and reports how the resilience
-    layer holds the line: every request resolves (answer or typed
-    error), the p99 of *served* requests stays within the SLO because
-    late work is shed or degraded instead of queued, and degraded
-    answers carry honest nonzero error bars.
+def bench_resilience(seed=17):
+    """Degraded answers are reproducible.
 
     ``degraded_identical`` is the determinism gate
     (``check_bench_exactness.py`` enforces it): two sampling runs under
     degraded budgets derived from *different* remaining deadlines in the
     same power-of-two band must produce bit-identical estimates — the
     property that makes a degraded answer reproducible from
-    ``(seed, budget)`` alone despite wall-clock jitter.
+    ``(seed, budget)`` alone despite wall-clock jitter.  That every
+    request resolves under overload is ``tests/test_chaos.py``'s
+    invariant.
     """
-    from concurrent.futures import wait as futures_wait
-
-    from repro.core.deadline import DeadlineExceeded
     from repro.pqe.approximate import AccuracyBudget, sampling_plan
-    from repro.serving import ShardedService, percentile
-    from repro.serving.faults import FaultInjector, TransientFaultError
-    from repro.serving.resilience import (
-        CircuitBreakerOpen,
-        RetryPolicy,
-        ShardOverloaded,
-        degraded_budget,
-    )
+    from repro.serving.resilience import degraded_budget
 
     phi = BooleanFunction.bottom(4)
     for i in range(4):
@@ -1300,7 +1233,6 @@ def bench_resilience(rounds=40, slo_ms=250.0, seed=17):
         epsilon=0.3, min_samples=32, max_samples=1024, seed=seed
     )
 
-    # --- the determinism gate: clock jitter quantizes away -------------
     gate_tid = complete_tid(3, 3, 3, prob=Fraction(1, 3))
     budget_a = degraded_budget(hard_budget, 400.0, samples_per_ms=100.0)
     budget_b = degraded_budget(hard_budget, 520.0, samples_per_ms=100.0)
@@ -1311,144 +1243,35 @@ def bench_resilience(rounds=40, slo_ms=250.0, seed=17):
         and estimate_a == estimate_b
         and estimate_a.half_width > 0.0
     )
-
-    # --- sustained overload -------------------------------------------
-    injector = FaultInjector(
-        seed=seed,
-        error_rate=Fraction(1, 20),
-        latency_rate=Fraction(1, 4),
-        latency_ms=10.0,
-    )
-    service = ShardedService(
-        shards=2,
-        workers_per_shard=2,
-        max_queue_depth=8,
-        retry=RetryPolicy(attempts=2, base_delay_ms=0.5, max_delay_ms=2.0),
-        fault_injector=injector,
-    )
-    # Teach every shard that exact brute force is hopeless (10 s per
-    # request), so deadline-carrying hard queries degrade to sampling
-    # — the warm-start hook exists for exactly this.
-    for shard in service._shards:
-        shard.observe_route_latency("brute_force", 10_000.0)
-
-    safe_tids = [
-        complete_tid(3, 2 + i, 2, prob=Fraction(1, 2)) for i in range(3)
-    ]
-    small_hard = complete_tid(3, 2, 2, prob=Fraction(1, 3))
-    futures = []
-    start = time.perf_counter()
-    for i in range(rounds):
-        for j, tid in enumerate(safe_tids):
-            futures.append(
-                service.submit(
-                    q9(), tid, deadline_ms=slo_ms, priority=(i + j) % 3
-                )
-            )
-        futures.append(
-            service.submit(
-                hard,
-                small_hard,
-                hard_budget,
-                deadline_ms=slo_ms,
-                priority=2,
-            )
-        )
-    done, not_done = futures_wait(futures, timeout=120.0)
-    wall_seconds = time.perf_counter() - start
-
-    served, degraded = [], []
-    shed = breaker_rejected = deadline_exceeded = failed = 0
-    for future in done:
-        error = future.exception()
-        if error is None:
-            response = future.result()
-            served.append(response)
-            if response.degraded:
-                degraded.append(response)
-        elif isinstance(error, ShardOverloaded):
-            shed += 1
-        elif isinstance(error, CircuitBreakerOpen):
-            breaker_rejected += 1
-        elif isinstance(error, DeadlineExceeded):
-            deadline_exceeded += 1
-        else:
-            assert isinstance(error, TransientFaultError), repr(error)
-            failed += 1
-
-    latencies = []
-    for shard in service._shards:
-        latencies.extend(shard.latency_snapshot())
-    stats = service.stats()
-    service.close()
-    p99 = percentile(latencies, 0.99)
     return {
-        "rounds": rounds,
-        "submitted": len(futures),
-        "all_requests_resolved": not not_done,
-        "wall_ms": wall_seconds * 1e3,
-        "served": len(served),
-        "shed": shed,
-        "breaker_rejected": breaker_rejected,
-        "deadline_exceeded": deadline_exceeded,
-        "failed": failed,
-        "shed_rate": shed / len(futures),
-        "degraded": len(degraded),
-        "degraded_fraction": (
-            len(degraded) / len(served) if served else 0.0
-        ),
-        "degraded_half_width_positive": all(
-            r.half_width > 0.0 for r in degraded
-        ),
-        "slo_ms": slo_ms,
-        "p50_ms": percentile(latencies, 0.50) if latencies else 0.0,
-        "p99_ms": p99,
-        "p99_within_slo": bool(latencies) and p99 <= slo_ms,
-        "breaker_state": stats.resilience.breaker_state,
-        "retries": stats.resilience.retries,
-        "injected": injector.stats(),
         "degraded_identical": degraded_identical,
         "degraded_budget_max_samples": budget_a.max_samples,
     }
 
 
-def bench_replication(
-    requests=96, straggler_ms=40.0, warmup=32, seed=23
-):
-    """Replication, hedged requests, and supervised crash recovery (PR 9).
+def bench_replication(requests=96, straggler_ms=40.0, seed=23):
+    """Hedged and recovered answers are the reference floats.
 
-    Part one (*hedging vs. stragglers*): a replicated instance served
-    under seeded straggler injection — a deterministic fraction of serve
-    attempts sleeps ``straggler_ms`` before answering — once with
-    hedging disabled and once with a
-    :class:`~repro.serving.resilience.HedgePolicy` whose delay is driven
-    by the warmed per-route latency EWMAs.  Caller-observed latency is
-    measured per request; the headline numbers are the two p99s.  A
-    straggled primary pins its caller for the full sleep when unhedged;
-    hedged, the backup replica answers in normal time and the straggler
-    is retired cooperatively — so ``hedged_p99_ms`` must come in well
-    under ``unhedged_p99_ms``.  ``hedged_identical`` is the exactness
-    gate (``check_bench_exactness.py`` enforces it): every float from
-    both runs equals the single-threaded ``evaluate_batch`` reference —
+    Part one: a replicated instance served under seeded straggler
+    injection — a deterministic fraction of serve attempts sleeps
+    ``straggler_ms`` before answering — once with hedging disabled and
+    once with a :class:`~repro.serving.resilience.HedgePolicy`.
+    ``hedged_identical`` is the exactness gate
+    (``check_bench_exactness.py`` enforces it): every float from both
+    runs equals the single-threaded ``evaluate_batch`` reference, so
     which attempt wins a race is bit-invisible.
 
-    Part two (*crash recovery*): on the process backend, SIGKILL a
-    shard's worker and time the supervisor's detect → respawn → replay
-    → first-served-response path (``recovery_ms``; breaker escalation
-    disabled so the number is the supervision loop itself, not the
-    breaker's reset window).
+    Part two: on the process backend, SIGKILL a shard's worker and poll
+    until the shard answers again.  The supervisor trips the shard's
+    breaker, respawns the worker and replays its registrations; the poll
+    waits out the breaker's reset window.  ``recovered_identical``: the
+    answer after recovery equals the one before and the reference.
     """
     import os
     import signal
 
     from repro.pqe.engine import evaluate_batch
-    from repro.serving import (
-        FaultInjector,
-        HedgePolicy,
-        ShardedService,
-        SupervisorPolicy,
-        percentile,
-    )
+    from repro.serving import FaultInjector, HedgePolicy, ShardedService
 
     query = q9()
     tid = complete_tid(3, 3, 2, prob=Fraction(1, 2))
@@ -1468,67 +1291,41 @@ def bench_replication(
         )
         try:
             service.register(tid, replicas=2)
-            # Warm the route EWMAs with straggler-free traffic so the
-            # hedge delay reflects the route's *normal* latency; the
-            # injector lanes only start firing once real traffic runs
-            # (warm-up consumes the leading schedule indices equally in
-            # both runs).
+            # Warm the route EWMAs so the hedge delay reflects the
+            # route's *normal* latency.
             for shard in service._shards:
                 shard.observe_route_latency("extensional", 0.5)
-            latencies, probabilities = [], []
-            for _ in range(requests):
-                start = time.perf_counter()
-                response = service.submit(query, tid).result(timeout=120)
-                latencies.append((time.perf_counter() - start) * 1e3)
-                probabilities.append(response.probability)
-            stats = service.stats()
-            return latencies, probabilities, stats, injector.stats()
+            return [
+                service.submit(query, tid).result(timeout=120).probability
+                for _ in range(requests)
+            ]
         finally:
             service.stop(wait=True)
 
-    unhedged_lat, unhedged_probs, _, unhedged_faults = run(
-        HedgePolicy(max_backups=0)
-    )
+    unhedged = run(HedgePolicy(max_backups=0))
     # The delay cap matters: straggled attempts feed the route EWMA
     # too, so an uncapped quantile delay would creep toward the
     # straggler latency itself and stop hedging in time.
-    hedge = HedgePolicy(
-        quantile_z=3.0, min_delay_ms=1.0, max_delay_ms=5.0, seed=seed
-    )
-    hedged_lat, hedged_probs, hedged_stats, hedged_faults = run(hedge)
-
+    hedged = run(HedgePolicy(min_delay_ms=1.0, max_delay_ms=5.0, seed=seed))
     hedged_identical = (
-        unhedged_probs == reference.probabilities
-        and hedged_probs == reference.probabilities
+        unhedged == reference.probabilities
+        and hedged == reference.probabilities
     )
 
-    # --- crash recovery on the process backend -------------------------
-    recovery_ms = respawn_ms = None
-    restarts = 0
-    recovered_identical = False
     service = ShardedService(
-        shards=1,
-        workers_per_shard=1,
-        backend="processes",
-        supervisor=SupervisorPolicy(trip_breaker_on_death=False),
+        shards=1, workers_per_shard=1, backend="processes"
     )
     try:
         service.register(tid)
         before = service.submit(query, tid).result(timeout=120)
-        shard = service._shards[0]
-        killed_at = time.perf_counter()
-        os.kill(shard._client._process.pid, signal.SIGKILL)
+        os.kill(service._shards[0]._client._process.pid, signal.SIGKILL)
         after = None
-        while time.perf_counter() - killed_at < 30.0:
+        give_up = time.monotonic() + 30.0
+        while after is None and time.monotonic() < give_up:
             try:
                 after = service.submit(query, tid).result(timeout=120)
-                break
             except Exception:
-                time.sleep(0.001)
-        recovery_ms = (time.perf_counter() - killed_at) * 1e3
-        supervisor = shard.stats().supervisor
-        respawn_ms = supervisor.respawn_ms
-        restarts = supervisor.restarts
+                time.sleep(0.01)
         recovered_identical = (
             after is not None
             and after.probability == before.probability
@@ -1541,56 +1338,26 @@ def bench_replication(
         "requests": requests,
         "straggler_ms": straggler_ms,
         "straggler_rate": "1/12",
-        "unhedged_p50_ms": percentile(unhedged_lat, 0.50),
-        "unhedged_p99_ms": percentile(unhedged_lat, 0.99),
-        "unhedged_stragglers": unhedged_faults["straggler_events"],
-        "hedged_p50_ms": percentile(hedged_lat, 0.50),
-        "hedged_p99_ms": percentile(hedged_lat, 0.99),
-        "hedged_stragglers": hedged_faults["straggler_events"],
-        "hedged_p99_improvement": (
-            percentile(unhedged_lat, 0.99) / percentile(hedged_lat, 0.99)
-            if percentile(hedged_lat, 0.99) > 0
-            else 0.0
-        ),
-        "hedges_launched": hedged_stats.hedging.launched,
-        "backup_wins": hedged_stats.hedging.backup_wins,
-        "hedges_cancelled": hedged_stats.hedging.cancelled,
-        "replicas_placed": hedged_stats.replication.replicas_placed,
-        "spread": hedged_stats.replication.spread,
         "hedged_identical": hedged_identical,
-        "recovery_ms": recovery_ms,
-        "supervisor_respawn_ms": respawn_ms,
-        "supervisor_restarts": restarts,
         "recovered_identical": recovered_identical,
     }
 
 
-def bench_gateway(requests=48, seed=29):
-    """The durable gateway edge: drain, crash recovery, idempotency (PR 10).
+def bench_gateway(seed=29):
+    """A crashed gateway recovers bit-identically from its journal.
 
     A :class:`~repro.serving.gateway.GatewayServer` with a registration
-    journal, measured over real TCP from a blocking JSON-lines client:
-
-    - **Idempotent retries**: every query carries an ``idempotency_key``
-      and is sent twice; the retry must replay the recorded reply from
-      the gateway's response journal without re-executing
-      (``idempotent_hit_rate`` is 1.0 when every retry hit).
-    - **Crash recovery**: the gateway is torn down SIGKILL-style
-      (``restart(graceful=False)``) and ``recovery_ms`` times the full
-      crash → journal replay → listener up → first answered query path.
-    - **Graceful drain**: with a sampled query still in flight,
-      ``drain_ms`` times the drain ladder and ``drain_clean`` records
-      that the grace window emptied the gateway without cancelling it.
-
-    ``recovered_identical`` is the exactness gate
-    (``check_bench_exactness.py`` enforces it): the post-crash gateway,
-    rebuilt purely from the journal, must serve bit-identical floats for
-    both the exact and the seeded-sampling route — recovery is invisible
-    in every answer.
+    journal, driven over real TCP: register two instances, query the
+    exact and the seeded-sampling route, tear the gateway down
+    SIGKILL-style (``restart(graceful=False)``), and query again with no
+    re-registration.  ``recovered_identical`` is the exactness gate
+    (``check_bench_exactness.py`` enforces it): the gateway rebuilt
+    purely from the journal serves bit-identical answers on both routes.
+    Idempotent retries and the drain are ``tests/test_gateway.py``'s
+    (``TestIdempotency``, ``TestDrain``).
     """
     import socket
     import tempfile
-    import threading
 
     from repro.serving import GatewayServer, ShardedService
 
@@ -1606,20 +1373,13 @@ def bench_gateway(requests=48, seed=29):
             self._file.flush()
             return json.loads(self._file.readline())
 
-        def send(self, message):
-            self._file.write(json.dumps(message) + "\n")
-            self._file.flush()
-
-        def recv(self):
-            return json.loads(self._file.readline())
-
         def close(self):
             self._file.close()
             self._sock.close()
 
-    def sans_latency(response):
+    def sans_latency(reply):
         return {
-            k: v for k, v in response.items() if k != "latency_ms"
+            k: v for k, v in reply["response"].items() if k != "latency_ms"
         }
 
     big = complete_tid(3, 3, 3, prob=Fraction(1, 3))
@@ -1637,30 +1397,26 @@ def bench_gateway(requests=48, seed=29):
     phi = BooleanFunction.bottom(4)
     for i in range(4):
         phi = phi | BooleanFunction.variable(i, 4)
-    hard_payload = {"k": 3, "nvars": 4, "table": phi.table}
-    safe_payload = {"k": 1, "nvars": 2, "table": 10}
+    exact_query = {
+        "op": "query",
+        "id": 100,
+        "instance": "orders",
+        "query": {"k": 1, "nvars": 2, "table": 10},
+    }
+    sampled_query = {
+        "op": "query",
+        "id": 101,
+        "instance": "big",
+        "query": {"k": 3, "nvars": 4, "table": phi.table},
+        "budget": {"epsilon": 0.1, "seed": seed},
+    }
     small_facts = [
         ["R", [1], [1, 2]],
         ["S1", [1, 2]],
         ["T", [2], [2, 3]],
     ]
 
-    def query_message(i, keyed=True):
-        if i % 2 == 0:
-            body = {"instance": "orders", "query": safe_payload}
-        else:
-            body = {
-                "instance": "big",
-                "query": hard_payload,
-                "budget": {"epsilon": 0.1, "seed": seed},
-            }
-        message = {"op": "query", "id": 100 + i, **body}
-        if keyed:
-            message["idempotency_key"] = f"req-{i}"
-        return message
-
     service = ShardedService(shards=2, workers_per_shard=2)
-    results = {}
     with tempfile.TemporaryDirectory() as tmp:
         server = GatewayServer(
             service, journal_path=f"{tmp}/edge.journal"
@@ -1668,122 +1424,84 @@ def bench_gateway(requests=48, seed=29):
         server.start()
         try:
             client = _Client(server.port)
-            client.rpc(
-                {
-                    "op": "register",
-                    "id": 0,
-                    "instance": "orders",
-                    "facts": small_facts,
-                }
-            )
-            client.rpc(
-                {
-                    "op": "register",
-                    "id": 1,
-                    "instance": "big",
-                    "facts": big_facts,
-                }
-            )
-
-            # --- idempotent retries: every request, sent twice -------
-            first_pass = [
-                client.rpc(query_message(i)) for i in range(requests)
-            ]
-            retry_start = time.perf_counter()
-            second_pass = [
-                client.rpc(query_message(i)) for i in range(requests)
-            ]
-            retry_wall_ms = (time.perf_counter() - retry_start) * 1e3
-            replayed_verbatim = all(
-                sans_latency(a["response"]) == sans_latency(b["response"])
-                for a, b in zip(first_pass, second_pass)
-            )
-            stats = client.rpc({"op": "stats", "id": 900})
-            idem = stats["gateway"]["idempotency"]
-            service_requests_before = stats["stats"]["requests"]
-
-            # --- crash → journal replay → first answer ---------------
-            before_exact = client.rpc(query_message(0, keyed=False))
-            before_sampled = client.rpc(query_message(1, keyed=False))
+            for message_id, (name, facts) in enumerate(
+                [("orders", small_facts), ("big", big_facts)]
+            ):
+                client.rpc(
+                    {
+                        "op": "register",
+                        "id": message_id,
+                        "instance": name,
+                        "facts": facts,
+                    }
+                )
+            queries = (exact_query, sampled_query)
+            for message in queries:
+                # Warm the service's caches, which outlive the gateway,
+                # so both sides of the crash answer from warm caches
+                # (``cache_hit`` is part of the answer).
+                client.rpc(message)
+            before = [client.rpc(message) for message in queries]
             client.close()
-            crash_start = time.perf_counter()
+
             server.restart(graceful=False)
-            after_exact = None
-            while time.perf_counter() - crash_start < 30.0:
-                try:
-                    client = _Client(server.port)
-                    after_exact = client.rpc(query_message(0, keyed=False))
-                    break
-                except OSError:
-                    time.sleep(0.001)
-            recovery_ms = (time.perf_counter() - crash_start) * 1e3
-            after_sampled = client.rpc(query_message(1, keyed=False))
-            recovered = client.rpc({"op": "stats", "id": 901})
-            recovered_identical = (
-                after_exact is not None
-                and after_exact["ok"]
-                and before_exact["ok"]
-                and sans_latency(after_exact["response"])
-                == sans_latency(before_exact["response"])
-                and sans_latency(after_sampled["response"])
-                == sans_latency(before_sampled["response"])
-            )
-
-            # --- graceful drain with work in flight ------------------
-            client.send(
-                {
-                    "op": "query",
-                    "id": 902,
-                    "instance": "big",
-                    "query": hard_payload,
-                    "budget": {
-                        "epsilon": 0.01,
-                        "min_samples": 50_000,
-                        "max_samples": 50_000,
-                        "seed": seed,
-                        "adaptive": False,
-                    },
-                }
-            )
-            time.sleep(0.05)  # admitted: the drain has work to wait on
-            drain_start = time.perf_counter()
-            drained: dict = {}
-
-            def drain():
-                drained["clean"] = server.drain(grace_ms=60_000.0)
-
-            drainer = threading.Thread(target=drain)
-            drainer.start()
-            inflight_reply = client.recv()  # finishes under the drain
-            drainer.join(timeout=120)
-            drain_ms = (time.perf_counter() - drain_start) * 1e3
+            client = _Client(server.port)
+            after = [client.rpc(message) for message in queries]
+            recovered = client.rpc({"op": "stats", "id": 900})
             client.close()
-
-            results = {
-                "requests": requests,
-                "idempotent_keyed": 2 * requests,
-                "idempotent_hits": idem["hits"],
-                "idempotent_hit_rate": idem["hits"] / requests,
-                "idempotent_replayed_verbatim": replayed_verbatim,
-                "retry_wall_ms": retry_wall_ms,
-                "service_requests_for_2x_workload": (
-                    service_requests_before
-                ),
-                "recovery_ms": recovery_ms,
-                "journal_replayed_instances": recovered["gateway"][
-                    "replayed_instances"
-                ],
-                "recovered_identical": recovered_identical,
-                "drain_ms": drain_ms,
-                "drain_clean": drained.get("clean", False),
-                "drained_inflight_answered": inflight_reply.get(
-                    "ok", False
-                ),
-            }
         finally:
             server.stop()
             service.stop(wait=True)
-    return results
+    recovered_identical = all(
+        a["ok"] and b["ok"] and sans_latency(a) == sans_latency(b)
+        for a, b in zip(before, after)
+    )
+    return {
+        "journal_replayed_instances": recovered["gateway"][
+            "replayed_instances"
+        ],
+        "recovered_identical": recovered_identical,
+    }
+
+
+def bench_perfbench():
+    """perfbench's own result line for each workload in
+    ``BENCHMARK.json``, with its provenance.
+
+    perfbench (``perfbench/run.py``) is the one benchmark that times
+    serving: it drives the TCP gateway on the process backend and checks
+    every answer.  This section only reads the report its last
+    ``--seed 1 --trace 0`` run of each workload left in ``.perfbench/``:
+    the end-to-end metrics with their units, the attempted and failed
+    operation counts, and the commit, source digest, CPU count and run
+    length they were measured at.  A workload without such a report
+    records ``null``.
+    """
+    workloads = json.loads((_REPO_ROOT / "BENCHMARK.json").read_text())[
+        "workloads"
+    ]
+    section = {}
+    for workload in workloads:
+        name = workload["name"]
+        path = _REPO_ROOT / ".perfbench" / f"{name}-seed1-trace0.json"
+        if not path.exists():
+            section[name] = None
+            continue
+        report = json.loads(path.read_text())
+        provenance = report["provenance"]
+        section[name] = {
+            "metrics": {
+                metric: {"value": value["value"], "unit": value["unit"]}
+                for metric, value in report["metrics"].items()
+            },
+            "attempted": report["attempted"],
+            "failed": report["failed"],
+            "commit": provenance["commit"],
+            "source_digest": provenance["source_digest"],
+            "nproc": provenance["nproc"],
+            "run_seconds": provenance["run_seconds"],
+        }
+    return section
 
 
 SECTIONS = {
@@ -1799,6 +1517,7 @@ SECTIONS = {
     "resilience": bench_resilience,
     "replication": bench_replication,
     "gateway": bench_gateway,
+    "perfbench": bench_perfbench,
 }
 
 

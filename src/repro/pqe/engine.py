@@ -296,12 +296,7 @@ def clear_compilation_cache(cache: CompilationCache | None = None) -> None:
     reset_pair_cache_counters()
 
 
-def route_of(
-    query,
-    classification: Classification,
-    tuples: int,
-    brute_force_limit: int = BRUTE_FORCE_LIMIT,
-) -> str:
+def route_of(query, classification: Classification, tuples: int) -> str:
     """The route the Figure-1 dichotomy sends ``query`` down, one of
     :data:`ROUTES`; the first match wins:
 
@@ -309,7 +304,7 @@ def route_of(
       :class:`~repro.queries.hqueries.HQuery` (the Möbius-inversion
       plans of the paper's safe side), ``"lifted"`` otherwise;
     * an h-query in d-D(PTIME) is compiled: ``"intensional"``;
-    * a hard query is enumerated on at most ``brute_force_limit``
+    * a hard query is enumerated on at most :data:`BRUTE_FORCE_LIMIT`
       tuples (``"brute_force"``) and sampled above that
       (``"sampling"``).
 
@@ -321,7 +316,7 @@ def route_of(
         return _plan_label(query)
     if classification.h_query and classification.dd_ptime:
         return "intensional"
-    return "brute_force" if tuples <= brute_force_limit else "sampling"
+    return "brute_force" if tuples <= BRUTE_FORCE_LIMIT else "sampling"
 
 
 def evaluate(

@@ -4,8 +4,8 @@ ShardedService.
 Pure stdlib (``asyncio.start_server``): clients speak newline-delimited
 JSON objects and get one JSON object back per request, correlated by the
 caller-chosen ``id``.  The gateway is a thin *policy* front — it parses,
-enforces per-tenant quotas, connection caps and gateway-wide
-backpressure, and routes into the
+enforces a per-tenant in-flight quota, connection caps and the
+gateway-wide in-flight bound :data:`MAX_INFLIGHT`, and routes into the
 :class:`~repro.serving.service.ShardedService` behind it (either
 backend); every deeper policy — deadlines, priorities, shedding,
 breakers, retries, degradation — is PR 6's resilience layer inside the
@@ -55,7 +55,14 @@ a ``replicas`` raise is journaled); re-registering with *different*
 content **replaces atomically** — the old TID's service registration is
 released (unless another name still serves the same content) before the
 new one lands, so replacement never leaks phantom catalog entries, and
-journal compaction keeps only the latest record per name.
+journal compaction keeps only the latest record per name.  The journal
+compacts itself once :data:`JOURNAL_COMPACT_DEAD` superseded records
+accumulate, so a restart replays the live catalog plus fewer than that
+many dead records, however often names were re-registered.  Registers
+run on one gateway-owned thread, not on the event loop: building the
+instance and the fsynced append never stall another connection, and
+with one thread the journal's record order is the acknowledgement
+order.
 
 **Drain** (:meth:`Gateway.drain`): stop accepting connections, answer
 new queries and registers with a typed ``GatewayDraining``, let
@@ -99,6 +106,7 @@ import contextlib
 import json
 import threading
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from repro.db.relation import Instance
@@ -113,6 +121,15 @@ from repro.serving.stats import Counters, GatewayStats, IdempotencyStats
 #: register/query lines may carry whole instances; the default 64 KiB
 #: readline limit is too small for that.
 _LINE_LIMIT = 1 << 22
+
+#: The gateway-wide bound on admitted, unanswered queries: past it a
+#: query is rejected with ``GatewayOverloaded``.
+MAX_INFLIGHT = 1024
+
+#: Superseded journal records that trigger a compaction: a gateway that
+#: re-registers a name keeps its journal, and its restart replay, to
+#: the live records plus fewer than this many dead ones.
+JOURNAL_COMPACT_DEAD = 64
 
 
 class GatewayOverloaded(RuntimeError):
@@ -184,21 +201,14 @@ class Gateway:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_inflight: int = 1024,
         default_tenant_quota: int = 64,
-        tenant_quotas: dict[str, int] | None = None,
         journal_path=None,
         journal_fsync: str = "always",
-        journal_auto_compact_dead: int | None = None,
         max_connections: int | None = None,
         idle_timeout_s: float | None = None,
         idempotency_capacity: int = 1024,
         fault_injector: FaultInjector | None = None,
     ):
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be positive, got {max_inflight}"
-            )
         if default_tenant_quota < 1:
             raise ValueError(
                 f"default_tenant_quota must be positive, "
@@ -222,9 +232,7 @@ class Gateway:
         self.service = service
         self._host = host
         self._port = port
-        self.max_inflight = max_inflight
         self.default_tenant_quota = default_tenant_quota
-        self.tenant_quotas = dict(tenant_quotas or {})
         self.max_connections = max_connections
         self.idle_timeout_s = idle_timeout_s
         self.idempotency_capacity = idempotency_capacity
@@ -233,10 +241,16 @@ class Gateway:
             RegistrationJournal(
                 journal_path,
                 fsync=journal_fsync,
-                auto_compact_dead=journal_auto_compact_dead,
+                auto_compact_dead=JOURNAL_COMPACT_DEAD,
             )
             if journal_path is not None
             else None
+        )
+        #: Wire registers run here, off the event loop: every catalog
+        #: mutation and journal append happens on this one thread, so
+        #: the journal's record order is the acknowledgement order.
+        self._register_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="pqe-gateway-register"
         )
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
@@ -329,6 +343,9 @@ class Gateway:
             task.cancel()
         if connections:
             await asyncio.gather(*connections, return_exceptions=True)
+        # A register already running finishes, journal append included,
+        # before the journal closes.
+        self._register_thread.shutdown(wait=True)
         if self._journal is not None:
             self._journal.close()
 
@@ -676,13 +693,20 @@ class Gateway:
                 "gateway is draining; register against the restarted "
                 "gateway"
             )
+        info = await asyncio.get_running_loop().run_in_executor(
+            self._register_thread, self._register, message
+        )
+        return {"id": message["id"], "ok": True, **info}
+
+    def _register(self, message: dict) -> dict:
+        """Apply and journal one wire register, on the register thread.
+        The reply is written only after this returns: an acknowledged
+        register is a durable register."""
         info = self._apply_register(message)
         journal_record = info.pop("journal_record")
         if journal_record is not None and self._journal is not None:
-            # Journal *before* acknowledging: an acked register is a
-            # durable register.
             self._journal.append(journal_record)
-        return {"id": message["id"], "ok": True, **info}
+        return info
 
     # -- query ---------------------------------------------------------
 
@@ -725,16 +749,15 @@ class Gateway:
             if message.get("budget") is not None
             else None
         )
-        quota = self.tenant_quotas.get(tenant, self.default_tenant_quota)
-        if self._inflight >= self.max_inflight:
+        if self._inflight >= MAX_INFLIGHT:
             self._counts.add("overloaded_rejections")
             raise GatewayOverloaded(
-                f"gateway at max_inflight={self.max_inflight}"
+                f"gateway at its in-flight bound of {MAX_INFLIGHT}"
             )
-        if self._tenant_inflight.get(tenant, 0) >= quota:
+        if self._tenant_inflight.get(tenant, 0) >= self.default_tenant_quota:
             self._counts.add("quota_rejections")
             raise TenantQuotaExceeded(
-                f"tenant {tenant!r} at quota {quota}"
+                f"tenant {tenant!r} at quota {self.default_tenant_quota}"
             )
         self._inflight += 1
         self._tenant_inflight[tenant] = (

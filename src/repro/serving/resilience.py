@@ -60,6 +60,11 @@ RETRY_JITTER_LANE = 7001
 #: retries never share a draw schedule.
 HEDGE_JITTER_LANE = 7002
 
+#: EWMA standard deviations above a route's mean latency that the hedge
+#: delay waits (:meth:`LatencyEwma.quantile_ms`): a primary slower than
+#: mean + 3 sigma gets a backup.
+HEDGE_QUANTILE_Z = 3.0
+
 #: Conservative prior for the sampling route's throughput, used by
 #: :func:`degraded_budget` before the shard has observed any sampling
 #: traffic of its own.
@@ -319,8 +324,8 @@ class HedgePolicy:
 
     The service fires at most ``max_backups`` backup requests (0
     disables hedging) after a *deterministic* delay: the primary route's
-    :meth:`LatencyEwma.quantile_ms` at ``quantile_z`` deviations, scaled
-    by ``delay_factor``, clamped to ``[min_delay_ms, max_delay_ms]``
+    :meth:`LatencyEwma.quantile_ms` at :data:`HEDGE_QUANTILE_Z`
+    deviations, clamped to ``[min_delay_ms, max_delay_ms]``
     (``initial_delay_ms`` stands in before the route has history), then
     jittered downward on a seeded :class:`~repro.db.tid.DrawStream` lane
     exactly like :meth:`RetryPolicy.delay_ms` — a replay of the same
@@ -328,8 +333,6 @@ class HedgePolicy:
     """
 
     max_backups: int = 1
-    quantile_z: float = 3.0
-    delay_factor: float = 1.0
     initial_delay_ms: float = 10.0
     min_delay_ms: float = 1.0
     max_delay_ms: float = 100.0
@@ -340,10 +343,6 @@ class HedgePolicy:
         if self.max_backups < 0:
             raise ValueError(
                 f"max_backups must be non-negative, got {self.max_backups}"
-            )
-        if self.delay_factor <= 0:
-            raise ValueError(
-                f"delay_factor must be positive, got {self.delay_factor}"
             )
         if self.min_delay_ms < 0 or self.max_delay_ms < self.min_delay_ms:
             raise ValueError(
@@ -365,11 +364,7 @@ class HedgePolicy:
     def delay_ms(self, token: int, quantile_ms: float) -> float:
         """Hedge delay for admission ``token`` given the primary route's
         latency quantile — a pure function of both."""
-        base = (
-            quantile_ms * self.delay_factor
-            if quantile_ms > 0
-            else self.initial_delay_ms
-        )
+        base = quantile_ms if quantile_ms > 0 else self.initial_delay_ms
         base = min(max(base, self.min_delay_ms), self.max_delay_ms)
         if self.jitter == 0 or base == 0:
             return base
@@ -386,19 +381,18 @@ class SupervisorPolicy:
     """Restart policy for a supervised worker process.
 
     On worker death the supervisor resolves in-flight futures typed,
-    optionally trips the shard's breaker (``trip_breaker_on_death`` —
-    the *failover* signal: while open, replicated instances route to
-    replicas), waits a deterministic exponential backoff, then respawns
-    and replays instance registrations.  After ``max_restarts``
-    respawns the supervisor gives up: the worker stays dead, the shard
-    reports unhealthy, and requests fail typed.
+    trips the shard's breaker (the *failover* signal: while open,
+    replicated instances route to replicas), waits a deterministic
+    exponential backoff, then respawns and replays instance
+    registrations.  After ``max_restarts`` respawns the supervisor gives
+    up: the worker stays dead, the shard reports unhealthy, and requests
+    fail typed.
     """
 
     max_restarts: int = 16
     base_delay_ms: float = 5.0
     multiplier: float = 2.0
     max_delay_ms: float = 200.0
-    trip_breaker_on_death: bool = True
 
     def __post_init__(self) -> None:
         if self.max_restarts < 0:

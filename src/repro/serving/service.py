@@ -41,7 +41,6 @@ from concurrent.futures import Future
 from repro.core.deadline import Deadline
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
-from repro.pqe.engine import BRUTE_FORCE_LIMIT, COMPILATION_CACHE_LIMIT
 from repro.queries.hqueries import HQuery
 from repro.serving.api import AccuracyBudget, QueryRequest, QueryResponse
 from repro.serving.faults import FaultInjector
@@ -135,10 +134,7 @@ class ShardedService:
         shards: int = 4,
         *,
         workers_per_shard: int = 2,
-        cache_limit_per_shard: int = COMPILATION_CACHE_LIMIT,
         default_budget: AccuracyBudget | None = None,
-        brute_force_limit: int = BRUTE_FORCE_LIMIT,
-        latency_window: int = 4096,
         max_queue_depth: int = 4096,
         retry: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
@@ -189,10 +185,7 @@ class ShardedService:
             shard_type(
                 index,
                 workers=workers_per_shard,
-                cache_limit=cache_limit_per_shard,
                 default_budget=budget,
-                brute_force_limit=brute_force_limit,
-                latency_window=latency_window,
                 max_queue_depth=max_queue_depth,
                 breaker=CircuitBreaker(
                     failure_threshold=breaker_failure_threshold,
@@ -368,7 +361,7 @@ class ShardedService:
     def _hedge_delay_ms(self, shard: Shard, request: QueryRequest,
                         token: int) -> float:
         route = shard.route_for(request)
-        quantile = shard.route_quantile_ms(route, self._hedge.quantile_z)
+        quantile = shard.route_quantile_ms(route)
         return self._hedge.delay_ms(token, quantile)
 
     def submit_batch(

@@ -77,13 +77,7 @@ from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.pqe.approximate import sampling_plan
 from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.dichotomy import classify_query
-from repro.pqe.engine import (
-    BRUTE_FORCE_LIMIT,
-    COMPILATION_CACHE_LIMIT,
-    ROUTES,
-    CompilationCache,
-    route_of,
-)
+from repro.pqe.engine import ROUTES, CompilationCache, route_of
 from repro.pqe.extensional import ExtensionalPlanCache
 from repro.pqe.lift import evaluate_plan_batch
 from repro.serving.api import AccuracyBudget, QueryRequest, QueryResponse
@@ -93,6 +87,7 @@ from repro.serving.faults import (
     WorkerCrashError,
 )
 from repro.serving.resilience import (
+    HEDGE_QUANTILE_Z,
     CircuitBreaker,
     CircuitBreakerOpen,
     LatencyEwma,
@@ -196,16 +191,12 @@ class Shard:
         shard_id: int,
         *,
         workers: int = 2,
-        cache_limit: int = COMPILATION_CACHE_LIMIT,
         default_budget: AccuracyBudget | None = None,
-        brute_force_limit: int = BRUTE_FORCE_LIMIT,
-        latency_window: int = 4096,
         max_queue_depth: int = 4096,
         breaker: CircuitBreaker | None = None,
         retry: RetryPolicy | None = None,
         fault_injector: FaultInjector | None = None,
         degrade_to_sampling: bool = True,
-        ewma_alpha: float = 0.2,
     ):
         if workers < 1:
             raise ValueError(f"workers must be positive, got {workers}")
@@ -214,12 +205,11 @@ class Shard:
                 f"max_queue_depth must be positive, got {max_queue_depth}"
             )
         self.shard_id = shard_id
-        self.cache = CompilationCache(cache_limit)
+        self.cache = CompilationCache()
         self.plan_cache = ExtensionalPlanCache()
         self.default_budget = (
             default_budget if default_budget is not None else AccuracyBudget()
         )
-        self.brute_force_limit = brute_force_limit
         self.max_queue_depth = max_queue_depth
         self.degrade_to_sampling = degrade_to_sampling
         self._breaker = breaker
@@ -230,7 +220,7 @@ class Shard:
         )
         self._lock = threading.Lock()
         self._pending: deque[_Pending] = deque()
-        self._latencies = LatencyWindow(latency_window)
+        self._latencies = LatencyWindow()
         self._instances: set[tuple] = set()
         self._stopped = False
         self._admitted = 0
@@ -245,11 +235,9 @@ class Shard:
         self._engines = Counters()
         self._sampling = Counters()
         self._resilience = Counters()
-        self._route_ewma = {
-            route: LatencyEwma(ewma_alpha) for route in ROUTES
-        }
-        self._service_ewma = LatencyEwma(ewma_alpha)
-        self._sampling_rate = LatencyEwma(ewma_alpha)  # samples per ms
+        self._route_ewma = {route: LatencyEwma() for route in ROUTES}
+        self._service_ewma = LatencyEwma()
+        self._sampling_rate = LatencyEwma()  # samples per ms
 
     # ------------------------------------------------------------------
     # Front-end
@@ -420,24 +408,22 @@ class Shard:
 
     def route_for(self, request: QueryRequest) -> str:
         """The route this request takes:
-        :func:`~repro.pqe.engine.route_of` under this shard's
-        brute-force limit.  :meth:`_process` dispatches on it, and the
-        hedge-delay policy keys its latency quantile on it."""
+        :func:`~repro.pqe.engine.route_of`.  :meth:`_process`
+        dispatches on it, and the hedge-delay policy keys its latency
+        quantile on it."""
         return route_of(
-            request.query,
-            classify_query(request.query),
-            len(request.tid),
-            self.brute_force_limit,
+            request.query, classify_query(request.query), len(request.tid)
         )
 
-    def route_quantile_ms(self, route: str, z: float = 2.0) -> float:
-        """An upper-quantile latency estimate for ``route`` (0.0 before
-        any observation) — the hedge-delay input."""
+    def route_quantile_ms(self, route: str) -> float:
+        """The hedge-delay input: ``route``'s latency EWMA mean plus
+        :data:`~repro.serving.resilience.HEDGE_QUANTILE_Z` deviations
+        (0.0 before any observation)."""
         if route not in self._route_ewma:
             raise ValueError(
                 f"unknown route {route!r}; expected one of {ROUTES}"
             )
-        return self._route_ewma[route].quantile_ms(z)
+        return self._route_ewma[route].quantile_ms(HEDGE_QUANTILE_Z)
 
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down gracefully (idempotent): pending

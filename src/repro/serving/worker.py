@@ -67,7 +67,6 @@ the shard stays dark, reports unhealthy, and fails typed.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 import weakref
@@ -77,11 +76,7 @@ from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.db.columnar import apply_probability_columns
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
-from repro.pqe.engine import (
-    COMPILATION_CACHE_LIMIT,
-    CompilationCache,
-    HardQueryError,
-)
+from repro.pqe.engine import CompilationCache, HardQueryError
 from repro.pqe.extensional import ExtensionalPlanCache
 from repro.pqe.lift import UnsafeQueryError
 from repro.serving.api import decode_query, encode_query
@@ -126,10 +121,10 @@ class _WorkerState:
     keyed by their content digests, plus its own compilation and plan
     caches (rebuilt, never pickled)."""
 
-    def __init__(self, cache_limit: int):
+    def __init__(self):
         self.instances: dict[int, Instance] = {}
         self.tids: dict[tuple[int, int], TupleIndependentDatabase] = {}
-        self.cache = CompilationCache(cache_limit)
+        self.cache = CompilationCache()
         self.plan_cache = ExtensionalPlanCache()
 
     def register_instance(self, shard_key, relations, facts) -> None:
@@ -157,7 +152,7 @@ class _WorkerState:
         self.tids.pop((shard_key, digest), None)
 
 
-def worker_main(conn, shard_id: int, cache_limit: int) -> None:
+def worker_main(conn, shard_id: int) -> None:
     """The worker process loop: serve control-pipe messages in order
     until ``stop`` (or pipe EOF).  Casts (``message_id is None``) get no
     reply; calls reply ``("ok", id, payload)`` or ``("err", id, kind,
@@ -169,7 +164,7 @@ def worker_main(conn, shard_id: int, cache_limit: int) -> None:
     EOF and the worker exits."""
     for parent_end in list(_PARENT_ENDS):
         parent_end.close()
-    state = _WorkerState(cache_limit)
+    state = _WorkerState()
     while True:
         try:
             message = conn.recv()
@@ -230,25 +225,19 @@ def _serve_op(state: _WorkerState, op: str, payload: tuple):
 
 
 def _start_method(requested: str | None) -> str:
-    method = (
-        requested
-        or os.environ.get("REPRO_WORKER_START_METHOD")
-        or (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
-    )
-    if method not in multiprocessing.get_all_start_methods():
+    available = multiprocessing.get_all_start_methods()
+    method = requested or ("fork" if "fork" in available else "spawn")
+    if method not in available:
         raise ValueError(
             f"start method {method!r} unavailable on this platform"
         )
     return method
 
 
-#: The parent-side pipe end of every worker client in this process.  A
-#: forked worker inherits these and closes them (:func:`worker_main`); a
-#: spawned one starts from a fresh import, where the set is empty.
+#: The open parent-side pipe end of every worker client in this
+#: process (an end leaves the set before it is closed).  A forked worker
+#: inherits these and closes them (:func:`worker_main`); a spawned one
+#: starts from a fresh import, where the set is empty.
 _PARENT_ENDS: weakref.WeakSet = weakref.WeakSet()
 
 
@@ -271,7 +260,6 @@ class _WorkerClient:
         self,
         shard_id: int,
         *,
-        cache_limit: int = COMPILATION_CACHE_LIMIT,
         start_method: str | None = None,
         on_death=None,
     ):
@@ -283,7 +271,7 @@ class _WorkerClient:
         _PARENT_ENDS.add(self._conn)
         self._process = context.Process(
             target=worker_main,
-            args=(child_conn, shard_id, cache_limit),
+            args=(child_conn, shard_id),
             name=f"pqe-worker-{shard_id}",
             daemon=True,
         )
@@ -427,8 +415,13 @@ class _WorkerClient:
 
     def _close_conn(self) -> None:
         # Under the send lock, so no send is between its closed-check
-        # and its write when the descriptor number is freed.
+        # and its write when the descriptor number is freed.  Out of
+        # _PARENT_ENDS before the close: a worker forked by another
+        # thread between the close and the Connection forgetting its
+        # number would otherwise close that stale number at startup --
+        # EBADF, or one of its own pipe ends, which may reuse it.
         with self._send_lock:
+            _PARENT_ENDS.discard(self._conn)
             try:
                 self._conn.close()
             except OSError:  # pragma: no cover - already closed
@@ -475,7 +468,7 @@ class _Supervisor:
     retried a replayed worker is serving and the outcome is a pure
     function of the fault schedule.  :meth:`_on_death` is the *async*
     path — an unexpected pipe EOF (external SIGKILL, OOM, crash) trips
-    the shard's breaker (per policy), sleeps a deterministic exponential
+    the shard's breaker, sleeps a deterministic exponential
     backoff, then respawns and replays.  Both paths serialize on one
     lock; after ``max_restarts`` respawns the supervisor gives up and
     leaves the shard dark (breaker tripped, ``healthy()`` false).
@@ -494,7 +487,6 @@ class _Supervisor:
     def spawn(self) -> _WorkerClient:
         return _WorkerClient(
             self._shard.shard_id,
-            cache_limit=self._shard._worker_cache_limit,
             start_method=self._shard._start_method,
             on_death=self._on_death,
         )
@@ -529,10 +521,7 @@ class _Supervisor:
         with self._lock:
             if self._closing or client is not self._shard._client:
                 return  # deliberate shutdown, or already replaced
-            if (
-                self.policy.trip_breaker_on_death
-                and self._shard._breaker is not None
-            ):
+            if self._shard._breaker is not None:
                 self._shard._breaker.trip()
             self._respawn_locked(backoff=True)
 
@@ -606,9 +595,6 @@ class ProcessShard(Shard):
         super().__init__(shard_id, **kwargs)
         self._owns_registry = registry is None
         self._registry = SegmentRegistry() if registry is None else registry
-        self._worker_cache_limit = kwargs.get(
-            "cache_limit", COMPILATION_CACHE_LIMIT
-        )
         self._start_method = start_method
         self._publish_lock = threading.Lock()
         self._announced: set[int] = set()

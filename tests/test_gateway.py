@@ -1105,6 +1105,193 @@ class TestReRegister:
             service.stop(wait=True)
 
 
+class TestJournalCompaction:
+    def test_reregisters_compact_the_journal(self, tmp_path):
+        # Re-register one name past the compaction threshold, alternating
+        # two probability maps over the wire: the journal compacts
+        # itself, so a restart replays a bounded file, and the recovered
+        # gateway answers bit-identically.
+        from repro.serving.gateway import JOURNAL_COMPACT_DEAD
+
+        maps = [REGISTER_FACTS, REPLACED_FACTS]
+        count = JOURNAL_COMPACT_DEAD + 2
+        service = ShardedService(shards=2)
+        server = GatewayServer(
+            service, journal_path=tmp_path / "edge.journal"
+        )
+        server.start()
+        query = {
+            "op": "query",
+            "id": 0,
+            "instance": "orders",
+            "query": CONJUNCTION,
+        }
+        try:
+            client = Client(server.port)
+            for i in range(count):
+                register(client, "orders", maps[i % 2], message_id=i)
+            journal = gateway_payload(client)["journal"]
+            assert journal["compactions"] >= 1
+            assert journal["dead"] < JOURNAL_COMPACT_DEAD
+            before = client.rpc(query)
+            assert before["ok"], before
+            client.close()
+
+            server.restart(graceful=False)
+
+            client = Client(server.port)
+            after = client.rpc(query)
+            assert after["ok"], after
+            assert sans_latency(after["response"]) == sans_latency(
+                before["response"]
+            )
+            last = replaced_tid() if (count - 1) % 2 else reference_tid()
+            reference = evaluate_batch(CONJ_QUERY, [last])
+            assert (
+                after["response"]["probability"]
+                == reference.probabilities[0]
+            )
+            payload = gateway_payload(client)
+            assert payload["journal"]["replayed"] <= JOURNAL_COMPACT_DEAD
+            client.close()
+        finally:
+            server.stop()
+            service.stop(wait=True)
+
+
+class TestRegisterOffLoop:
+    def test_slow_journal_append_does_not_block_other_connections(
+        self, tmp_path, monkeypatch
+    ):
+        # A register's journal append takes 300 ms; meanwhile another
+        # connection's ping must be answered, because the register runs
+        # off the event loop.  The register is still acknowledged only
+        # once it is journaled.
+        service = ShardedService(shards=2)
+        server = GatewayServer(
+            service, journal_path=tmp_path / "edge.journal"
+        )
+        server.start()
+        journal = server.gateway._journal
+        append = journal.append
+        appending = threading.Event()
+
+        def slow_append(record):
+            appending.set()
+            time.sleep(0.3)
+            append(record)
+
+        monkeypatch.setattr(journal, "append", slow_append)
+        writer, pinger = Client(server.port), Client(server.port)
+        try:
+            writer.send(
+                {
+                    "op": "register",
+                    "id": 1,
+                    "instance": "orders",
+                    "facts": REGISTER_FACTS,
+                }
+            )
+            assert appending.wait(10)
+            start = time.perf_counter()
+            pong = pinger.rpc({"op": "ping", "id": 2})
+            elapsed = time.perf_counter() - start
+            assert pong["pong"]
+            assert elapsed < 0.1, f"ping waited {elapsed * 1e3:.0f} ms"
+            reply = writer.recv()
+            assert reply["ok"], reply
+            assert journal.stats().appended == 1
+            assert list(journal.live_records) == ["orders"]
+        finally:
+            writer.close()
+            pinger.close()
+            server.stop()
+            service.stop(wait=True)
+
+
+    def test_concurrent_registers_journal_every_acknowledged_map(
+        self, tmp_path
+    ):
+        # Several connections re-register their own names at once while
+        # the interpreter switches threads often: the one register
+        # thread journals every acknowledged register, each name's live
+        # record is its last acknowledged map, and a restart serves it.
+        import sys
+
+        maps = [REGISTER_FACTS, REPLACED_FACTS]
+        clients, rounds = 4, 10
+        service = ShardedService(shards=2)
+        server = GatewayServer(
+            service, journal_path=tmp_path / "edge.journal"
+        )
+        server.start()
+        errors = []
+
+        def writer(index):
+            client = Client(server.port)
+            try:
+                for i in range(rounds):
+                    register(
+                        client, f"name{index}", maps[i % 2], message_id=i
+                    )
+                    reply = client.rpc(
+                        {
+                            "op": "query",
+                            "id": rounds + i,
+                            "instance": f"name{index}",
+                            "query": CONJUNCTION,
+                        }
+                    )
+                    assert reply["ok"], reply
+            except BaseException as error:  # noqa: BLE001 - reported
+                errors.append(error)
+            finally:
+                client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(index,))
+                for index in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not errors, errors
+            journal = server.gateway._journal
+            assert journal.stats().appended == clients * rounds
+            last = maps[(rounds - 1) % 2]
+            for index in range(clients):
+                record = journal.live_records[f"name{index}"]
+                assert record["facts"] == last
+            server.restart(graceful=False)
+            client = Client(server.port)
+            reference = evaluate_batch(CONJ_QUERY, [replaced_tid()])
+            for index in range(clients):
+                reply = client.rpc(
+                    {
+                        "op": "query",
+                        "id": index,
+                        "instance": f"name{index}",
+                        "query": CONJUNCTION,
+                    }
+                )
+                assert (
+                    reply["response"]["probability"]
+                    == reference.probabilities[0]
+                )
+            client.close()
+        finally:
+            server.stop()
+            service.stop(wait=True)
+
+
 class TestConnectionEdges:
     def test_oversized_line_gets_typed_reply_then_close(
         self, gateway_backend

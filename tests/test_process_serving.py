@@ -685,6 +685,42 @@ class TestProcessStopSemantics:
                     if running(pid):
                         os.kill(pid, signal.SIGKILL)
 
+    def test_fork_while_a_parent_end_closes_keeps_the_new_worker(self):
+        # One thread closes a worker's parent-side end while another
+        # forks a new worker, and the fork lands after the descriptor
+        # is closed but before the Connection forgets its number.  The
+        # new worker must not close that stale number: it raised EBADF
+        # at startup, or closed whichever of its own pipe ends reused
+        # the number, and the worker died.
+        import threading
+
+        from repro.serving.worker import _WorkerClient
+
+        old = _WorkerClient(0)
+        conn = old._conn
+        closed, resume = threading.Event(), threading.Event()
+
+        def close_then_stall():
+            os.close(conn._handle)
+            closed.set()
+            resume.wait(10)
+
+        conn._close = close_then_stall
+        closer = threading.Thread(target=old._close_pipe)
+        closer.start()
+        try:
+            assert closed.wait(10)
+            fresh = _WorkerClient(1)
+            try:
+                cache, plans, tids = fresh.call("stats")
+                assert tids == 0
+            finally:
+                fresh.shutdown()
+        finally:
+            resume.set()
+            closer.join(10)
+            old.shutdown()
+
     def test_close_then_stop_is_idempotent(self):
         service = ShardedService(shards=1, backend="processes")
         service.submit(q9(), complete_tid(3, 2, 2)).result()
