@@ -37,9 +37,12 @@ Crash semantics (the part worth being pedantic about):
   entirely to the OS.
 - **Compaction is atomic.**  :meth:`compact` rewrites the live tail —
   the *last* record per instance name, in first-registration order —
-  into a temp file in the same directory, fsyncs it, and
-  ``os.replace``\\ s it over the journal, so a crash during compaction
-  leaves either the old file or the new one, never a mix.  With the
+  into a temp file in the same directory, fsyncs it,
+  ``os.replace``\\ s it over the journal and fsyncs the directory, so a
+  crash during compaction leaves either the old file or the new one,
+  never a mix, and appends after it land in the file the directory
+  names.  Creating the journal fsyncs the directory too (except under
+  ``"never"``).  With the
   gateway's replace-on-re-register semantics, superseded registrations
   are dead weight the next replay would apply and then throw away;
   ``auto_compact_dead`` compacts automatically once that many dead
@@ -118,11 +121,24 @@ def _decode_line(line: bytes) -> dict | None:
     return record
 
 
+def _fsync_directory(path: Path) -> None:
+    """Make a new name in directory ``path`` durable.  A file's own
+    fsync covers its data, not the directory entry that names it, so
+    after creating the journal or renaming a compacted snapshot over it
+    the directory is fsynced too, or a power loss could leave the name
+    pointing at nothing or at the old file."""
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
+
+
 class RegistrationJournal:
     """An append-only, checksummed, compactable registration log.
 
-    Thread-safe: the gateway appends from its event loop but benches
-    and tests may poke it from other threads; one lock covers the file
+    Thread-safe: the gateway appends from its journal thread and
+    reads its stats from its event loop; one lock covers the file
     handle and the counters.
     """
 
@@ -162,7 +178,10 @@ class RegistrationJournal:
     def _open(self):
         if self._file is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            created = not self.path.exists()
             self._file = open(self.path, "ab")
+            if created and self.fsync != "never":
+                _fsync_directory(self.path.parent)
         return self._file
 
     def _sync_locked(self, force: bool = False) -> None:
@@ -297,6 +316,7 @@ class RegistrationJournal:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(snapshot, self.path)
+        _fsync_directory(self.path.parent)
         self._records = len(self._live)
         self._compactions += 1
         return dropped

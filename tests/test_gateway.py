@@ -1164,7 +1164,7 @@ class TestRegisterOffLoop:
         self, tmp_path, monkeypatch
     ):
         # A register's journal append takes 300 ms; meanwhile another
-        # connection's ping must be answered, because the register runs
+        # connection's ping must be answered, because the append runs
         # off the event loop.  The register is still acknowledged only
         # once it is journaled.
         service = ShardedService(shards=2)
@@ -1208,6 +1208,90 @@ class TestRegisterOffLoop:
             server.stop()
             service.stop(wait=True)
 
+    def test_query_during_a_replacement_leaks_no_catalog_entry(
+        self, tmp_path, monkeypatch
+    ):
+        # A query reads the catalog, then submits; a replacement
+        # releases the superseded registration.  Were the release to run
+        # off the event loop, it could land between a query's read and
+        # its submit, and the submit would re-add the released
+        # fingerprint to its shard for good.  The wrappers force that
+        # interleaving whenever the release runs off the loop; on the
+        # loop the query sees the old entry or the new one, never a
+        # released one.
+        import asyncio
+
+        from repro.serving import gateway as gateway_module
+
+        def on_loop():
+            try:
+                asyncio.get_running_loop()
+            except RuntimeError:
+                return False
+            return True
+
+        releasing, query_read, released = (
+            threading.Event(),
+            threading.Event(),
+            threading.Event(),
+        )
+        service = ShardedService(shards=2)
+        unregister = service.unregister
+        decode_query = gateway_module.decode_query
+
+        def release(tid):
+            if not on_loop():
+                releasing.set()
+                query_read.wait(5)
+            unregister(tid)
+            released.set()
+
+        def read_query(payload):
+            query_read.set()
+            if releasing.is_set():
+                released.wait(5)
+            return decode_query(payload)
+
+        monkeypatch.setattr(service, "unregister", release)
+        monkeypatch.setattr(gateway_module, "decode_query", read_query)
+        server = GatewayServer(
+            service, journal_path=tmp_path / "edge.journal"
+        )
+        server.start()
+        writer, reader = Client(server.port), Client(server.port)
+        facts = [["R", [1], [1, 2]], ["S1", [1, 2]], ["T", [2], [2, 3]]]
+        try:
+            register(writer, "orders", facts)
+            writer.send(
+                {
+                    "op": "register",
+                    "id": 2,
+                    "instance": "orders",
+                    "facts": facts + [["S1", [1, 3]]],
+                }
+            )
+            deadline = time.monotonic() + 10
+            while not (releasing.is_set() or released.is_set()):
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            reply = reader.rpc(
+                {
+                    "op": "query",
+                    "id": 3,
+                    "instance": "orders",
+                    "query": CONJUNCTION,
+                }
+            )
+            assert reply["ok"], reply
+            assert writer.recv()["replaced"] is True
+            stats_reply = reader.rpc({"op": "stats", "id": 4})
+            stats = ServiceStats.from_payload(stats_reply["stats"])
+            assert sum(s.instances for s in stats.shards) == 1
+        finally:
+            writer.close()
+            reader.close()
+            server.stop()
+            service.stop(wait=True)
 
     def test_concurrent_registers_journal_every_acknowledged_map(
         self, tmp_path

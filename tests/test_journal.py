@@ -247,6 +247,78 @@ class TestCompaction:
         ]
 
 
+class TestDirectoryDurability:
+    """A file's fsync does not cover the directory entry naming it: the
+    journal fsyncs its directory after creating the file and after a
+    compaction renames the snapshot over it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import os
+        import stat
+
+        log = []
+        fsync, replace = os.fsync, os.replace
+
+        def logged_fsync(descriptor):
+            is_dir = stat.S_ISDIR(os.fstat(descriptor).st_mode)
+            log.append("fsync-dir" if is_dir else "fsync-file")
+            fsync(descriptor)
+
+        def logged_replace(source, target):
+            log.append("replace")
+            replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", logged_fsync)
+        monkeypatch.setattr(os, "replace", logged_replace)
+        return log
+
+    def test_compaction_fsyncs_the_directory_after_the_rename(
+        self, tmp_path, calls
+    ):
+        journal = RegistrationJournal(tmp_path / "edge.journal")
+        journal.append(record_for("orders"))
+        journal.append(record_for("orders", replicas=2))
+        del calls[:]
+        journal.compact()
+        assert calls == ["fsync-file", "replace", "fsync-dir"]
+        journal.close()
+
+    def test_auto_compaction_fsyncs_the_directory(self, tmp_path, calls):
+        journal = RegistrationJournal(
+            tmp_path / "edge.journal", auto_compact_dead=1
+        )
+        journal.append(record_for("orders"))
+        del calls[:]
+        journal.append(record_for("orders", replicas=2))
+        assert calls[-2:] == ["replace", "fsync-dir"]
+        journal.close()
+
+    @pytest.mark.parametrize(
+        "fsync, expected",
+        [
+            ("always", ["fsync-dir", "fsync-file"]),
+            ("batch", ["fsync-dir"]),
+            ("never", []),
+        ],
+    )
+    def test_creating_the_file_fsyncs_the_directory(
+        self, tmp_path, calls, fsync, expected
+    ):
+        path = tmp_path / "edge.journal"
+        journal = RegistrationJournal(path, fsync=fsync)
+        journal.append(record_for("orders"))
+        assert calls == expected
+        journal.close()
+        # An existing file keeps its directory entry: reopening it to
+        # append fsyncs the file only.
+        del calls[:]
+        journal = RegistrationJournal(path, fsync=fsync)
+        journal.append(record_for("users"))
+        assert "fsync-dir" not in calls
+        journal.close()
+
+
 class TestPolicyAndStats:
     def test_fsync_policy_is_validated(self, tmp_path):
         with pytest.raises(ValueError, match="fsync"):
