@@ -58,13 +58,7 @@ new one lands, so replacement never leaks phantom catalog entries, and
 journal compaction keeps only the latest record per name.  The journal
 compacts itself once :data:`JOURNAL_COMPACT_DEAD` superseded records
 accumulate, so a restart replays the live catalog plus fewer than that
-many dead records, however often names were re-registered.  A wire
-register's fsynced journal append runs on one gateway-owned thread, so
-it stalls no other connection; everything else, the catalog included,
-stays on the event loop, which swaps the new entry in and acknowledges
-only after the append returns.  Registers run one at a time, so the
-journal's record order is the acknowledgement order, and a register is
-durable before any query can see it.
+many dead records, however often names were re-registered.
 
 **Drain** (:meth:`Gateway.drain`): stop accepting connections, answer
 new queries and registers with a typed ``GatewayDraining``, let
@@ -108,8 +102,6 @@ import contextlib
 import json
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.db.relation import Instance
@@ -195,23 +187,6 @@ def _decode_budget(payload: dict) -> AccuracyBudget:
     return AccuracyBudget(**payload)
 
 
-@dataclass(frozen=True)
-class _RegisterPlan:
-    """One register decided against the catalog, not yet applied:
-    :meth:`Gateway._commit_register` applies it."""
-
-    name: str
-    tid: TupleIndependentDatabase
-    replicas: int
-    replaced: bool
-    #: The superseded registration to release from the service, if no
-    #: other catalog entry shares it.
-    release: TupleIndependentDatabase | None
-    #: The canonical record to journal, or ``None`` for an idempotent
-    #: no-op (same name, same content, no new replicas).
-    journal_record: dict | None
-
-
 class Gateway:
     """One asyncio JSON-lines gateway over a :class:`ShardedService`."""
 
@@ -266,12 +241,6 @@ class Gateway:
             if journal_path is not None
             else None
         )
-        #: Wire registers' journal appends (an fsync each) run on this
-        #: thread, off the event loop.
-        self._journal_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="pqe-gateway-journal"
-        )
-        self._register_lock = asyncio.Lock()
         self._server: asyncio.AbstractServer | None = None
         self._connections: set[asyncio.Task] = set()
         self._tids: dict[str, TupleIndependentDatabase] = {}
@@ -309,7 +278,7 @@ class Gateway:
         so no client can observe a partially recovered catalog."""
         if self._journal is not None and not self._replayed:
             for record in self._journal.replay():
-                self._commit_register(self._plan_register(record))
+                self._apply_register(record)
                 self._counts.add("replayed_instances")
             self._replayed = True
         self._idle = asyncio.Event()
@@ -363,9 +332,6 @@ class Gateway:
             task.cancel()
         if connections:
             await asyncio.gather(*connections, return_exceptions=True)
-        # A journal append already running finishes before the journal
-        # closes.
-        self._journal_thread.shutdown(wait=True)
         if self._journal is not None:
             self._journal.close()
 
@@ -617,12 +583,14 @@ class Gateway:
 
     # -- register ------------------------------------------------------
 
-    def _plan_register(self, record: dict) -> _RegisterPlan:
-        """Build one register record's instance and decide it against
-        the catalog, without changing anything — with
-        :meth:`_commit_register`, the single path shared by wire
-        registers and journal replay, so recovery is the same code that
-        served the original request."""
+    def _apply_register(self, record: dict) -> dict:
+        """Apply one register record to the catalog — the single path
+        shared by wire registers and journal replay, so recovery is the
+        same code that served the original request.
+
+        Returns the reply fields plus ``journal_record``: the canonical
+        record to journal (``None`` when the register was an idempotent
+        no-op — same name, same content, no new replicas)."""
         name = record.get("instance")
         if not isinstance(name, str) or not name:
             raise ValueError("instance must be a non-empty string name")
@@ -649,7 +617,6 @@ class Gateway:
         old = self._tids.get(name)
         replaced = False
         changed = old is None
-        release = None
         if old is not None:
             if _same_content(old, tid):
                 # Idempotent re-register: keep the warm catalog entry
@@ -679,10 +646,13 @@ class Gateway:
                     for other_name, other in self._tids.items()
                 )
                 if not shared:
-                    release = old
+                    self.service.unregister(old)
         effective_replicas = max(replicas, self._replicas.get(name, 1))
         if replaced:
             effective_replicas = replicas
+        shard = self.service.register(tid, replicas=effective_replicas)
+        self._tids[name] = tid
+        self._replicas[name] = effective_replicas
         journal_record = None
         if changed:
             journal_record = {
@@ -693,25 +663,13 @@ class Gateway:
                 "facts": [list(fact) for fact in record["facts"]],
                 "replicas": effective_replicas,
             }
-        return _RegisterPlan(
-            name, tid, effective_replicas, replaced, release, journal_record
-        )
-
-    def _commit_register(self, plan: _RegisterPlan) -> dict:
-        """Apply a planned register to the service and the catalog;
-        returns the reply fields.  On the event loop, where every query
-        reads the catalog."""
-        if plan.release is not None:
-            self.service.unregister(plan.release)
-        shard = self.service.register(plan.tid, replicas=plan.replicas)
-        self._tids[plan.name] = plan.tid
-        self._replicas[plan.name] = plan.replicas
         return {
-            "instance": plan.name,
+            "instance": name,
             "shard": shard,
-            "placement": list(self.service.placement_of(plan.tid)),
-            "tuples": len(plan.tid),
-            "replaced": plan.replaced,
+            "placement": list(self.service.placement_of(tid)),
+            "tuples": len(tid),
+            "replaced": replaced,
+            "journal_record": journal_record,
         }
 
     async def _serve_register(self, message: dict) -> dict:
@@ -721,20 +679,12 @@ class Gateway:
                 "gateway is draining; register against the restarted "
                 "gateway"
             )
-        # One register at a time: each is planned against the catalog
-        # the previous one committed, and journaled in that order.
-        async with self._register_lock:
-            plan = self._plan_register(message)
-            if plan.journal_record is not None and self._journal is not None:
-                # Durable before visible: the fsynced append runs off the
-                # loop, and the catalog changes and the client is
-                # answered only after it returns.
-                await asyncio.get_running_loop().run_in_executor(
-                    self._journal_thread,
-                    self._journal.append,
-                    plan.journal_record,
-                )
-            info = self._commit_register(plan)
+        info = self._apply_register(message)
+        journal_record = info.pop("journal_record")
+        if journal_record is not None and self._journal is not None:
+            # Journal *before* acknowledging: an acked register is a
+            # durable register.
+            self._journal.append(journal_record)
         return {"id": message["id"], "ok": True, **info}
 
     # -- query ---------------------------------------------------------

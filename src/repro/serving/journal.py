@@ -137,8 +137,8 @@ def _fsync_directory(path: Path) -> None:
 class RegistrationJournal:
     """An append-only, checksummed, compactable registration log.
 
-    Thread-safe: the gateway appends from its journal thread and
-    reads its stats from its event loop; one lock covers the file
+    Thread-safe: the gateway appends from its event loop but benches
+    and tests may poke it from other threads; one lock covers the file
     handle and the counters.
     """
 

@@ -1159,223 +1159,6 @@ class TestJournalCompaction:
             service.stop(wait=True)
 
 
-class TestRegisterOffLoop:
-    def test_slow_journal_append_does_not_block_other_connections(
-        self, tmp_path, monkeypatch
-    ):
-        # A register's journal append takes 300 ms; meanwhile another
-        # connection's ping must be answered, because the append runs
-        # off the event loop.  The register is still acknowledged only
-        # once it is journaled.
-        service = ShardedService(shards=2)
-        server = GatewayServer(
-            service, journal_path=tmp_path / "edge.journal"
-        )
-        server.start()
-        journal = server.gateway._journal
-        append = journal.append
-        appending = threading.Event()
-
-        def slow_append(record):
-            appending.set()
-            time.sleep(0.3)
-            append(record)
-
-        monkeypatch.setattr(journal, "append", slow_append)
-        writer, pinger = Client(server.port), Client(server.port)
-        try:
-            writer.send(
-                {
-                    "op": "register",
-                    "id": 1,
-                    "instance": "orders",
-                    "facts": REGISTER_FACTS,
-                }
-            )
-            assert appending.wait(10)
-            start = time.perf_counter()
-            pong = pinger.rpc({"op": "ping", "id": 2})
-            elapsed = time.perf_counter() - start
-            assert pong["pong"]
-            assert elapsed < 0.1, f"ping waited {elapsed * 1e3:.0f} ms"
-            reply = writer.recv()
-            assert reply["ok"], reply
-            assert journal.stats().appended == 1
-            assert list(journal.live_records) == ["orders"]
-        finally:
-            writer.close()
-            pinger.close()
-            server.stop()
-            service.stop(wait=True)
-
-    def test_query_during_a_replacement_leaks_no_catalog_entry(
-        self, tmp_path, monkeypatch
-    ):
-        # A query reads the catalog, then submits; a replacement
-        # releases the superseded registration.  Were the release to run
-        # off the event loop, it could land between a query's read and
-        # its submit, and the submit would re-add the released
-        # fingerprint to its shard for good.  The wrappers force that
-        # interleaving whenever the release runs off the loop; on the
-        # loop the query sees the old entry or the new one, never a
-        # released one.
-        import asyncio
-
-        from repro.serving import gateway as gateway_module
-
-        def on_loop():
-            try:
-                asyncio.get_running_loop()
-            except RuntimeError:
-                return False
-            return True
-
-        releasing, query_read, released = (
-            threading.Event(),
-            threading.Event(),
-            threading.Event(),
-        )
-        service = ShardedService(shards=2)
-        unregister = service.unregister
-        decode_query = gateway_module.decode_query
-
-        def release(tid):
-            if not on_loop():
-                releasing.set()
-                query_read.wait(5)
-            unregister(tid)
-            released.set()
-
-        def read_query(payload):
-            query_read.set()
-            if releasing.is_set():
-                released.wait(5)
-            return decode_query(payload)
-
-        monkeypatch.setattr(service, "unregister", release)
-        monkeypatch.setattr(gateway_module, "decode_query", read_query)
-        server = GatewayServer(
-            service, journal_path=tmp_path / "edge.journal"
-        )
-        server.start()
-        writer, reader = Client(server.port), Client(server.port)
-        facts = [["R", [1], [1, 2]], ["S1", [1, 2]], ["T", [2], [2, 3]]]
-        try:
-            register(writer, "orders", facts)
-            writer.send(
-                {
-                    "op": "register",
-                    "id": 2,
-                    "instance": "orders",
-                    "facts": facts + [["S1", [1, 3]]],
-                }
-            )
-            deadline = time.monotonic() + 10
-            while not (releasing.is_set() or released.is_set()):
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
-            reply = reader.rpc(
-                {
-                    "op": "query",
-                    "id": 3,
-                    "instance": "orders",
-                    "query": CONJUNCTION,
-                }
-            )
-            assert reply["ok"], reply
-            assert writer.recv()["replaced"] is True
-            stats_reply = reader.rpc({"op": "stats", "id": 4})
-            stats = ServiceStats.from_payload(stats_reply["stats"])
-            assert sum(s.instances for s in stats.shards) == 1
-        finally:
-            writer.close()
-            reader.close()
-            server.stop()
-            service.stop(wait=True)
-
-    def test_concurrent_registers_journal_every_acknowledged_map(
-        self, tmp_path
-    ):
-        # Several connections re-register their own names at once while
-        # the interpreter switches threads often: the one register
-        # thread journals every acknowledged register, each name's live
-        # record is its last acknowledged map, and a restart serves it.
-        import sys
-
-        maps = [REGISTER_FACTS, REPLACED_FACTS]
-        clients, rounds = 4, 10
-        service = ShardedService(shards=2)
-        server = GatewayServer(
-            service, journal_path=tmp_path / "edge.journal"
-        )
-        server.start()
-        errors = []
-
-        def writer(index):
-            client = Client(server.port)
-            try:
-                for i in range(rounds):
-                    register(
-                        client, f"name{index}", maps[i % 2], message_id=i
-                    )
-                    reply = client.rpc(
-                        {
-                            "op": "query",
-                            "id": rounds + i,
-                            "instance": f"name{index}",
-                            "query": CONJUNCTION,
-                        }
-                    )
-                    assert reply["ok"], reply
-            except BaseException as error:  # noqa: BLE001 - reported
-                errors.append(error)
-            finally:
-                client.close()
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [
-                threading.Thread(target=writer, args=(index,))
-                for index in range(clients)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
-            assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-        try:
-            assert not errors, errors
-            journal = server.gateway._journal
-            assert journal.stats().appended == clients * rounds
-            last = maps[(rounds - 1) % 2]
-            for index in range(clients):
-                record = journal.live_records[f"name{index}"]
-                assert record["facts"] == last
-            server.restart(graceful=False)
-            client = Client(server.port)
-            reference = evaluate_batch(CONJ_QUERY, [replaced_tid()])
-            for index in range(clients):
-                reply = client.rpc(
-                    {
-                        "op": "query",
-                        "id": index,
-                        "instance": f"name{index}",
-                        "query": CONJUNCTION,
-                    }
-                )
-                assert (
-                    reply["response"]["probability"]
-                    == reference.probabilities[0]
-                )
-            client.close()
-        finally:
-            server.stop()
-            service.stop(wait=True)
-
-
 class TestConnectionEdges:
     def test_oversized_line_gets_typed_reply_then_close(
         self, gateway_backend
