@@ -1,20 +1,36 @@
-"""Brute-force probabilistic query evaluation (the validation oracle).
+"""Brute-force probabilistic query evaluation.
 
 ``PQE(Q)`` asks for ``Pr(Q, (D, pi)) = sum over worlds D' |= Q of Pr(D')``
-(Section 2).  This module computes it by literally enumerating all
-``2^|D|`` possible worlds — exponential, exact, and obviously correct,
-which is precisely what the tests need to validate the two polynomial
-engines.  A second entry point goes through the ground-truth lineage
-(Definition B.2), exercising the ``Pr(Q, (D,pi)) = Pr(Lin(Q,D), pi)``
-identity of [18].
+(Section 2).  Two exponential, exact computations of it live here:
+
+* :func:`probability_by_world_enumeration` literally enumerates all
+  ``2^|D|`` possible worlds and matches the query in each — obviously
+  correct, and the validation oracle the tests hold every engine to;
+* :func:`probability_by_lineage_enumeration` is the ``"brute_force"``
+  route of :func:`~repro.pqe.engine.evaluate` and of the serving shards.
+  It goes through the lineage instead, via the identity
+  ``Pr(Q, (D,pi)) = Pr(Lin(Q,D), pi)`` of [18]: the lineage's truth table
+  over the facts of ``D`` is built once per instance content and query,
+  then folded against each probability map in integer arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.db.tid import TupleIndependentDatabase, valuation_probability
+import numpy as _np
+
+from repro.circuits.operations import circuit_to_boolean_function
+from repro.core.boolean_function import BooleanFunction
+from repro.db.relation import Instance
+from repro.db.tid import TupleIndependentDatabase
+from repro.queries.cq import ConjunctiveQuery
 from repro.queries.hqueries import HQuery
+from repro.queries.lineage import (
+    cq_lineage_circuit,
+    hquery_lineage_circuit_naive,
+)
+from repro.queries.ucq import UnionOfCQs
 
 
 def probability_by_world_enumeration(
@@ -39,19 +55,68 @@ def probability_by_world_enumeration(
 
 
 def probability_by_lineage_enumeration(
-    query: HQuery, tid: TupleIndependentDatabase
+    query, tid: TupleIndependentDatabase
 ) -> Fraction:
-    """``Pr(Lin(Q_phi, D), pi)``: tabulate the lineage, then sum valuation
-    probabilities over its models (Definition B.2).  Numerically identical
-    to :func:`probability_by_world_enumeration` — the [18] identity — but
-    routed through the lineage machinery."""
-    tuple_ids, lineage = query.lineage_truth_table(tid.instance)
-    prob = {t: tid.probability_of(t) for t in tuple_ids}
-    total = Fraction(0)
-    for model in lineage.satisfying_sets():
-        valuation = frozenset(tuple_ids[j] for j in model)
-        total += valuation_probability(prob, valuation)
-    return total
+    """``Pr(Lin(Q, D), pi)``: the lineage's truth table (Definition B.2),
+    summed over its models.  Equal, as a :class:`~fractions.Fraction`, to
+    :func:`probability_by_world_enumeration` — the [18] identity.
+
+    ``query`` is an :class:`~repro.queries.hqueries.HQuery`, a
+    :class:`~repro.queries.ucq.UnionOfCQs` or a
+    :class:`~repro.queries.cq.ConjunctiveQuery`.  The table is cached on
+    the instance, so later probability maps over the same facts pay only
+    the fold: one variable at a time, a row's
+    absent and present halves combine as ``(d - a) * lo + a * hi`` for
+    ``p = a/d``, in integers over the product of the denominators.
+    ``O(2^|D|)`` either way; refuses instances with more than 22 tuples.
+    """
+    if len(tid) > 22:
+        raise ValueError(
+            f"brute force refuses {len(tid)} tuples (> 22); "
+            "use the extensional or intensional engine"
+        )
+    instance = tid.instance
+    table = _lineage_table(query, instance)
+    size = 1 << table.nvars
+    packed = table.table.to_bytes((size + 7) // 8, "little")
+    values = _np.unpackbits(
+        _np.frombuffer(packed, dtype=_np.uint8), bitorder="little"
+    )[:size].tolist()
+    denominator = 1
+    # Variable j of the table is bit j of the world index, so the lowest
+    # remaining variable splits the list into even and odd positions.
+    for tuple_id in instance.tuple_ids():
+        p = tid.probability_of(tuple_id)
+        a, d = p.numerator, p.denominator
+        b = d - a
+        values = [b * lo + a * hi for lo, hi in zip(values[::2], values[1::2])]
+        denominator *= d
+    return Fraction(values[0], denominator)
+
+
+def _lineage_table(query, instance: Instance) -> BooleanFunction:
+    """The truth table of ``Lin(Q, D)`` over ``instance.tuple_ids()``
+    (variable ``j`` is fact ``j``): the query's polynomial-size lineage
+    circuit, tabulated by one Boolean bitmask pass per chunk of worlds.
+
+    Memoized on the instance until its facts change; probability updates
+    reuse it.  Exponential in ``|D|``: callers bound the size.
+    """
+
+    def build(db: Instance) -> BooleanFunction:
+        if isinstance(query, HQuery):
+            circuit = hquery_lineage_circuit_naive(query, db)
+        elif isinstance(query, UnionOfCQs):
+            circuit = query.lineage_circuit(db)
+        elif isinstance(query, ConjunctiveQuery):
+            circuit = cq_lineage_circuit(query, db)
+        else:
+            raise TypeError(
+                f"no lineage circuit for {type(query).__name__} queries"
+            )
+        return circuit_to_boolean_function(circuit, db.tuple_ids())
+
+    return instance.cached_derivation(("brute_force.lineage", query), build)
 
 
 def pattern_distribution(

@@ -49,7 +49,7 @@ from repro.pqe.approximate import (
     Estimate,
     sampling_plan,
 )
-from repro.pqe.brute_force import probability_by_world_enumeration
+from repro.pqe.brute_force import probability_by_lineage_enumeration
 from repro.pqe.degenerate import (
     pair_cache_counters,
     reset_pair_cache_counters,
@@ -399,7 +399,7 @@ def evaluate(
         )
     if route == "brute_force":
         return EvaluationResult(
-            probability_by_world_enumeration(query, tid),
+            probability_by_lineage_enumeration(query, tid),
             "brute_force",
             classification,
         )

@@ -102,6 +102,7 @@ import contextlib
 import json
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from fractions import Fraction
 
 from repro.db.relation import Instance
@@ -743,7 +744,22 @@ class Gateway:
             self._tenant_inflight.get(tenant, 0) + 1
         )
         self._check_idle()
-        execution = self._execute(tid, query, budget, message, idem_key)
+        # Submit before any await: a keyed request runs the rest as its
+        # own task, and a replacing register that ran before that task
+        # started would already have released this instance, which a
+        # late submit would then re-add to its shard.
+        try:
+            future = self.service.submit(
+                query,
+                tid,
+                budget,
+                deadline_ms=message.get("deadline_ms"),
+                priority=message.get("priority", 0),
+            )
+        except Exception as error:  # noqa: BLE001 - typed on the wire
+            future = Future()
+            future.set_exception(error)
+        execution = self._execute(future, message, idem_key)
         if idem_key is not None:
             task = asyncio.ensure_future(execution)
             self._idem_put(idem_key, task)
@@ -753,26 +769,14 @@ class Gateway:
         return {"id": message_id, **body}
 
     async def _execute(
-        self,
-        tid: TupleIndependentDatabase,
-        query,
-        budget,
-        message: dict,
-        idem_key: tuple | None,
+        self, future: Future, message: dict, idem_key: tuple | None
     ) -> dict:
-        """Run one admitted request to its recorded outcome — a reply
+        """Await one submitted request to its recorded outcome — a reply
         body (sans ``id``) for an answer *or* a typed error.  Runs as
         its own task for keyed requests so the outcome lands in the
         response journal even if the submitting connection dies."""
         try:
             try:
-                future = self.service.submit(
-                    query,
-                    tid,
-                    budget,
-                    deadline_ms=message.get("deadline_ms"),
-                    priority=message.get("priority", 0),
-                )
                 response = await asyncio.wrap_future(future)
                 body = {"ok": True, "response": response.to_payload()}
             except asyncio.CancelledError:

@@ -34,8 +34,11 @@ all bit-invisible in the responses.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import itertools
 import os
 import threading
+import time
 from concurrent.futures import Future
 
 from repro.core.deadline import Deadline
@@ -176,6 +179,7 @@ class ShardedService:
             default_budget if default_budget is not None else AccuracyBudget()
         )
         self._hedge = hedge if hedge is not None else HedgePolicy()
+        self._clock = _HedgeClock()
         self._state_lock = threading.Lock()
         self._placements: dict[int, tuple[int, ...]] = {}
         self._route_token = 0
@@ -416,9 +420,11 @@ class ShardedService:
 
     def close(self, wait: bool = True) -> None:
         """Shut every shard's worker pool down gracefully (idempotent);
-        queued work drains first."""
+        queued work drains first, then the hedge clock stops.  Later
+        submits raise :class:`~repro.serving.resilience.ServiceStopped`."""
         for shard in self._shards:
             shard.close(wait=wait)
+        self._clock.stop()
         if self._registry is not None:
             self._registry.unlink_all()
 
@@ -430,6 +436,7 @@ class ShardedService:
         it."""
         for shard in self._shards:
             shard.stop(wait=wait)
+        self._clock.stop()
         if self._registry is not None:
             self._registry.unlink_all()
 
@@ -440,25 +447,90 @@ class ShardedService:
         self.close()
 
 
+class _HedgeClock:
+    """The one thread that fires a service's due hedges.
+
+    A heap of ``(due, sequence, race)`` entries under one
+    :class:`threading.Condition`; the daemon thread sleeps until the
+    earliest entry is due, then runs that race's backup submission.  A
+    replicated submit only pushes an entry — it starts no thread per
+    request.  An entry whose race already resolved, or already fired its
+    backup, is a no-op when it comes due.  The thread starts with the
+    first entry, so a process-backend service forks every worker before
+    it exists (as the worker clients' reader threads do).
+    """
+
+    def __init__(self) -> None:
+        self._condition = threading.Condition()
+        self._heap: list[tuple[float, int, _HedgeRace]] = []
+        self._sequence = itertools.count()
+        self._thread: threading.Thread | None = None
+        self._stopped = False
+
+    def schedule(self, delay_ms: float, race: "_HedgeRace") -> None:
+        """Fire ``race``'s backup ``delay_ms`` from now.  Dropped once
+        the clock is stopped: the race then settles on its primary."""
+        due = time.monotonic() + delay_ms / 1e3
+        entry = (due, next(self._sequence), race)
+        with self._condition:
+            if self._stopped:
+                return
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name="pqe-hedge-clock", daemon=True
+                )
+                self._thread.start()
+            heapq.heappush(self._heap, entry)
+            if self._heap[0] is entry:
+                self._condition.notify()
+
+    def _run(self) -> None:
+        while True:
+            with self._condition:
+                while True:
+                    if self._stopped:
+                        return
+                    timeout = None
+                    if self._heap:
+                        timeout = self._heap[0][0] - time.monotonic()
+                        if timeout <= 0:
+                            race = heapq.heappop(self._heap)[2]
+                            break
+                    self._condition.wait(timeout)
+            race._fire_backup()
+
+    def stop(self) -> None:
+        """Stop and join the thread (idempotent); pending entries are
+        dropped."""
+        with self._condition:
+            self._stopped = True
+            self._heap.clear()
+            self._condition.notify()
+            thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join()
+
+
 class _HedgeRace:
     """A first-response-wins race for one replicated request.
 
     The primary attempt is submitted immediately with a live
-    :class:`~repro.core.deadline.Deadline` handle; a daemon timer fires
-    after the policy's deterministic delay and submits one backup to a
-    different healthy, accepting ring member (breaker-open, dark, and
-    queue-full shards are skipped, so hedging composes with admission
-    control instead of fighting it).  The first attempt to *succeed*
-    resolves the caller's future; the loser is retired cooperatively —
-    its deadline is retired (:meth:`~repro.core.deadline.Deadline.
-    retire`: expired, so queued work is dropped at the next cooperative
-    check, and counted as ``hedge_retired``, not as a missed deadline)
-    and its future cancelled (dropped at drain-claim if not yet
-    running).  If the primary fails typed before the timer
-    fires, the backup fires immediately; if every attempt fails, the
-    caller sees the primary's error.  Which attempt wins never changes
-    the float: replicas compute content-determined, bit-identical
-    probabilities.
+    :class:`~repro.core.deadline.Deadline` handle; the service's
+    :class:`_HedgeClock` fires after the policy's deterministic delay
+    and submits one backup to a different healthy, accepting ring
+    member (breaker-open, dark, and queue-full shards are skipped, so
+    hedging composes with admission control instead of fighting it).
+    The first attempt to *succeed* resolves the caller's future; the
+    loser is retired cooperatively — its deadline is retired
+    (:meth:`~repro.core.deadline.Deadline.retire`: expired, so queued
+    work is dropped at the next cooperative check, and counted as
+    ``hedge_retired``, not as a missed deadline) and its future
+    cancelled (dropped at drain-claim if not yet running).  If the
+    primary fails typed before the clock fires it, the backup fires
+    immediately and the clock's entry is a no-op; if every attempt
+    fails, or the backup cannot be submitted, the caller sees the
+    primary's error.  Which attempt wins never changes the float:
+    replicas compute content-determined, bit-identical probabilities.
     """
 
     def __init__(
@@ -481,7 +553,6 @@ class _HedgeRace:
         self._errors: list[BaseException] = []
         self._done = False
         self._may_hedge = True
-        self._timer: threading.Timer | None = None
 
     def start(self) -> Future:
         deadline = Deadline(
@@ -495,10 +566,7 @@ class _HedgeRace:
         delay_ms = self._service._hedge_delay_ms(
             shard, self._request, self._token
         )
-        timer = threading.Timer(delay_ms / 1e3, self._fire_backup)
-        timer.daemon = True
-        self._timer = timer
-        timer.start()
+        self._service._clock.schedule(delay_ms, self)
         future.add_done_callback(self._callback(0))
         return self._outer
 
@@ -529,7 +597,10 @@ class _HedgeRace:
             future = service._shards[backup_index].submit(
                 self._request, deadline=deadline
             )
-        except ServiceStopped:
+        except Exception:  # noqa: BLE001 - the race must still settle
+            # Typed (the shard stopped since the health check) or not,
+            # a backup that never started is a failed backup, and this
+            # runs on the clock thread, which must keep running.
             service._hedging.add("failed_backups")
             self._settle_if_all_failed()
             return
@@ -562,8 +633,6 @@ class _HedgeRace:
         if fire_now:
             # The primary failed before the hedge delay elapsed: there
             # is nothing to wait for — fire the backup immediately.
-            if self._timer is not None:
-                self._timer.cancel()
             self._fire_backup()
         else:
             self._settle_if_all_failed()
@@ -591,8 +660,6 @@ class _HedgeRace:
                 for position, entry in enumerate(self._entries)
                 if position != slot
             ]
-        if self._timer is not None:
-            self._timer.cancel()
         cancelled = 0
         for _, future, deadline in losers:
             deadline.retire()

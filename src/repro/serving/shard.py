@@ -75,7 +75,7 @@ from dataclasses import dataclass, field
 
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.pqe.approximate import sampling_plan
-from repro.pqe.brute_force import probability_by_world_enumeration
+from repro.pqe.brute_force import probability_by_lineage_enumeration
 from repro.pqe.dichotomy import classify_query
 from repro.pqe.engine import ROUTES, CompilationCache, route_of
 from repro.pqe.extensional import ExtensionalPlanCache
@@ -146,7 +146,9 @@ def compute(cache, plan_cache, route, query, tids, budget, deadline):
         for tid in tids:
             if values and deadline is not None:
                 deadline.check("between enumerations")
-            values.append(float(probability_by_world_enumeration(query, tid)))
+            values.append(
+                float(probability_by_lineage_enumeration(query, tid))
+            )
         return values, route, False, 0.0
     if route == "sampling":
         (tid,) = tids
@@ -267,9 +269,10 @@ class Shard:
         :class:`~repro.serving.resilience.ShardOverloaded` /
         :class:`~repro.serving.resilience.CircuitBreakerOpen` /
         :class:`~repro.core.deadline.DeadlineExceeded` from the
-        resilience layer).  Only submitting against a stopped shard
-        raises *here* — an admitted request's outcome always travels
-        through its future.
+        resilience layer).  Only submitting against a stopped or closed
+        shard raises *here*, with
+        :class:`~repro.serving.resilience.ServiceStopped` — an admitted
+        request's outcome always travels through its future.
 
         ``deadline`` lets a caller hand in a pre-built
         :class:`~repro.core.deadline.Deadline` instead of the request's
@@ -318,17 +321,19 @@ class Shard:
             # scheduled; only a plain append needs a new one.
             try:
                 self._executor.submit(self._drain)
-            except RuntimeError:
-                # Closed executor: take the request back out so the queue
-                # depth does not report a phantom entry forever.  (If a
-                # still-running drain already claimed it, it will be
-                # served despite the error.)
+            except RuntimeError as error:
+                # Closed after the admission check: take the request back
+                # out so the queue depth does not report a phantom entry
+                # forever.  (If a still-running drain already claimed it,
+                # it will be served despite the error.)
                 with self._lock:
                     try:
                         self._pending.remove(pending)
                     except ValueError:
                         pass
-                raise
+                raise ServiceStopped(
+                    f"shard {self.shard_id} is stopped"
+                ) from error
         return pending.future
 
     def _admit(
@@ -427,8 +432,12 @@ class Shard:
 
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down gracefully (idempotent): pending
-        drains finish when ``wait`` is true.  For a fast shutdown that
-        *resolves* the queue instead of serving it, use :meth:`stop`."""
+        drains finish when ``wait`` is true, and later :meth:`submit`
+        calls raise :class:`~repro.serving.resilience.ServiceStopped`,
+        as after :meth:`stop`.  For a fast shutdown that *resolves* the
+        queue instead of serving it, use :meth:`stop`."""
+        with self._lock:
+            self._stopped = True
         self._executor.shutdown(wait=wait)
 
     def stop(self, wait: bool = True) -> None:

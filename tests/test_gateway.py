@@ -8,6 +8,7 @@ wire, tenant quotas, and both service backends behind one gateway.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import threading
@@ -21,6 +22,7 @@ from repro.db.generator import complete_tid
 from repro.pqe.engine import BRUTE_FORCE_LIMIT, evaluate_batch
 from repro.queries.hqueries import HQuery
 from repro.serving import GatewayServer, ShardedService
+from repro.serving.gateway import Gateway
 from repro.serving.stats import ServiceStats
 
 pytestmark = pytest.mark.filterwarnings("error")
@@ -553,9 +555,14 @@ def gateway_payload(client) -> dict:
 
 
 def sans_latency(response: dict) -> dict:
-    """A response payload without its wall-clock field — everything
-    else is content-determined and must be bit-identical."""
-    return {k: v for k, v in response.items() if k != "latency_ms"}
+    """A response payload without its serving state — the wall clock,
+    whether the service's caches were warm, and the microbatch it rode.
+    Everything else is content-determined and must be bit-identical."""
+    return {
+        k: v
+        for k, v in response.items()
+        if k not in ("latency_ms", "cache_hit", "batch_size")
+    }
 
 
 @pytest.mark.parametrize(
@@ -567,7 +574,8 @@ class TestJournalRecovery:
     ):
         # A gateway with a journal, killed without warning: the restart
         # replays the journal, and every answer — exact and sampled —
-        # is the bit-identical float the pre-crash gateway served.
+        # is the bit-identical float the pre-crash gateway served.  The
+        # safe query's plan is cold before the crash and warm after it.
         service = gateway_backend._service
         server = GatewayServer(
             service, journal_path=tmp_path / "edge.journal"
@@ -595,7 +603,11 @@ class TestJournalRecovery:
                     "budget": {"epsilon": 0.1, "seed": 11},
                 }
             )
-            assert exact["ok"] and sampled["ok"]
+            safe = client.rpc(
+                {"op": "query", "id": 8, "instance": "orders", "query": SAFE}
+            )
+            assert exact["ok"] and sampled["ok"] and safe["ok"]
+            assert safe["response"]["engine"] == "extensional"
             client.close()
 
             server.restart(graceful=False)  # SIGKILL-equivalent
@@ -619,9 +631,16 @@ class TestJournalRecovery:
                     "budget": {"epsilon": 0.1, "seed": 11},
                 }
             )
+            safe_after = client.rpc(
+                {"op": "query", "id": 9, "instance": "orders", "query": SAFE}
+            )
             assert exact_after["ok"] and sampled_after["ok"]
+            assert safe_after["ok"]
             assert sans_latency(exact_after["response"]) == sans_latency(
                 exact["response"]
+            )
+            assert sans_latency(safe_after["response"]) == sans_latency(
+                safe["response"]
             )
             assert sans_latency(
                 sampled_after["response"]
@@ -1042,6 +1061,61 @@ class TestReRegister:
             assert sum(s.instances for s in stats.shards) == 1
         finally:
             client.close()
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_query_racing_a_replacement_leaks_no_instance(self, keyed):
+        # A query and a replacing register dispatched in one loop
+        # iteration: the query reads the old instance from the catalog,
+        # then the register releases it.  The query must already have
+        # submitted, or its late submit re-adds the released fingerprint
+        # to its shard (a keyed query runs its execution as a task).
+        service = ShardedService(shards=1)
+        gateway = Gateway(service)
+        query = {
+            "op": "query",
+            "id": 2,
+            "instance": "orders",
+            "query": CONJUNCTION,
+        }
+        if keyed:
+            query["idempotency_key"] = "race"
+        moved = [["R", [1], [1, 2]], ["S1", [1, 3]], ["T", [3], [2, 3]]]
+
+        def line(message: dict) -> bytes:
+            return json.dumps(message).encode()
+
+        async def race():
+            await gateway._serve_line(
+                line(
+                    {
+                        "op": "register",
+                        "id": 1,
+                        "instance": "orders",
+                        "facts": REGISTER_FACTS,
+                    }
+                )
+            )
+            return await asyncio.gather(
+                gateway._serve_line(line(query)),
+                gateway._serve_line(
+                    line(
+                        {
+                            "op": "register",
+                            "id": 3,
+                            "instance": "orders",
+                            "facts": moved,
+                        }
+                    )
+                ),
+            )
+
+        try:
+            answered, replaced = asyncio.run(race())
+            assert answered["ok"], answered
+            assert replaced["replaced"] is True
+            assert service.stats().shards[0].instances == 1
+        finally:
+            service.stop(wait=True)
 
     def test_shared_content_survives_one_name_replacing(
         self, gateway_backend

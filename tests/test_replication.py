@@ -18,6 +18,7 @@ from __future__ import annotations
 import glob
 import os
 import signal
+import threading
 import time
 from fractions import Fraction
 
@@ -33,12 +34,14 @@ from repro.serving import (
     HedgePolicy,
     LatencyEwma,
     ProcessShard,
+    ServiceStopped,
     ShardedService,
     SupervisorPolicy,
     WorkerCrashError,
     placement_ring,
 )
 from repro.serving.api import QueryRequest
+from repro.serving.shard import Shard
 from repro.serving.shm import segment_prefix
 from repro.serving.stats import ServiceStats
 
@@ -275,6 +278,138 @@ class TestHedging:
             service.register(tid, replicas=2)
             service.submit_batch(q9(), [tid] * 8)
             assert service.stats().hedging.launched == 0
+
+
+#: Hedge after 1 ms: a backup fires against every straggling primary.
+PROMPT_HEDGE = HedgePolicy(
+    initial_delay_ms=1.0, min_delay_ms=1.0, max_delay_ms=1.0, jitter=0.0
+)
+
+
+def clock_threads() -> list[threading.Thread]:
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "pqe-hedge-clock"
+    ]
+
+
+class TestHedgeClock:
+    """One clock thread per service fires every hedge: a hedged submit
+    starts no thread, and the clock dies with the service."""
+
+    def test_hedged_submits_start_no_thread_per_request(self, monkeypatch):
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        reference = evaluate_batch(q9(), [tid])
+        with ShardedService(
+            shards=2,
+            hedge=PROMPT_HEDGE,
+            fault_injector=FaultInjector(
+                seed=2, straggler_rate=1.0, straggler_ms=5.0
+            ),
+            backend="threads",
+        ) as service:
+            service.register(tid, replicas=2)
+            # Warm: both shards' pool threads exist before counting.
+            service.submit_batch(q9(), [tid] * 8)
+            starts = []
+            start = threading.Thread.start
+
+            def counting_start(thread):
+                starts.append(thread.name)
+                start(thread)
+
+            monkeypatch.setattr(threading.Thread, "start", counting_start)
+            futures = [service.submit(q9(), tid) for _ in range(32)]
+            for future in futures:
+                response = future.result(timeout=60)
+                assert response.probability == reference.probabilities[0]
+            monkeypatch.undo()
+            assert service.stats().hedging.launched > 0
+        assert len(starts) <= 1, starts
+
+    @pytest.mark.parametrize("shutdown", ["close", "stop"])
+    def test_no_clock_thread_outlives_the_service(self, shutdown):
+        before = set(clock_threads())
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        service = ShardedService(shards=2, hedge=PROMPT_HEDGE)
+        service.register(tid, replicas=2)
+        service.submit_batch(q9(), [tid] * 4)
+        started = [t for t in clock_threads() if t not in before]
+        assert len(started) == 1
+        getattr(service, shutdown)()
+        assert not started[0].is_alive()
+        with pytest.raises(ServiceStopped):
+            service.submit(q9(), tid)
+
+    def test_typed_primary_failure_fires_the_backup_at_once(self):
+        # The first request's primary fails typed on every attempt; the
+        # hedge delay is 5 s, yet the backup answers at once.
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        reference = evaluate_batch(q9(), [tid])
+        primary = placement_ring(tid.instance.shard_key(), 2, 2)[0]
+        slow = HedgePolicy(
+            initial_delay_ms=5000.0,
+            min_delay_ms=5000.0,
+            max_delay_ms=5000.0,
+            jitter=0.0,
+        )
+        service = ShardedService(
+            shards=2,
+            hedge=slow,
+            fault_injector=FaultInjector(broken_requests={(primary, 0)}),
+        )
+        try:
+            service.register(tid, replicas=2)
+            began = time.monotonic()
+            response = service.submit(q9(), tid).result(timeout=10)
+            assert time.monotonic() - began < 2.0
+            assert response.shard != primary
+            assert response.probability == reference.probabilities[0]
+            hedging = service.stats().hedging
+            assert (hedging.launched, hedging.backup_wins) == (1, 1)
+        finally:
+            began = time.monotonic()
+            service.close()
+        # The clock's 5-s entry is dropped, not waited for.
+        assert time.monotonic() - began < 2.0
+
+    def test_backup_submission_error_settles_and_keeps_the_clock(
+        self, monkeypatch
+    ):
+        # The clock's first backup submission raises an untyped error:
+        # that race still settles on its primary, and the next request's
+        # backup still fires from the same clock.
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        reference = evaluate_batch(q9(), [tid])
+        submit = Shard.submit
+        failed = []
+
+        def failing_once(shard, request, deadline=None):
+            if (
+                threading.current_thread().name == "pqe-hedge-clock"
+                and not failed
+            ):
+                failed.append(shard.shard_id)
+                raise RuntimeError("injected backup submission failure")
+            return submit(shard, request, deadline)
+
+        monkeypatch.setattr(Shard, "submit", failing_once)
+        with ShardedService(
+            shards=2,
+            hedge=PROMPT_HEDGE,
+            fault_injector=FaultInjector(
+                seed=3, straggler_rate=1.0, straggler_ms=30.0
+            ),
+        ) as service:
+            service.register(tid, replicas=2)
+            for _ in range(2):
+                response = service.submit(q9(), tid).result(timeout=60)
+                assert response.probability == reference.probabilities[0]
+            hedging = service.stats().hedging
+        assert len(failed) == 1
+        assert hedging.failed_backups == 1
+        assert hedging.launched == 1
 
 
 class TestLatencyQuantile:

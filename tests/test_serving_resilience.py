@@ -553,6 +553,25 @@ class TestStop:
         assert issubclass(ServiceStopped, RuntimeError)
         shard.stop()  # idempotent
 
+    def test_submit_after_close_raises_service_stopped(self):
+        # A closed shard rejects typed, as a stopped one does, instead
+        # of leaking the executor's bare "cannot schedule" RuntimeError;
+        # replicated routing, which catches only ServiceStopped, relies
+        # on it.
+        tid = complete_tid(3, 2, 2)
+        shard = Shard(0, workers=1)
+        shard.close()
+        with pytest.raises(ServiceStopped):
+            shard.submit(QueryRequest(q9(), tid))
+        assert shard.queue_depth() == 0
+        for replicas in (1, 2):
+            service = ShardedService(shards=2)
+            service.register(tid, replicas=replicas)
+            service.submit(q9(), tid).result(timeout=30)
+            service.close()
+            with pytest.raises(ServiceStopped):
+                service.submit(q9(), tid)
+
     def test_service_stop_covers_every_shard(self):
         service = ShardedService(shards=2, workers_per_shard=1)
         tid = complete_tid(3, 2, 2)
