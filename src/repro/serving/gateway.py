@@ -744,10 +744,10 @@ class Gateway:
             self._tenant_inflight.get(tenant, 0) + 1
         )
         self._check_idle()
-        # Submit before any await: a keyed request runs the rest as its
-        # own task, and a replacing register that ran before that task
-        # started would already have released this instance, which a
-        # late submit would then re-add to its shard.
+        # Submit in this loop step, with the catalog read: a keyed
+        # request's task starts later, when a replacing register may
+        # have released this instance, and a submit from there would
+        # re-add it to its shard.
         try:
             future = self.service.submit(
                 query,

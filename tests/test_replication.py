@@ -18,6 +18,7 @@ from __future__ import annotations
 import glob
 import os
 import signal
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -327,6 +328,45 @@ class TestHedgeClock:
             monkeypatch.undo()
             assert service.stats().hedging.launched > 0
         assert len(starts) <= 1, starts
+
+    def test_concurrent_hedged_submits_all_settle(self):
+        # More submitting threads than cores, a tiny switch interval, a
+        # zero hedge delay: every push onto the clock's heap races the
+        # clock thread's pops.  A lost entry or a double fire would
+        # leave a caller without exactly one answer.
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        reference = evaluate_batch(q9(), [tid])
+        hedge = HedgePolicy(
+            initial_delay_ms=0.0, min_delay_ms=0.0, jitter=0.0
+        )
+        futures = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardedService(shards=2, hedge=hedge) as service:
+                service.register(tid, replicas=2)
+
+                def submit_many():
+                    for _ in range(16):
+                        futures.append(service.submit(q9(), tid))
+
+                threads = [
+                    threading.Thread(target=submit_many) for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for future in futures:
+                    response = future.result(timeout=60)
+                    assert response.probability == reference.probabilities[0]
+                hedging = service.stats().hedging
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(futures) == 128
+        assert hedging.primary_wins + hedging.backup_wins == 128
+        assert hedging.launched <= 128
 
     @pytest.mark.parametrize("shutdown", ["close", "stop"])
     def test_no_clock_thread_outlives_the_service(self, shutdown):
