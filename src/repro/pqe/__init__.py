@@ -2,7 +2,8 @@
 
 Three engines that must agree exactly on every instance:
 
-* :mod:`repro.pqe.brute_force` — exponential possible-world oracle;
+* :mod:`repro.pqe.brute_force` — the exponential possible-world oracle,
+  and the brute-force route's fold of a cached lineage table;
 * :mod:`repro.pqe.extensional` — lifted inference for H+-queries (Möbius
   inversion over the CNF lattice + safe plans), the Dalvi–Suciu side;
 * :mod:`repro.pqe.lift` — the general Dalvi–Suciu safe-plan search and
