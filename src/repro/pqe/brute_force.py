@@ -65,8 +65,8 @@ def probability_by_lineage_enumeration(
     :class:`~repro.queries.ucq.UnionOfCQs` or a
     :class:`~repro.queries.cq.ConjunctiveQuery`.  The table is cached on
     the instance, so later probability maps over the same facts pay only
-    the fold: one variable at a time, a row's
-    absent and present halves combine as ``(d - a) * lo + a * hi`` for
+    the fold: one tuple at a time, the worlds without it (``lo``) and
+    with it (``hi``) combine as ``(d - a) * lo + a * hi`` for its
     ``p = a/d``, in integers over the product of the denominators.
     ``O(2^|D|)`` either way; refuses instances with more than 22 tuples.
     """
