@@ -30,7 +30,7 @@ REQUIRED_FLAGS = (
     "lifted.lifted_identical",
     "lifted.h_parity_identical",
     "lifted.serving_backends_identical",
-    "replication.hedged_identical",
+    "replication.recovered_identical",
     "gateway.recovered_identical",
 )
 

@@ -48,10 +48,8 @@ Compares, on q_9's compiled d-D lineage and on grounding workloads:
   different remaining deadlines give bit-identical answers across clock
   jitter (the ``degraded_identical`` exactness gate).
 
-* **replication**: hedged and unhedged sweeps under seeded
-  straggler injection answer the ``evaluate_batch`` floats
-  (``hedged_identical``), and a process-backend shard whose worker is
-  SIGKILLed answers the same float once the supervisor has respawned it
+* **replication**: a process-backend shard whose worker is SIGKILLed
+  answers the same float once the supervisor has respawned it
   (``recovered_identical``).
 
 * **gateway**: a gateway torn down SIGKILL-style and rebuilt
@@ -1249,68 +1247,26 @@ def bench_resilience(seed=17):
     }
 
 
-def bench_replication(requests=96, straggler_ms=40.0, seed=23):
-    """Hedged and recovered answers are the reference floats.
+def bench_replication():
+    """A respawned worker answers the reference float.
 
-    Part one: a replicated instance served under seeded straggler
-    injection — one serve attempt in 12, chosen by the seed, sleeps
-    ``straggler_ms`` before answering — once with hedging disabled and
-    once with a :class:`~repro.serving.resilience.HedgePolicy`.
-    ``hedged_identical`` is the exactness gate
-    (``check_bench_exactness.py`` enforces it): every float from both
-    runs equals the single-threaded ``evaluate_batch`` reference, so
-    which attempt wins a race is bit-invisible.
-
-    Part two: on the process backend, SIGKILL a shard's worker and poll
-    until the shard answers again.  The supervisor trips the shard's
-    breaker, respawns the worker and replays its registrations; the poll
-    waits out the breaker's reset window.  ``recovered_identical``: the
-    answer after recovery equals the one before and the reference.
+    On the process backend, SIGKILL a shard's worker and poll until the
+    shard answers again.  The supervisor trips the shard's breaker,
+    respawns the worker and replays its registrations; the poll waits
+    out the breaker's reset window.  ``recovered_identical`` is the
+    exactness gate (``check_bench_exactness.py`` enforces it): the
+    answer after recovery equals the one before and the
+    ``evaluate_batch`` reference.
     """
     import os
     import signal
 
     from repro.pqe.engine import evaluate_batch
-    from repro.serving import FaultInjector, HedgePolicy, ShardedService
+    from repro.serving import ShardedService
 
     query = q9()
     tid = complete_tid(3, 3, 2, prob=Fraction(1, 2))
-    reference = evaluate_batch(query, [tid] * requests)
-
-    def run(hedge):
-        injector = FaultInjector(
-            seed=seed,
-            straggler_rate=Fraction(1, 12),
-            straggler_ms=straggler_ms,
-        )
-        service = ShardedService(
-            shards=2,
-            workers_per_shard=2,
-            hedge=hedge,
-            fault_injector=injector,
-        )
-        try:
-            service.register(tid, replicas=2)
-            # Warm the route EWMAs so the hedge delay reflects the
-            # route's *normal* latency.
-            for shard in service._shards:
-                shard.observe_route_latency("extensional", 0.5)
-            return [
-                service.submit(query, tid).result(timeout=120).probability
-                for _ in range(requests)
-            ]
-        finally:
-            service.stop(wait=True)
-
-    unhedged = run(HedgePolicy(max_backups=0))
-    # The delay cap matters: straggled attempts feed the route EWMA
-    # too, so an uncapped quantile delay would creep toward the
-    # straggler latency itself and stop hedging in time.
-    hedged = run(HedgePolicy(min_delay_ms=1.0, max_delay_ms=5.0, seed=seed))
-    hedged_identical = (
-        unhedged == reference.probabilities
-        and hedged == reference.probabilities
-    )
+    reference = evaluate_batch(query, [tid])
 
     service = ShardedService(
         shards=1, workers_per_shard=1, backend="processes"
@@ -1334,11 +1290,7 @@ def bench_replication(requests=96, straggler_ms=40.0, seed=23):
     finally:
         service.stop(wait=True)
 
-    return {
-        "requests": requests,
-        "hedged_identical": hedged_identical,
-        "recovered_identical": recovered_identical,
-    }
+    return {"recovered_identical": recovered_identical}
 
 
 def bench_gateway(seed=29):

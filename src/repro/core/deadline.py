@@ -43,7 +43,7 @@ class Deadline:
     result.
     """
 
-    __slots__ = ("_expires_at", "_clock", "_retired")
+    __slots__ = ("_expires_at", "_clock")
 
     def __init__(
         self,
@@ -58,7 +58,6 @@ class Deadline:
             )
         self._clock = clock
         self._expires_at = clock() + deadline_ms / 1e3
-        self._retired = False
 
     @property
     def expires_at(self) -> float:
@@ -71,31 +70,6 @@ class Deadline:
 
     def expired(self) -> bool:
         return self._clock() >= self._expires_at
-
-    def expire(self) -> None:
-        """Force immediate expiry (cooperative cancellation).
-
-        Hedged requests retire the losing attempt through this (see
-        :meth:`retire`): the next cooperative :meth:`check` the loser
-        runs raises :class:`DeadlineExceeded`, so the abandoned work
-        stops at a determinism-safe boundary instead of being preempted
-        mid-float.
-        Idempotent; never un-expires.
-        """
-        self._expires_at = min(self._expires_at, self._clock())
-
-    def retire(self) -> None:
-        """:meth:`expire` on behalf of a hedge whose race another attempt
-        already won, and mark the deadline :attr:`retired`: the work it
-        guards is abandoned because nobody needs it any more, not
-        because the caller's budget ran out.  Idempotent."""
-        self._retired = True
-        self.expire()
-
-    @property
-    def retired(self) -> bool:
-        """Whether :meth:`retire` expired this deadline."""
-        return self._retired
 
     def check(self, context: str = "") -> None:
         """Raise :class:`DeadlineExceeded` if the deadline has passed.

@@ -405,7 +405,7 @@ class DrawStream:
 
     def draw(self, bound: int, index: int) -> int:
         """Draw ``index`` alone, on the scalar path: the per-call
-        policies (retry and hedge jitter, fault lanes) take one value at
+        policies (retry jitter, fault lanes) take one value at
         a time, where building arrays would cost more than the draw."""
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")

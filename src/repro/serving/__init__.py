@@ -59,7 +59,6 @@ from repro.serving.resilience import (
     CircuitBreakerOpen,
     Deadline,
     DeadlineExceeded,
-    HedgePolicy,
     LatencyEwma,
     RetryPolicy,
     ServiceStopped,
@@ -97,7 +96,6 @@ __all__ = [
     "GatewayOverloaded",
     "GatewayServer",
     "GatewayStats",
-    "HedgePolicy",
     "HedgeStats",
     "IdempotencyStats",
     "IdleTimeout",

@@ -19,7 +19,7 @@ backend sends it down the worker pipe.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from repro.core.boolean_function import BooleanFunction
 from repro.db.tid import TupleIndependentDatabase
@@ -111,13 +111,19 @@ class QueryResponse:
     degraded: bool = False
 
     def to_payload(self) -> dict:
-        """This response as a JSON-able dict (the gateway's wire form)."""
-        return asdict(self)
+        """This response as a JSON-able dict (the gateway's wire form):
+        every field, in declaration order.  Every field is a scalar, so
+        a plain dict over them is the whole payload; ``asdict`` would
+        deep-copy each value, about ten times the cost per reply."""
+        return {name: getattr(self, name) for name in _RESPONSE_FIELDS}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "QueryResponse":
         """Rebuild a response serialized by :meth:`to_payload`."""
         return cls(**payload)
+
+
+_RESPONSE_FIELDS = tuple(field.name for field in fields(QueryResponse))
 
 
 def encode_query(query) -> dict:

@@ -29,8 +29,8 @@ Five fault kinds, each on its own stream lane per shard:
   the doomed attempt, raising :class:`WorkerCrashError` — exercising
   supervision, respawn-and-replay, and replica failover.
 - **straggler latency** (``straggler_ms_for``): a *long* added delay on
-  its own lane — exercising hedged requests, which must beat the
-  straggler by racing a replica.
+  its own lane, scheduled independently of the added-latency lane — a
+  heavy latency tail on top of the common one.
 
 Three further lanes exercise the **network edge** (the asyncio gateway)
 rather than the worker tier, keyed per ``(connection, request index,

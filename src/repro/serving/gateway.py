@@ -802,7 +802,11 @@ class Gateway:
         return body
 
     async def _serve_stats(self, message: dict) -> dict:
-        stats = self.service.stats()
+        # Off the loop: on the process backend each shard's stats are a
+        # worker RPC, which waits behind the computations already queued
+        # on that worker's pipe.  The gateway's own counters are
+        # loop-owned state, so they are read back on the loop.
+        stats = await asyncio.to_thread(self.service.stats)
         return {
             "id": message["id"],
             "ok": True,

@@ -26,7 +26,6 @@ serving-facing names.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections.abc import Callable
@@ -42,7 +41,6 @@ __all__ = [
     "DEFAULT_SAMPLES_PER_MS",
     "Deadline",
     "DeadlineExceeded",
-    "HedgePolicy",
     "LatencyEwma",
     "RetryPolicy",
     "ServiceStopped",
@@ -55,15 +53,6 @@ __all__ = [
 #: clause draw lanes of the samplers (see :mod:`repro.db.tid`); the
 #: serving layer keeps far away from them.
 RETRY_JITTER_LANE = 7001
-
-#: DrawStream lane for hedge-delay jitter — its own lane so hedging and
-#: retries never share a draw schedule.
-HEDGE_JITTER_LANE = 7002
-
-#: EWMA standard deviations above a route's mean latency that the hedge
-#: delay waits (:meth:`LatencyEwma.quantile_ms`): a primary slower than
-#: mean + 3 sigma gets a backup.
-HEDGE_QUANTILE_Z = 3.0
 
 #: Conservative prior for the sampling route's throughput, used by
 #: :func:`degraded_budget` before the shard has observed any sampling
@@ -270,12 +259,6 @@ class LatencyEwma:
     long would this route take right now" for shed and degradation
     decisions.  ``value()`` is 0.0 until the first observation;
     ``samples`` lets policies refuse to predict from nothing.
-
-    Alongside the mean it tracks an EWMA of squared deviations, so
-    :meth:`quantile_ms` can answer "how long would a *slow* request on
-    this route take" (mean + z·stddev) — the hedge-delay question: fire
-    the backup only once the primary has outlived a high quantile of its
-    route's history.
     """
 
     def __init__(self, alpha: float = 0.2):
@@ -284,96 +267,24 @@ class LatencyEwma:
         self.alpha = alpha
         self._lock = threading.Lock()
         self._value = 0.0
-        self._variance = 0.0
         self._samples = 0
 
     def observe(self, latency_ms: float) -> None:
         with self._lock:
             if self._samples == 0:
                 self._value = latency_ms
-                self._variance = 0.0
             else:
-                deviation = latency_ms - self._value
-                self._value += self.alpha * deviation
-                self._variance += self.alpha * (
-                    deviation * deviation - self._variance
-                )
+                self._value += self.alpha * (latency_ms - self._value)
             self._samples += 1
 
     def value(self) -> float:
         with self._lock:
             return self._value
 
-    def quantile_ms(self, z: float = 2.0) -> float:
-        """Mean + ``z`` EWMA standard deviations — an upper-quantile
-        latency estimate (0.0 before any observation)."""
-        with self._lock:
-            if self._samples == 0:
-                return 0.0
-            return self._value + z * math.sqrt(max(self._variance, 0.0))
-
     @property
     def samples(self) -> int:
         with self._lock:
             return self._samples
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When and how to hedge a replicated request with a backup.
-
-    The service fires at most ``max_backups`` backup requests (0
-    disables hedging) after a *deterministic* delay: the primary route's
-    :meth:`LatencyEwma.quantile_ms` at :data:`HEDGE_QUANTILE_Z`
-    deviations, clamped to ``[min_delay_ms, max_delay_ms]``
-    (``initial_delay_ms`` stands in before the route has history), then
-    jittered downward on a seeded :class:`~repro.db.tid.DrawStream` lane
-    exactly like :meth:`RetryPolicy.delay_ms` — a replay of the same
-    admission tokens produces the same hedge schedule.
-    """
-
-    max_backups: int = 1
-    initial_delay_ms: float = 10.0
-    min_delay_ms: float = 1.0
-    max_delay_ms: float = 100.0
-    jitter: float = 0.25
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_backups < 0:
-            raise ValueError(
-                f"max_backups must be non-negative, got {self.max_backups}"
-            )
-        if self.min_delay_ms < 0 or self.max_delay_ms < self.min_delay_ms:
-            raise ValueError(
-                f"need 0 <= min_delay_ms <= max_delay_ms, got "
-                f"{self.min_delay_ms}..{self.max_delay_ms}"
-            )
-        if self.initial_delay_ms < 0:
-            raise ValueError(
-                f"initial_delay_ms must be non-negative, got "
-                f"{self.initial_delay_ms}"
-            )
-        if not 0 <= self.jitter <= 1:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-
-    @property
-    def enabled(self) -> bool:
-        return self.max_backups > 0
-
-    def delay_ms(self, token: int, quantile_ms: float) -> float:
-        """Hedge delay for admission ``token`` given the primary route's
-        latency quantile — a pure function of both."""
-        base = quantile_ms if quantile_ms > 0 else self.initial_delay_ms
-        base = min(max(base, self.min_delay_ms), self.max_delay_ms)
-        if self.jitter == 0 or base == 0:
-            return base
-        stream = DrawStream(self.seed, HEDGE_JITTER_LANE)
-        counter = token * 32
-        draw = stream.draw(1 << 20, counter)
-        # Like RetryPolicy: jitter pulls the delay down into
-        # [base*(1-jitter), base], never above the envelope.
-        return base * (1.0 - self.jitter * (draw / float(1 << 20)))
 
 
 @dataclass(frozen=True)

@@ -18,30 +18,24 @@ Monte-Carlo (non-monotone) sampling sweeps of
 same-budget same-probability requests in a microbatch sharing one
 sweep.  The routing decision table lives in ``docs/serving.md``.
 
-Replication and hedging: ``register(..., replicas=n)`` places read-only
-copies of an instance on ``n`` distinct shards along a deterministic
-rendezvous ring (:func:`placement_ring`); requests for a replicated
-instance spread across the healthy ring members, fail over to replicas
-while the primary's breaker is open or its worker is dark, and — under
-a :class:`~repro.serving.resilience.HedgePolicy` — race a delayed
-backup attempt on a second replica, first response winning and the
-loser retired cooperatively through its
-:class:`~repro.core.deadline.Deadline`.  Because every replica computes
-the same content-determined floats, spread, failover, and hedging are
-all bit-invisible in the responses.
+Replication: ``register(..., replicas=n)`` places read-only copies of
+an instance on ``n`` distinct shards along a deterministic rendezvous
+ring (:func:`placement_ring`); each request for a replicated instance
+is one submission to a healthy ring member chosen by the spread, and
+fails over to a replica while the primary's breaker is open or its
+worker is dark.  Because every replica computes the same
+content-determined floats, spread and failover are bit-invisible in
+the responses.  There is no request hedging: a backup attempt could
+only repeat the same CPU-bound computation.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import os
 import threading
-import time
 from concurrent.futures import Future
 
-from repro.core.deadline import Deadline
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
 from repro.queries.hqueries import HQuery
@@ -49,7 +43,6 @@ from repro.serving.api import AccuracyBudget, QueryRequest, QueryResponse
 from repro.serving.faults import FaultInjector
 from repro.serving.resilience import (
     CircuitBreaker,
-    HedgePolicy,
     RetryPolicy,
     ServiceStopped,
     SupervisorPolicy,
@@ -57,16 +50,10 @@ from repro.serving.resilience import (
 from repro.serving.shard import Shard
 from repro.serving.stats import (
     Counters,
-    HedgeStats,
     ReplicationStats,
     ServiceStats,
     percentile,
 )
-
-#: Synthetic deadline horizon for hedged requests whose caller set no
-#: deadline: far enough out to never expire on its own, finite so the
-#: losing attempt can be retired by expiring it.
-_HEDGE_HORIZON_MS = 1e9
 
 
 def placement_ring(
@@ -145,7 +132,6 @@ class ShardedService:
         breaker_failure_threshold: int = 5,
         breaker_reset_after_ms: float = 1000.0,
         backend: str | None = None,
-        hedge: HedgePolicy | None = None,
         supervisor: SupervisorPolicy | None = None,
     ):
         if shards < 1:
@@ -178,13 +164,10 @@ class ShardedService:
         budget = (
             default_budget if default_budget is not None else AccuracyBudget()
         )
-        self._hedge = hedge if hedge is not None else HedgePolicy()
-        self._clock = _HedgeClock()
         self._state_lock = threading.Lock()
         self._placements: dict[int, tuple[int, ...]] = {}
         self._route_token = 0
         self._routing = Counters()  #: ReplicationStats spread/failovers
-        self._hedging = Counters()  #: HedgeStats
         self._shards = [
             shard_type(
                 index,
@@ -234,7 +217,7 @@ class ShardedService:
         ``replicas >= 2`` additionally places read-only copies on the
         next ``replicas - 1`` shards of the instance's
         :func:`placement_ring` (capped at the shard count).  Replicated
-        instances get spread routing, failover, and hedging; an
+        instances get spread routing and failover; an
         instance registered again with more replicas keeps its existing
         placements (the ring is prefix-stable) and gains the new ones.
         """
@@ -308,12 +291,9 @@ class ShardedService:
 
         Replicated instances (``register(..., replicas=n)``) route
         across their healthy ring members: load spreads
-        deterministically, an unhealthy primary (breaker open, worker
-        dark, stopped) fails over to a replica instead of rejecting,
-        and — when the service's
-        :class:`~repro.serving.resilience.HedgePolicy` is enabled and a
-        second healthy replica exists — a delayed backup attempt races
-        the primary, first response winning."""
+        deterministically, and an unhealthy primary (breaker open,
+        worker dark, stopped) fails over to a replica instead of
+        rejecting."""
         request = QueryRequest(
             query, tid, budget, deadline_ms=deadline_ms, priority=priority
         )
@@ -338,12 +318,6 @@ class ShardedService:
         chosen = healthy[token % len(healthy)]
         if chosen != primary:
             self._routing.add("spread" if primary in healthy else "failovers")
-        if self._hedge.enabled and len(healthy) > 1:
-            race = _HedgeRace(self, request, token, ring, chosen)
-            try:
-                return race.start()
-            except ServiceStopped:
-                healthy = [index for index in healthy if index != chosen]
         return self._submit_direct(
             [chosen, *[i for i in healthy if i != chosen]], request
         )
@@ -361,12 +335,6 @@ class ShardedService:
                 last_error = error
         assert last_error is not None
         raise last_error
-
-    def _hedge_delay_ms(self, shard: Shard, request: QueryRequest,
-                        token: int) -> float:
-        route = shard.route_for(request)
-        quantile = shard.route_quantile_ms(route)
-        return self._hedge.delay_ms(token, quantile)
 
     def submit_batch(
         self,
@@ -415,16 +383,14 @@ class ShardedService:
                 replicas_placed=sum(len(ring) - 1 for ring in rings),
                 **self._routing.snapshot(),
             ),
-            hedging=HedgeStats(**self._hedging.snapshot()),
         )
 
     def close(self, wait: bool = True) -> None:
         """Shut every shard's worker pool down gracefully (idempotent);
-        queued work drains first, then the hedge clock stops.  Later
-        submits raise :class:`~repro.serving.resilience.ServiceStopped`."""
+        queued work drains first.  Later submits raise
+        :class:`~repro.serving.resilience.ServiceStopped`."""
         for shard in self._shards:
             shard.close(wait=wait)
-        self._clock.stop()
         if self._registry is not None:
             self._registry.unlink_all()
 
@@ -436,7 +402,6 @@ class ShardedService:
         it."""
         for shard in self._shards:
             shard.stop(wait=wait)
-        self._clock.stop()
         if self._registry is not None:
             self._registry.unlink_all()
 
@@ -446,229 +411,3 @@ class ShardedService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-class _HedgeClock:
-    """The one thread that fires a service's due hedges.
-
-    A heap of ``(due, sequence, race)`` entries under one
-    :class:`threading.Condition`; the daemon thread sleeps until the
-    earliest entry is due, then runs that race's backup submission.  A
-    replicated submit only pushes an entry — it starts no thread per
-    request.  An entry whose race already resolved, or already fired its
-    backup, is a no-op when it comes due.  The thread starts with the
-    first entry, so a process-backend service forks every worker before
-    it exists (as the worker clients' reader threads do).
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._heap: list[tuple[float, int, _HedgeRace]] = []
-        self._sequence = itertools.count()
-        self._thread: threading.Thread | None = None
-        self._stopped = False
-
-    def schedule(self, delay_ms: float, race: "_HedgeRace") -> None:
-        """Fire ``race``'s backup ``delay_ms`` from now.  Dropped once
-        the clock is stopped: the race then settles on its primary."""
-        due = time.monotonic() + delay_ms / 1e3
-        entry = (due, next(self._sequence), race)
-        with self._condition:
-            if self._stopped:
-                return
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name="pqe-hedge-clock", daemon=True
-                )
-                self._thread.start()
-            heapq.heappush(self._heap, entry)
-            if self._heap[0] is entry:
-                self._condition.notify()
-
-    def _run(self) -> None:
-        while True:
-            with self._condition:
-                while True:
-                    if self._stopped:
-                        return
-                    timeout = None
-                    if self._heap:
-                        timeout = self._heap[0][0] - time.monotonic()
-                        if timeout <= 0:
-                            race = heapq.heappop(self._heap)[2]
-                            break
-                    self._condition.wait(timeout)
-            race._fire_backup()
-
-    def stop(self) -> None:
-        """Stop and join the thread (idempotent); pending entries are
-        dropped."""
-        with self._condition:
-            self._stopped = True
-            self._heap.clear()
-            self._condition.notify()
-            thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join()
-
-
-class _HedgeRace:
-    """A first-response-wins race for one replicated request.
-
-    The primary attempt is submitted immediately with a live
-    :class:`~repro.core.deadline.Deadline` handle; the service's
-    :class:`_HedgeClock` fires after the policy's deterministic delay
-    and submits one backup to a different healthy, accepting ring
-    member (breaker-open, dark, and queue-full shards are skipped, so
-    hedging composes with admission control instead of fighting it).
-    The first attempt to *succeed* resolves the caller's future; the
-    loser is retired cooperatively — its deadline is retired
-    (:meth:`~repro.core.deadline.Deadline.retire`: expired, so queued
-    work is dropped at the next cooperative check, and counted as
-    ``hedge_retired``, not as a missed deadline) and its future
-    cancelled (dropped at drain-claim if not yet running).  If the
-    primary fails typed before the clock fires it, the backup fires
-    immediately and the clock's entry is a no-op; if every attempt
-    fails, or the backup cannot be submitted, the caller sees the
-    primary's error.  Which attempt wins never changes the float:
-    replicas compute content-determined, bit-identical probabilities.
-    """
-
-    def __init__(
-        self,
-        service: ShardedService,
-        request: QueryRequest,
-        token: int,
-        ring: tuple[int, ...],
-        primary_index: int,
-    ):
-        self._service = service
-        self._request = request
-        self._token = token
-        self._ring = ring
-        self._primary_index = primary_index
-        self._outer: Future = Future()
-        self._lock = threading.Lock()
-        # (shard index, inner future, deadline handle) per attempt.
-        self._entries: list[tuple[int, Future, Deadline]] = []
-        self._errors: list[BaseException] = []
-        self._done = False
-        self._may_hedge = True
-
-    def start(self) -> Future:
-        deadline = Deadline(
-            self._request.deadline_ms
-            if self._request.deadline_ms is not None
-            else _HEDGE_HORIZON_MS
-        )
-        shard = self._service._shards[self._primary_index]
-        future = shard.submit(self._request, deadline=deadline)
-        self._entries.append((self._primary_index, future, deadline))
-        delay_ms = self._service._hedge_delay_ms(
-            shard, self._request, self._token
-        )
-        self._service._clock.schedule(delay_ms, self)
-        future.add_done_callback(self._callback(0))
-        return self._outer
-
-    def _callback(self, slot: int):
-        return lambda future: self._on_done(slot, future)
-
-    def _fire_backup(self) -> None:
-        with self._lock:
-            if self._done or not self._may_hedge:
-                return
-            self._may_hedge = False
-            used = {index for index, _, _ in self._entries}
-            remaining_ms = self._entries[0][2].remaining_ms()
-        service = self._service
-        candidates = [
-            index
-            for index in self._ring
-            if index not in used and service._shards[index].accepting()
-        ]
-        if not candidates or remaining_ms <= 0:
-            self._settle_if_all_failed()
-            return
-        backup_index = candidates[self._token % len(candidates)]
-        # The backup runs under the primary's *remaining* time — the
-        # caller's deadline budget started at the original submit.
-        deadline = Deadline(remaining_ms)
-        try:
-            future = service._shards[backup_index].submit(
-                self._request, deadline=deadline
-            )
-        except Exception:  # noqa: BLE001 - the race must still settle
-            # Typed (the shard stopped since the health check) or not,
-            # a backup that never started is a failed backup, and this
-            # runs on the clock thread, which must keep running.
-            service._hedging.add("failed_backups")
-            self._settle_if_all_failed()
-            return
-        service._hedging.add("launched")
-        with self._lock:
-            if self._done:
-                # The primary resolved while we were submitting: retire
-                # the just-launched backup straight away.
-                deadline.retire()
-                if future.cancel():
-                    service._hedging.add("cancelled")
-                return
-            slot = len(self._entries)
-            self._entries.append((backup_index, future, deadline))
-        future.add_done_callback(self._callback(slot))
-
-    def _on_done(self, slot: int, future: Future) -> None:
-        if future.cancelled():
-            return
-        error = future.exception()
-        if error is None:
-            self._win(slot, future.result())
-            return
-        fire_now = False
-        with self._lock:
-            if self._done:
-                return
-            self._errors.append(error)
-            fire_now = self._may_hedge
-        if fire_now:
-            # The primary failed before the hedge delay elapsed: there
-            # is nothing to wait for — fire the backup immediately.
-            self._fire_backup()
-        else:
-            self._settle_if_all_failed()
-
-    def _settle_if_all_failed(self) -> None:
-        with self._lock:
-            if (
-                self._done
-                or self._may_hedge
-                or len(self._errors) < len(self._entries)
-            ):
-                return
-            self._done = True
-            error = self._errors[0]
-        if self._outer.set_running_or_notify_cancel():
-            self._outer.set_exception(error)
-
-    def _win(self, slot: int, response: QueryResponse) -> None:
-        with self._lock:
-            if self._done:
-                return
-            self._done = True
-            losers = [
-                entry
-                for position, entry in enumerate(self._entries)
-                if position != slot
-            ]
-        cancelled = 0
-        for _, future, deadline in losers:
-            deadline.retire()
-            if future.cancel():
-                cancelled += 1
-        self._service._hedging.update(
-            primary_wins=1 if slot == 0 else 0,
-            backup_wins=0 if slot == 0 else 1,
-            cancelled=cancelled,
-        )
-        if self._outer.set_running_or_notify_cancel():
-            self._outer.set_result(response)

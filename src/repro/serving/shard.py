@@ -87,7 +87,6 @@ from repro.serving.faults import (
     WorkerCrashError,
 )
 from repro.serving.resilience import (
-    HEDGE_QUANTILE_Z,
     CircuitBreaker,
     CircuitBreakerOpen,
     LatencyEwma,
@@ -260,9 +259,7 @@ class Shard:
         with self._lock:
             self._instances.discard(fingerprint)
 
-    def submit(
-        self, request: QueryRequest, deadline: Deadline | None = None
-    ) -> Future:
+    def submit(self, request: QueryRequest) -> Future:
         """Enqueue one request; the returned future resolves to a
         :class:`~repro.serving.api.QueryResponse` or raises a typed
         error (the engine's own, or
@@ -273,19 +270,12 @@ class Shard:
         shard raises *here*, with
         :class:`~repro.serving.resilience.ServiceStopped` — an admitted
         request's outcome always travels through its future.
-
-        ``deadline`` lets a caller hand in a pre-built
-        :class:`~repro.core.deadline.Deadline` instead of the request's
-        relative ``deadline_ms`` — the hedging layer keeps the handle so
-        it can :meth:`~repro.core.deadline.Deadline.retire` the losing
-        attempt cooperatively.
         """
-        if deadline is None:
-            deadline = (
-                Deadline(request.deadline_ms)
-                if request.deadline_ms is not None
-                else None
-            )
+        deadline = (
+            Deadline(request.deadline_ms)
+            if request.deadline_ms is not None
+            else None
+        )
         pending = _Pending(
             request, Future(), time.perf_counter(), deadline=deadline
         )
@@ -397,7 +387,7 @@ class Shard:
         """Whether this shard can be expected to serve right now: not
         stopped and breaker not open.  The process backend additionally
         requires a live (or still-supervisable) worker.  Replica routing
-        and hedging consult this to skip dark shards."""
+        consults this to skip dark shards."""
         with self._lock:
             if self._stopped:
                 return False
@@ -405,30 +395,14 @@ class Shard:
             return False
         return True
 
-    def accepting(self) -> bool:
-        """Healthy *and* with admission headroom — a shard worth
-        hedging onto (a backup fired at a full queue would just be
-        shed)."""
-        return self.healthy() and self.queue_depth() < self.max_queue_depth
-
     def route_for(self, request: QueryRequest) -> str:
         """The route this request takes:
         :func:`~repro.pqe.engine.route_of`.  :meth:`_process`
-        dispatches on it, and the hedge-delay policy keys its latency
-        quantile on it."""
+        dispatches on it, and the degradation policy reads that route's
+        latency EWMA."""
         return route_of(
             request.query, classify_query(request.query), len(request.tid)
         )
-
-    def route_quantile_ms(self, route: str) -> float:
-        """The hedge-delay input: ``route``'s latency EWMA mean plus
-        :data:`~repro.serving.resilience.HEDGE_QUANTILE_Z` deviations
-        (0.0 before any observation)."""
-        if route not in self._route_ewma:
-            raise ValueError(
-                f"unknown route {route!r}; expected one of {ROUTES}"
-            )
-        return self._route_ewma[route].quantile_ms(HEDGE_QUANTILE_Z)
 
     def close(self, wait: bool = True) -> None:
         """Shut the worker pool down gracefully (idempotent): pending
@@ -540,15 +514,10 @@ class Shard:
     def _resolve_deadline(
         self, pending: _Pending, error: DeadlineExceeded | None = None
     ) -> None:
-        """Resolve one request as late (typed), counting it: as
-        ``hedge_retired`` when a hedge retired it (another attempt
-        already answered the caller), else as ``deadline_exceeded`` (the
-        caller's own budget ran out).  Neither is shard ill-health, so
-        neither feeds the breaker."""
-        retired = pending.deadline is not None and pending.deadline.retired
-        self._resilience.add(
-            "hedge_retired" if retired else "deadline_exceeded"
-        )
+        """Resolve one request as late (typed), counting it as
+        ``deadline_exceeded``: the caller's own budget ran out.  That is
+        not shard ill-health, so it does not feed the breaker."""
+        self._resilience.add("deadline_exceeded")
         if error is None:
             error = DeadlineExceeded(
                 f"deadline exceeded before shard {self.shard_id} could "

@@ -40,20 +40,21 @@ Workers attach, copy the two columns out, and detach immediately
 (:func:`read_columns`) — the attachment is transient, so the parent's
 unlink ordering (pins + the FIFO pipe barrier: a segment is released
 only after the RPC that referenced it replied) is the whole ownership
-story.  The attach side also unregisters from the
-``resource_tracker``: on 3.11 the tracker registers attachments too,
-and a tracked attachment would double-unlink the parent's segment when
-the worker exits.
+story.
 
-Supervisor respawn leans on two idempotency guarantees here.  A
-respawned worker re-attaching a segment its predecessor already read
-runs the same unregister-before-use dance (the tracker unregister is a
-best-effort set discard, so a name erased by the dead worker's
-attachment is simply absent); and :meth:`SegmentRegistry.unlink_all`
-is idempotent *and* tolerant of segments a crashed attachment raced
-(``_unlink`` re-registers with the tracker before unlinking and
-swallows ``FileNotFoundError``), so kill-recover-stop cycles leave
-zero ``/dev/shm`` entries — which the kill-recovery test asserts.
+One ``multiprocessing`` resource tracker serves a service's whole
+process tree.  :class:`~repro.serving.worker._WorkerClient` starts the
+parent's tracker before it forks a worker, so every worker, respawned
+ones too, inherits it instead of starting its own at its first attach.
+The tracker keeps one set of names.  The parent's create adds a name,
+and a worker's attach adds it again, which changes nothing (on 3.11 an
+attach registers too).  The parent's unlink removes it once.  If the
+owner dies without unlinking, even by SIGKILL, its workers see pipe EOF
+and exit; the tracker then sees its own pipe close and unlinks every
+name still in the set, so a crashed owner leaves no ``/dev/shm`` entry.
+:meth:`SegmentRegistry.unlink_all` is idempotent and swallows
+``FileNotFoundError``, so kill-recover-stop cycles leave zero
+``/dev/shm`` entries too — which the kill-recovery tests assert.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 from repro.db.columnar import ProbabilityColumns
 
@@ -213,15 +214,6 @@ class SegmentRegistry:
 def _unlink(shm: shared_memory.SharedMemory) -> None:
     try:
         shm.close()
-        # Forked workers share the parent's resource tracker, so the
-        # attach-side unregister (read_columns) may already have erased
-        # this name from the tracker's books; re-register before unlink
-        # (a set add, idempotent) so unlink's own unregister always
-        # finds the name and the tracker never logs a KeyError.
-        try:  # pragma: no cover - tracker internals are best-effort
-            resource_tracker.register(shm._name, "shared_memory")
-        except Exception:
-            pass
         shm.unlink()
     except FileNotFoundError:  # pragma: no cover - already reclaimed
         pass
@@ -232,15 +224,11 @@ def read_columns(
 ) -> ProbabilityColumns:
     """Attach to a published segment, copy the columns out, detach.
 
-    Runs on the worker side.  The attachment is unregistered from the
-    ``resource_tracker`` before use so a worker exit can never unlink a
-    segment the parent still owns (3.11 tracks attachments too)."""
+    Runs on the worker side.  The attach registers the name with the
+    resource tracker the worker shares with its parent, where the
+    parent's create already did; the parent's unlink removes it."""
     shm = shared_memory.SharedMemory(name=name, create=False)
     try:
-        try:  # pragma: no cover - tracker internals are best-effort
-            resource_tracker.unregister(shm._name, "shared_memory")
-        except Exception:
-            pass
         buffer = shm.buf
         numerators = tuple(
             _WORD.unpack_from(buffer, 8 * slot)[0] for slot in range(count)

@@ -226,13 +226,10 @@ class ResilienceStats(Snapshot):
     (one per affected request attempt).
 
     ``deadline_exceeded`` counts requests resolved late because the
-    caller's own budget ran out; ``hedge_retired`` counts hedge losers
-    resolved late after their race was won elsewhere (the caller got
-    its answer from the winner)."""
+    caller's own budget ran out."""
 
     shed: int = 0
     deadline_exceeded: int = 0
-    hedge_retired: int = 0
     degraded: int = 0
     retries: int = 0
     failures: int = 0
@@ -285,13 +282,15 @@ class ReplicationStats(Snapshot):
 
 @dataclass(frozen=True)
 class HedgeStats(Snapshot):
-    """Hedged-request counters for the service.
+    """Hedged-request counters, kept at zero.
 
-    ``launched`` backups actually issued, ``primary_wins`` /
-    ``backup_wins`` which attempt resolved the caller's future first,
-    ``cancelled`` losing attempts retired cooperatively (deadline
-    expired + future cancelled), ``failed_backups`` backup attempts that
-    were rejected at submission or failed typed."""
+    The service no longer hedges: a replicated request is one submission
+    to one replica, so nothing launches a backup.  The section stays in
+    the ``stats`` payload because readers of that payload still read it
+    (the repo benchmark's ``service.hedges_per_request`` and
+    ``service.backup_win_ratio`` read ``launched`` and
+    ``backup_wins``, and its traced run fails on a missing key).  Every
+    field reads 0."""
 
     launched: int = 0
     primary_wins: int = 0
@@ -437,9 +436,10 @@ class ServiceStats(Snapshot):
     p50_ms: float = 0.0
     p95_ms: float = 0.0
     #: service-level routing counters — these live at the service (the
-    #: shards cannot see placement or hedging), so unlike the derived
-    #: aggregates they are real serialized fields
+    #: shards cannot see placement), so unlike the derived aggregates
+    #: they are real serialized fields
     replication: ReplicationStats = field(default_factory=ReplicationStats)
+    #: always zero (see :class:`HedgeStats`); kept for payload readers
     hedging: HedgeStats = field(default_factory=HedgeStats)
 
     @property

@@ -71,6 +71,7 @@ import threading
 import time
 import weakref
 from dataclasses import replace
+from multiprocessing import resource_tracker
 
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.db.columnar import apply_probability_columns
@@ -275,6 +276,11 @@ class _WorkerClient:
             name=f"pqe-worker-{shard_id}",
             daemon=True,
         )
+        # The tracker starts lazily, at this process's first segment
+        # publish.  Start it before the fork, so the worker inherits it
+        # and its first segment attach does not spawn a tracker of its
+        # own (see repro.serving.shm).
+        resource_tracker.ensure_running()
         self._process.start()
         child_conn.close()
         self._send_lock = threading.Lock()

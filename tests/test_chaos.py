@@ -220,7 +220,6 @@ class TestChaos:
         import glob
         import os
 
-        from repro.serving import HedgePolicy
         from repro.serving.shm import segment_prefix
 
         def run(backend):
@@ -231,10 +230,6 @@ class TestChaos:
                 shards=2,
                 workers_per_shard=1,  # single drain => stable order
                 retry=RetryPolicy(attempts=2, base_delay_ms=0.5),
-                # Hedging would let wall-clock timing decide whether a
-                # backup consumes a fault-lane index; keep the schedule
-                # a pure function of the seed.
-                hedge=HedgePolicy(max_backups=0),
                 breaker_failure_threshold=100,
                 fault_injector=injector,
                 backend=backend,

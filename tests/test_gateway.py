@@ -301,6 +301,60 @@ class TestProcessBackendGateway:
             client.close()
 
 
+#: k=1, phi = x0 AND NOT x1 (truth table 0b0010) — hard and
+#: non-monotone, so Monte-Carlo sampling on a large instance.
+NON_MONOTONE = {"k": 1, "nvars": 2, "table": 2}
+
+
+class TestStatsOp:
+    def test_stats_waits_for_workers_off_the_event_loop(self):
+        # On the process backend a shard's stats are a worker RPC, which
+        # waits behind the computations queued on that worker's pipe.
+        # While a stats op waits for a worker busy with a long sweep, a
+        # ping on a third connection must still answer at once.
+        service = ShardedService(shards=1, backend="processes")
+        server = GatewayServer(service).start()
+        sweeper, reader, pinger = (Client(server.port) for _ in range(3))
+        try:
+            large = complete_tid(3, 3, 3, prob=Fraction(1, 3))
+            register(sweeper, "big", facts_of(large))
+            sweep = {
+                "op": "query",
+                "id": 2,
+                "instance": "big",
+                "query": NON_MONOTONE,
+                "budget": {
+                    "epsilon": 0.001,
+                    "min_samples": 200_000,
+                    "max_samples": 200_000,
+                    "seed": 1,
+                    "adaptive": False,
+                },
+            }
+            assert sweeper.rpc(sweep)["ok"]  # cold: builds the plan
+            began = time.monotonic()
+            reply = sweeper.rpc(sweep)
+            sweep_s = time.monotonic() - began
+            assert reply["response"]["engine"] == "monte_carlo"
+            sweeper.send(sweep)
+            time.sleep(sweep_s / 8)  # the worker is sweeping
+            reader.send({"op": "stats", "id": 3})
+            time.sleep(sweep_s / 8)  # the stats RPC waits behind it
+            began = time.monotonic()
+            assert pinger.rpc({"op": "ping", "id": 4})["pong"]
+            ping_s = time.monotonic() - began
+            assert sweeper.recv()["ok"]
+            stats = reader.recv()
+            assert stats["ok"]
+            assert ServiceStats.from_payload(stats["stats"]).requests >= 2
+            assert ping_s < sweep_s / 2, (ping_s, sweep_s)
+        finally:
+            for client in (sweeper, reader, pinger):
+                client.close()
+            server.stop()
+            service.stop(wait=True)
+
+
 class TestTypedErrors:
     def test_unknown_instance(self, gateway_backend):
         client = Client(gateway_backend.port)

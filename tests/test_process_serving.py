@@ -11,6 +11,7 @@ stopped service leaves nothing behind in ``/dev/shm``.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 import random
@@ -73,6 +74,79 @@ def running(pid: int) -> bool:
             return handle.read().rpartition(")")[2].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+def descendants(pid: int) -> list[int]:
+    """Every process below ``pid`` in the process tree, from the
+    parent pid each ``/proc/<pid>/stat`` records."""
+    children: dict[int, list[int]] = {}
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path) as handle:
+                parent = int(handle.read().rpartition(")")[2].split()[1])
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        children.setdefault(parent, []).append(int(path.split("/")[2]))
+    found, stack = [], [pid]
+    while stack:
+        for child in children.get(stack.pop(), []):
+            found.append(child)
+            stack.append(child)
+    return found
+
+
+def is_resource_tracker(pid: int) -> bool:
+    """Whether ``pid`` runs a ``multiprocessing`` resource tracker."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as handle:
+            return b"resource_tracker" in handle.read()
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+
+
+def owner_segments(pid: int) -> list[str]:
+    """The /dev/shm segments process ``pid`` published (its prefix)."""
+    return glob.glob(f"/dev/shm/pqe{pid:x}*")
+
+
+def wait_until(done, timeout: float = 5.0) -> None:
+    """Poll ``done()`` until it holds or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not done():
+        time.sleep(0.05)
+
+
+@contextlib.contextmanager
+def sigkilled_owner(tmp_path, script: str):
+    """Run ``script`` as a serving owner process that prints its worker
+    pids on one line, then blocks on stdin.  Yields ``(owner, pids,
+    errors)``; whatever the test leaves running is SIGKILLed after it,
+    along with any pid the test appends to ``pids``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    errors = tmp_path / "owner.err"
+    pids: list[int] = []
+    with errors.open("w") as stderr, subprocess.Popen(
+        [sys.executable, "-c", script],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=stderr,
+        text=True,
+        env=env,
+        cwd=str(root),
+    ) as owner:
+        try:
+            pids.extend(int(pid) for pid in owner.stdout.readline().split())
+            yield owner, pids, errors
+        finally:
+            owner.kill()
+            for pid in pids:
+                if running(pid):
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+            for path in owner_segments(owner.pid):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
 
 
 def run_backend(backend: str, workload):
@@ -640,7 +714,10 @@ class TestProcessStopSemantics:
     def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
         # The owner of a 2-shard process service dies without running
         # any cleanup.  Each worker must see its pipe's EOF and exit: no
-        # worker may still hold an inherited parent-side end open.
+        # worker may still hold an inherited parent-side end open.  The
+        # whole tree runs one resource tracker, the owner's, started
+        # before the first fork; once the workers are gone it unlinks
+        # the segments the owner never did.
         script = (
             "import sys\n"
             "from repro.db.generator import complete_tid\n"
@@ -655,35 +732,72 @@ class TestProcessStopSemantics:
             " flush=True)\n"
             "sys.stdin.read()\n"
         )
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        errors = tmp_path / "owner.err"
-        pids: list[int] = []
-        with errors.open("w") as stderr, subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=stderr,
-            text=True,
-            env=env,
-            cwd=str(root),
-        ) as owner:
-            try:
-                pids = [int(pid) for pid in owner.stdout.readline().split()]
-                assert len(pids) == 2, errors.read_text()
-                owner.kill()
-                owner.wait(timeout=30)
-                deadline = time.monotonic() + 5.0
-                while time.monotonic() < deadline and any(
-                    running(pid) for pid in pids
-                ):
-                    time.sleep(0.05)
-                assert not [pid for pid in pids if running(pid)]
-            finally:
-                owner.kill()
-                for pid in pids:
-                    if running(pid):
-                        os.kill(pid, signal.SIGKILL)
+        with sigkilled_owner(tmp_path, script) as (owner, pids, errors):
+            assert len(pids) == 2, errors.read_text()
+            trackers = [
+                pid for pid in descendants(owner.pid)
+                if is_resource_tracker(pid)
+            ]
+            assert len(trackers) == 1, trackers
+            assert owner_segments(owner.pid)
+            pids.extend(trackers)
+            owner.kill()
+            owner.wait(timeout=30)
+            wait_until(
+                lambda: not any(running(pid) for pid in pids)
+                and not owner_segments(owner.pid)
+            )
+            assert not [pid for pid in pids if running(pid)]
+            assert not owner_segments(owner.pid)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="reads process states in /proc"
+    )
+    def test_sigkilled_parent_leaks_no_segment_after_a_respawn(
+        self, tmp_path
+    ):
+        # A respawned worker is forked after the owner's tracker exists,
+        # so it shares it.  Its attach must leave the owner's
+        # registration in place: SIGKILL a worker, serve again through
+        # the respawned one, then SIGKILL the owner, and no segment may
+        # remain.
+        script = (
+            "import os, signal, sys, time\n"
+            "from repro.db.generator import complete_tid\n"
+            "from repro.queries.hqueries import q9\n"
+            "from repro.serving import ShardedService\n"
+            "service = ShardedService(shards=1, backend='processes',"
+            " breaker_reset_after_ms=20.0)\n"
+            "shard = service._shards[0]\n"
+            "tid = complete_tid(3, 2, 2)\n"
+            "service.submit(q9(), tid).result()\n"
+            "os.kill(shard._client._process.pid, signal.SIGKILL)\n"
+            "give_up = time.monotonic() + 30\n"
+            "while shard.stats().supervisor.restarts < 1:\n"
+            "    assert time.monotonic() < give_up\n"
+            "    time.sleep(0.02)\n"
+            "while True:\n"
+            "    try:\n"
+            "        service.submit(q9(), tid).result()\n"
+            "        break\n"
+            "    except Exception:\n"
+            "        assert time.monotonic() < give_up\n"
+            "        time.sleep(0.02)\n"
+            "assert shard.stats().supervisor.restarts == 1\n"
+            "print(shard._client._process.pid, flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        with sigkilled_owner(tmp_path, script) as (owner, pids, errors):
+            assert len(pids) == 1, errors.read_text()
+            assert owner_segments(owner.pid)
+            owner.kill()
+            owner.wait(timeout=30)
+            wait_until(
+                lambda: not running(pids[0])
+                and not owner_segments(owner.pid)
+            )
+            assert not running(pids[0])
+            assert not owner_segments(owner.pid)
 
     def test_fork_while_a_parent_end_closes_keeps_the_new_worker(self):
         # One thread closes a worker's parent-side end while another

@@ -1,12 +1,10 @@
-"""Tests for replica placement, hedged requests, and worker supervision.
+"""Tests for replica placement, replicated routing, and worker supervision.
 
 The contract: ``register(..., replicas=n)`` places read-only copies of
 an instance along a deterministic rendezvous ring; routing spreads load
 across the healthy ring members and fails over past an unhealthy
-primary; a :class:`HedgePolicy` races a delayed backup on a second
-replica with the loser retired cooperatively — and none of it is
-visible in the floats, because every replica computes the same
-content-determined probabilities.  On the process backend, a supervisor
+primary — and none of it is visible in the floats, because every
+replica computes the same content-determined probabilities.  On the process backend, a supervisor
 detects worker death, respawns the worker, replays its instance
 registrations, and gives up into the circuit breaker after
 ``max_restarts`` — with zero ``/dev/shm`` leaks through arbitrary
@@ -18,8 +16,6 @@ from __future__ import annotations
 import glob
 import os
 import signal
-import sys
-import threading
 import time
 from fractions import Fraction
 
@@ -32,17 +28,13 @@ from repro.serving import (
     CircuitBreakerOpen,
     FaultInjector,
     GatewayServer,
-    HedgePolicy,
-    LatencyEwma,
     ProcessShard,
-    ServiceStopped,
     ShardedService,
     SupervisorPolicy,
     WorkerCrashError,
     placement_ring,
 )
 from repro.serving.api import QueryRequest
-from repro.serving.shard import Shard
 from repro.serving.shm import segment_prefix
 from repro.serving.stats import ServiceStats
 
@@ -162,310 +154,6 @@ class TestReplicatedRouting:
             )
 
 
-class TestHedging:
-    def test_delay_ms_is_deterministic_and_bounded(self):
-        policy = HedgePolicy(
-            initial_delay_ms=10.0,
-            min_delay_ms=1.0,
-            max_delay_ms=100.0,
-            jitter=0.25,
-            seed=3,
-        )
-        for token, quantile in [(0, 0.0), (1, 4.0), (7, 400.0), (12, 40.0)]:
-            delay = policy.delay_ms(token, quantile)
-            assert delay == policy.delay_ms(token, quantile)
-            base = quantile if quantile > 0 else 10.0
-            base = min(max(base, 1.0), 100.0)
-            assert base * 0.75 <= delay <= base
-        # Different tokens draw different jitter.
-        delays = {policy.delay_ms(t, 50.0) for t in range(16)}
-        assert len(delays) > 1
-
-    def test_hedged_responses_identical_to_reference(self):
-        # Zero hedge delay: a backup fires on (almost) every request.
-        # Whichever side wins, the floats match the direct engine.
-        tid = complete_tid(3, 3, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid] * 24)
-        hedge = HedgePolicy(
-            initial_delay_ms=0.0, min_delay_ms=0.0, jitter=0.0
-        )
-        with ShardedService(shards=4, hedge=hedge) as service:
-            service.register(tid, replicas=2)
-            responses = service.submit_batch(q9(), [tid] * 24)
-            assert [
-                r.probability for r in responses
-            ] == reference.probabilities
-            stats = service.stats()
-            assert (
-                stats.hedging.primary_wins + stats.hedging.backup_wins
-                == 24
-            )
-            # Losers were retired, not leaked: every launched backup
-            # either won, was cancelled, or ran to completion (counted
-            # in the winner/cancel split).
-            assert stats.hedging.launched >= stats.hedging.backup_wins
-
-    def test_hedge_beats_straggler_primary(self):
-        # Straggle every attempt on every shard (rate 1), but hedge
-        # after ~1 ms: the backup starts its straggle later yet the
-        # *first* response still resolves the caller — and with the
-        # straggler firing per-attempt the race stays deterministic in
-        # outcome (both sides eventually answer with the same float).
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid])
-        injector = FaultInjector(
-            seed=5, straggler_rate=Fraction(1, 2), straggler_ms=30.0
-        )
-        hedge = HedgePolicy(
-            initial_delay_ms=1.0,
-            min_delay_ms=1.0,
-            max_delay_ms=1.0,
-            jitter=0.0,
-        )
-        with ShardedService(
-            shards=2, hedge=hedge, fault_injector=injector
-        ) as service:
-            service.register(tid, replicas=2)
-            responses = service.submit_batch(q9(), [tid] * 12)
-            for response in responses:
-                assert response.probability == reference.probabilities[0]
-            stats = service.stats()
-            assert stats.hedging.launched > 0
-            assert injector.stats()["straggler_events"] > 0
-
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_retired_losers_are_not_missed_deadlines(self, backend):
-        # Every attempt straggles, so most losers are already claimed by
-        # a drain when the winner retires them and are resolved late.
-        # No caller set a deadline and every caller got an answer: those
-        # are retired hedge losers, not missed deadlines.
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid])
-        hedge = HedgePolicy(
-            initial_delay_ms=2.0,
-            min_delay_ms=1.0,
-            max_delay_ms=2.0,
-            jitter=0.0,
-        )
-        service = ShardedService(
-            shards=2,
-            workers_per_shard=1,
-            hedge=hedge,
-            fault_injector=FaultInjector(
-                seed=1, straggler_rate=1.0, straggler_ms=30.0
-            ),
-            backend=backend,
-        )
-        try:
-            service.register(tid, replicas=2)
-            futures = [service.submit(q9(), tid) for _ in range(6)]
-            for future in futures:
-                response = future.result(timeout=120)
-                assert response.probability == reference.probabilities[0]
-        finally:
-            service.close()  # waits until every loser is resolved too
-        stats = service.stats()
-        attempts = len(futures) + stats.hedging.launched
-        served = sum(stats.engines.values())
-        late_losers = attempts - stats.hedging.cancelled - served
-        assert stats.resilience.deadline_exceeded == 0
-        assert stats.resilience.hedge_retired == late_losers
-
-    def test_disabled_hedging_never_launches(self):
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        hedge = HedgePolicy(max_backups=0)
-        assert not hedge.enabled
-        with ShardedService(shards=4, hedge=hedge) as service:
-            service.register(tid, replicas=2)
-            service.submit_batch(q9(), [tid] * 8)
-            assert service.stats().hedging.launched == 0
-
-
-#: Hedge after 1 ms: a backup fires against every straggling primary.
-PROMPT_HEDGE = HedgePolicy(
-    initial_delay_ms=1.0, min_delay_ms=1.0, max_delay_ms=1.0, jitter=0.0
-)
-
-
-def clock_threads() -> list[threading.Thread]:
-    return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name == "pqe-hedge-clock"
-    ]
-
-
-class TestHedgeClock:
-    """One clock thread per service fires every hedge: a hedged submit
-    starts no thread, and the clock dies with the service."""
-
-    def test_hedged_submits_start_no_thread_per_request(self, monkeypatch):
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid])
-        with ShardedService(
-            shards=2,
-            hedge=PROMPT_HEDGE,
-            fault_injector=FaultInjector(
-                seed=2, straggler_rate=1.0, straggler_ms=5.0
-            ),
-            backend="threads",
-        ) as service:
-            service.register(tid, replicas=2)
-            # Warm: both shards' pool threads exist before counting.
-            service.submit_batch(q9(), [tid] * 8)
-            starts = []
-            start = threading.Thread.start
-
-            def counting_start(thread):
-                starts.append(thread.name)
-                start(thread)
-
-            monkeypatch.setattr(threading.Thread, "start", counting_start)
-            futures = [service.submit(q9(), tid) for _ in range(32)]
-            for future in futures:
-                response = future.result(timeout=60)
-                assert response.probability == reference.probabilities[0]
-            monkeypatch.undo()
-            assert service.stats().hedging.launched > 0
-        assert len(starts) <= 1, starts
-
-    def test_concurrent_hedged_submits_all_settle(self):
-        # More submitting threads than cores, a tiny switch interval, a
-        # zero hedge delay: every push onto the clock's heap races the
-        # clock thread's pops.  A lost entry or a double fire would
-        # leave a caller without exactly one answer.
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid])
-        hedge = HedgePolicy(
-            initial_delay_ms=0.0, min_delay_ms=0.0, jitter=0.0
-        )
-        futures = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ShardedService(shards=2, hedge=hedge) as service:
-                service.register(tid, replicas=2)
-
-                def submit_many():
-                    for _ in range(16):
-                        futures.append(service.submit(q9(), tid))
-
-                threads = [
-                    threading.Thread(target=submit_many) for _ in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                    assert not thread.is_alive()
-                for future in futures:
-                    response = future.result(timeout=60)
-                    assert response.probability == reference.probabilities[0]
-                hedging = service.stats().hedging
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(futures) == 128
-        assert hedging.primary_wins + hedging.backup_wins == 128
-        assert hedging.launched <= 128
-
-    @pytest.mark.parametrize("shutdown", ["close", "stop"])
-    def test_no_clock_thread_outlives_the_service(self, shutdown):
-        before = set(clock_threads())
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        service = ShardedService(shards=2, hedge=PROMPT_HEDGE)
-        service.register(tid, replicas=2)
-        service.submit_batch(q9(), [tid] * 4)
-        started = [t for t in clock_threads() if t not in before]
-        assert len(started) == 1
-        getattr(service, shutdown)()
-        assert not started[0].is_alive()
-        with pytest.raises(ServiceStopped):
-            service.submit(q9(), tid)
-
-    def test_typed_primary_failure_fires_the_backup_at_once(self):
-        # The first request's primary fails typed on every attempt; the
-        # hedge delay is 5 s, yet the backup answers at once.
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid])
-        primary = placement_ring(tid.instance.shard_key(), 2, 2)[0]
-        slow = HedgePolicy(
-            initial_delay_ms=5000.0,
-            min_delay_ms=5000.0,
-            max_delay_ms=5000.0,
-            jitter=0.0,
-        )
-        service = ShardedService(
-            shards=2,
-            hedge=slow,
-            fault_injector=FaultInjector(broken_requests={(primary, 0)}),
-        )
-        try:
-            service.register(tid, replicas=2)
-            began = time.monotonic()
-            response = service.submit(q9(), tid).result(timeout=10)
-            assert time.monotonic() - began < 2.0
-            assert response.shard != primary
-            assert response.probability == reference.probabilities[0]
-            hedging = service.stats().hedging
-            assert (hedging.launched, hedging.backup_wins) == (1, 1)
-        finally:
-            began = time.monotonic()
-            service.close()
-        # The clock's 5-s entry is dropped, not waited for.
-        assert time.monotonic() - began < 2.0
-
-    def test_backup_submission_error_settles_and_keeps_the_clock(
-        self, monkeypatch
-    ):
-        # The clock's first backup submission raises an untyped error:
-        # that race still settles on its primary, and the next request's
-        # backup still fires from the same clock.
-        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        reference = evaluate_batch(q9(), [tid])
-        submit = Shard.submit
-        failed = []
-
-        def failing_once(shard, request, deadline=None):
-            if (
-                threading.current_thread().name == "pqe-hedge-clock"
-                and not failed
-            ):
-                failed.append(shard.shard_id)
-                raise RuntimeError("injected backup submission failure")
-            return submit(shard, request, deadline)
-
-        monkeypatch.setattr(Shard, "submit", failing_once)
-        with ShardedService(
-            shards=2,
-            hedge=PROMPT_HEDGE,
-            fault_injector=FaultInjector(
-                seed=3, straggler_rate=1.0, straggler_ms=30.0
-            ),
-        ) as service:
-            service.register(tid, replicas=2)
-            for _ in range(2):
-                response = service.submit(q9(), tid).result(timeout=60)
-                assert response.probability == reference.probabilities[0]
-            hedging = service.stats().hedging
-        assert len(failed) == 1
-        assert hedging.failed_backups == 1
-        assert hedging.launched == 1
-
-
-class TestLatencyQuantile:
-    def test_quantile_tracks_mean_plus_deviation(self):
-        ewma = LatencyEwma(alpha=0.5)
-        assert ewma.quantile_ms() == 0.0
-        for _ in range(32):
-            ewma.observe(10.0)
-        assert ewma.quantile_ms(z=2.0) == pytest.approx(10.0, abs=1e-6)
-        for value in (5.0, 15.0) * 16:
-            ewma.observe(value)
-        low = ewma.quantile_ms(z=1.0)
-        high = ewma.quantile_ms(z=3.0)
-        assert high > low > ewma.value()
-
-
 class TestFaultInjectorKillLanes:
     def test_kill_and_straggler_schedules_are_deterministic(self):
         first = FaultInjector(
@@ -519,7 +207,6 @@ class TestFaultInjectorKillLanes:
             service = ShardedService(
                 shards=2,
                 workers_per_shard=1,
-                hedge=HedgePolicy(max_backups=0),
                 fault_injector=FaultInjector(
                     seed=13, worker_kill_rate=Fraction(1, 5)
                 ),
@@ -671,10 +358,7 @@ class TestSupervision:
 class TestReplicationStatsAndGateway:
     def test_service_stats_payload_round_trips_new_sections(self):
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
-        hedge = HedgePolicy(
-            initial_delay_ms=0.0, min_delay_ms=0.0, jitter=0.0
-        )
-        with ShardedService(shards=4, hedge=hedge) as service:
+        with ShardedService(shards=4) as service:
             service.register(tid, replicas=2)
             service.submit_batch(q9(), [tid] * 8)
             stats = service.stats()

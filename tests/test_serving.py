@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 import threading
 from fractions import Fraction
@@ -25,7 +27,7 @@ from repro.queries.cq import Atom, ConjunctiveQuery
 from repro.queries.hqueries import HQuery, q9
 from repro.queries.ucq import UnionOfCQs
 from repro.serving import AccuracyBudget, ShardedService
-from repro.serving.api import QueryRequest
+from repro.serving.api import QueryRequest, QueryResponse
 
 pytestmark = pytest.mark.filterwarnings("error")
 
@@ -310,8 +312,9 @@ def safe_ucq_workload():
 
 class TestRouteTable:
     """One routing rule: for one query per Figure-1 row, ``route_of``,
-    the shard's ``route_for`` (the hedge-delay key), auto-mode
-    ``evaluate`` and the served response all name the same route."""
+    the shard's ``route_for`` (which keys the degradation EWMA),
+    auto-mode ``evaluate`` and the served response all name the same
+    route."""
 
     @staticmethod
     def rows():
@@ -512,6 +515,30 @@ class TestAccuracyBudget:
             AccuracyBudget(min_samples=0)
         with pytest.raises(ValueError):
             AccuracyBudget(min_samples=10, max_samples=5)
+
+
+class TestQueryResponsePayload:
+    def test_payload_round_trips_through_json_in_field_order(self):
+        # Every field away from its default, so a dropped or misnamed
+        # key cannot round-trip by accident.
+        response = QueryResponse(
+            0.3125,
+            "monte_carlo",
+            3,
+            cache_hit=True,
+            batch_size=4,
+            half_width=0.0125,
+            samples=4096,
+            waves=3,
+            latency_ms=1.75,
+            degraded=True,
+        )
+        payload = response.to_payload()
+        assert list(payload) == [
+            field.name for field in dataclasses.fields(QueryResponse)
+        ]
+        rebuilt = QueryResponse.from_payload(json.loads(json.dumps(payload)))
+        assert rebuilt == response
 
 
 class TestShardIsolation:

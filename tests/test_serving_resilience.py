@@ -759,7 +759,6 @@ SNAPSHOTS = [
     ResilienceStats(
         shed=1,
         deadline_exceeded=2,
-        hedge_retired=12,
         degraded=3,
         retries=4,
         failures=5,
