@@ -623,8 +623,8 @@ class Shard:
         self._service_ewma.observe(elapsed_ms)
 
     def observe_route_latency(self, route: str, latency_ms: float) -> None:
-        """Warm-start one route's latency prediction (benches and tests;
-        production traffic feeds the EWMAs itself).  Only the per-route
+        """Warm-start one route's latency prediction (tests; production
+        traffic feeds the EWMAs itself).  Only the per-route
         predictor is touched — the service-wide EWMA behind predictive
         shedding still learns from real traffic only."""
         if route not in self._route_ewma:
