@@ -22,14 +22,17 @@ from pathlib import Path
 DEFAULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_evaluation.json"
 
 #: Flags that must be *present* (a silently dropped exactness claim is
-#: as bad as a false one): the thread/process backend identity and the
-#: deterministic-degradation identity, by dotted path.
+#: as bad as a false one): the thread/process backend identity, the
+#: deterministic-degradation identity and the grounded plan tapes'
+#: identity with the plan interpreters, by dotted path.
 REQUIRED_FLAGS = (
     "serving.backends_identical",
     "resilience.degraded_identical",
+    "extensional.grounded_identical",
     "lifted.lifted_identical",
     "lifted.h_parity_identical",
     "lifted.serving_backends_identical",
+    "lifted.grounded_identical",
     "replication.recovered_identical",
     "gateway.recovered_identical",
 )

@@ -822,6 +822,23 @@ def seed_extensional_probability(query, tid):
     return total
 
 
+def _grounded_identical(plan, tid) -> bool:
+    """Whether ``plan`` grounds over ``tid``'s instance and its tape
+    agrees with the interpreters: the float by ``float.hex``, the exact
+    Fraction with ``evaluate_plan``."""
+    from repro.pqe import lift
+
+    tape = lift.ground_plan(plan, tid.instance)
+    if tape is None:
+        return False
+    interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
+    return lift.evaluate_plan_float(
+        plan, tid
+    ).hex() == interpreted.hex() and tape.evaluate(
+        tid.probability_map()
+    ) == lift.evaluate_plan(plan, tid)
+
+
 def bench_extensional(n=19, batch_size=256, suite_size=16, repeats=3):
     """The vectorized extensional fast path vs. the seed Fraction loops.
 
@@ -837,7 +854,11 @@ def bench_extensional(n=19, batch_size=256, suite_size=16, repeats=3):
       evaluated extensionally (exact backend) and intensionally (compiled
       d-D, exact tape) on a random instance — ``suite_bit_identical``
       demands Fraction equality on every query, as does
-      ``exact_identical`` for seed-vs-vectorized on the big instance.
+      ``exact_identical`` for seed-vs-vectorized on the big instance;
+    * ``grounded_identical`` — on the batch's first 16 maps and every
+      suite instance (the big one stays on the kernels), each plan's
+      grounded tape equals the interpreter float for float and
+      ``evaluate_plan`` exactly.
     """
     import repro.pqe.extensional as extensional
     from repro.db.generator import random_tid
@@ -898,9 +919,15 @@ def bench_extensional(n=19, batch_size=256, suite_size=16, repeats=3):
     cache = CompilationCache(limit=max(64, suite_size + 16))
     suite_identical = True
     suite_seed_identical = True
+    grounded_identical = all(
+        _grounded_identical(plan, batch_tid) for batch_tid in batch_tids[:16]
+    )
     for suite_query in suite:
         suite_tid = random_tid(
             suite_query.k, 3, 3, rng, tuple_density=0.8
+        )
+        grounded_identical = grounded_identical and _grounded_identical(
+            extensional.plan_for(suite_query)[0], suite_tid
         )
         lifted = extensional.probability(suite_query, suite_tid)
         compiled = evaluate(
@@ -934,6 +961,7 @@ def bench_extensional(n=19, batch_size=256, suite_size=16, repeats=3):
         "suite_queries": len(suite),
         "suite_bit_identical": suite_identical,
         "suite_seed_bit_identical": suite_seed_identical,
+        "grounded_identical": grounded_identical,
     }
 
 
@@ -959,7 +987,10 @@ def bench_lifted(
       seed ``Fraction`` loops (the ported-kernel bit-identity claim);
     * ``serving_backends_identical`` — the safe CQ served as
       ``engine="lifted"`` through *both* serving backends, floats equal
-      across backends and to the direct plan evaluation.
+      across backends and to the direct plan evaluation;
+    * ``grounded_identical`` — both plans' grounded tapes on the oracle,
+      big, first 8 batch and serving instances, equal to the
+      interpreter float for float and to ``evaluate_plan`` exactly.
     """
     import repro.pqe.extensional as extensional
     from repro.db.relation import Instance
@@ -1073,6 +1104,11 @@ def bench_lifted(
     serving_backends_identical = (
         by_backend["threads"] == by_backend["processes"] == reference
     )
+    grounded_identical = all(
+        _grounded_identical(plan, tid)
+        for plan in (cq_plan, union_plan)
+        for tid in [oracle_tid, big_tid, *batch_tids[:8], *request_tids]
+    )
 
     return {
         "plan_search_cq_ms": searches["cq"] * 1e3,
@@ -1090,6 +1126,7 @@ def bench_lifted(
         "h_suite_queries": h_suite,
         "h_parity_identical": h_parity_identical,
         "serving_backends_identical": serving_backends_identical,
+        "grounded_identical": grounded_identical,
     }
 
 

@@ -366,8 +366,12 @@ class Circuit:
 
     def reachable_from_output(self) -> set[int]:
         """Gate ids reachable from the output (the live part of the arena)."""
+        return self.reachable_from([self.output])
+
+    def reachable_from(self, gate_ids: Iterable[int]) -> set[int]:
+        """Gate ids reachable from any of ``gate_ids``."""
         seen: set[int] = set()
-        stack = [self.output]
+        stack = list(gate_ids)
         while stack:
             gate_id = stack.pop()
             if gate_id in seen:

@@ -80,6 +80,13 @@ class EvaluationTape:
     (variable slot for ``VAR``, span start for ``NOT``/``AND``/``OR``),
     span length, and one flat ``args`` array of input node indices — plus
     the variable labels in slot order.
+
+    A tape's value is its ``output`` node, or, when ``terms`` is set, the
+    signed sum ``Σ coefficient · node`` over its ``(coefficient, node)``
+    pairs, added in term order from zero: the root inclusion–exclusion of
+    a grounded lifted plan (:func:`repro.pqe.lift.ground_plan`).  The sum
+    is arithmetic outside the circuit, so :meth:`world_masks` only ever
+    sees the term gates, and :meth:`evaluate_worlds` refuses such a tape.
     """
 
     __slots__ = (
@@ -90,6 +97,7 @@ class EvaluationTape:
         "var_labels",
         "output",
         "live",
+        "terms",
         "_float_fn",
         "__weakref__",
     )
@@ -101,8 +109,9 @@ class EvaluationTape:
         arity: array,
         args: array,
         var_labels: tuple[Hashable, ...],
-        output: int,
+        output: int | None,
         live: array,
+        terms: tuple[tuple[int, int], ...] | None = None,
     ):
         self.opcodes = opcodes
         self.operands = operands
@@ -111,13 +120,21 @@ class EvaluationTape:
         self.var_labels = var_labels
         self.output = output
         self.live = live
+        self.terms = terms
         self._float_fn = None
 
     @classmethod
-    def from_circuit(cls, circuit: Circuit) -> "EvaluationTape":
+    def from_circuit(
+        cls,
+        circuit: Circuit,
+        terms: Sequence[tuple[int, int]] | None = None,
+    ) -> "EvaluationTape":
         """Flatten ``circuit``.  A designated output is optional: without
-        one the whole arena is live and only :meth:`gate_values` works."""
-        output = _output_of(circuit)
+        one the whole arena is live and only :meth:`gate_values` works.
+        With ``terms`` (``(coefficient, gate id)`` pairs) the tape's value
+        is their signed sum and the live part is what the term gates
+        reach; the circuit's output is ignored."""
+        output = None if terms is not None else _output_of(circuit)
         n = len(circuit)
         opcodes = array("b", bytes(n))
         operands = array("q", [0]) * n
@@ -143,13 +160,18 @@ class EvaluationTape:
                 operands[gate_id] = len(args)
                 arity[gate_id] = len(gate.inputs)
                 args.extend(gate.inputs)
-        live = array(
-            "q",
-            range(n) if output is None
-            else sorted(circuit.reachable_from_output()),
-        )
+        if terms is not None:
+            terms = tuple(terms)
+            live = array(
+                "q", sorted(circuit.reachable_from(g for _, g in terms))
+            )
+        elif output is None:
+            live = array("q", range(n))
+        else:
+            live = array("q", sorted(circuit.reachable_from_output()))
         return cls(
-            opcodes, operands, arity, args, tuple(var_labels), output, live
+            opcodes, operands, arity, args, tuple(var_labels), output, live,
+            terms,
         )
 
     def __len__(self) -> int:
@@ -179,12 +201,25 @@ class EvaluationTape:
         result = self._evaluate_common_denominator(prob)
         if result is not None:
             return result
-        return self._interpret(prob, self.live)[self._output()]
+        one = one_like(prob)
+        values = self._interpret(prob, self.live)
+        return self._result(values.__getitem__, one - one)
 
     def _output(self) -> int:
         if self.output is None:
             raise ValueError("circuit has no designated output gate")
         return self.output
+
+    def _result(self, value_of, zero: Number) -> Number:
+        """The tape's value from a per-node ``value_of``: the output's, or
+        the signed sum of the term nodes added in term order to ``zero``
+        (as :func:`repro.pqe.lift.evaluate_plan_float` adds them)."""
+        if self.terms is None:
+            return value_of(self._output())
+        total = zero
+        for coefficient, node in self.terms:
+            total += coefficient * value_of(node)
+        return total
 
     def _evaluate_common_denominator(
         self, prob: Mapping[Hashable, Number]
@@ -203,7 +238,9 @@ class EvaluationTape:
         ``#slots + 2`` (possible only on non-decomposable circuits, where
         repeated subcircuits inflate the scale).
         """
-        if self.output is None or not isinstance(one_like(prob), Fraction):
+        if self.output is None and self.terms is None:
+            return None
+        if not isinstance(one_like(prob), Fraction):
             return None
         get = prob.get
         values = []
@@ -280,11 +317,14 @@ class EvaluationTape:
             elif op == OP_CONST_TRUE:
                 nums[i] = 1
             # OP_CONST_FALSE keeps the zero initialization.
-        out = self.output
-        exponent = exps[out]
-        while len(powers) <= exponent:
-            powers.append(powers[-1] * D)
-        return Fraction(nums[out], powers[exponent])
+
+        def fraction(node: int) -> Fraction:
+            exponent = exps[node]
+            while len(powers) <= exponent:
+                powers.append(powers[-1] * D)
+            return Fraction(nums[node], powers[exponent])
+
+        return self._result(fraction, Fraction(0))
 
     def _interpret(
         self, prob: Mapping[Hashable, Number], nodes: Iterable[int]
@@ -391,15 +431,18 @@ class EvaluationTape:
     def evaluate_vectors(
         self, vectors: Sequence[Sequence[float]]
     ) -> list[float]:
-        """``Pr(circuit)`` for a batch of pre-resolved slot vectors — one
-        per batch member, as produced by :meth:`probability_vector`.
+        """``Pr(circuit)`` for a batch of pre-resolved float slot vectors
+        — one per batch member, as produced by :meth:`probability_vector`
+        (and memoized per TID by
+        :meth:`~repro.db.tid.TupleIndependentDatabase.slot_vector`).
 
-        The microbatch entry of the serving layer's intensional route
+        The microbatch entry of the serving layer's tape routes
         (:func:`repro.serving.shard.compute`): each distinct probability
         map of a group is resolved to a slot vector once, and the whole
-        group then shares a single sweep.  Equivalent to
-        :meth:`evaluate_batch` on the corresponding maps, float for
-        float.
+        group then shares a single sweep.  A batch of one runs the
+        generated function on its vector directly, as :meth:`_sweep`
+        would after transposing it.  Equivalent to :meth:`evaluate_batch`
+        on the corresponding maps, float for float.
         """
         width = len(self.var_labels)
         for vector in vectors:
@@ -408,6 +451,8 @@ class EvaluationTape:
                     f"slot vector of length {len(vector)}; the tape has "
                     f"{width} variable slots"
                 )
+        if len(vectors) == 1:
+            return [float(self._compiled()(vectors[0]))]
         rows = [
             [float(vector[slot]) for vector in vectors]
             for slot in range(width)
@@ -527,7 +572,8 @@ class EvaluationTape:
 
     def _compiled(self):
         if self._float_fn is None:
-            self._output()
+            if self.terms is None:
+                self._output()
             if len(self.live) > CODEGEN_GATE_LIMIT:
                 self._float_fn = self._interpreted_float_fn()
             else:
@@ -541,14 +587,15 @@ class EvaluationTape:
         def run(vector):
             prob = dict(zip(self.var_labels, vector))
             values = self._interpret(prob, self.live)
-            return values[self._output()]
+            return self._result(values.__getitem__, 0.0)
 
         return run
 
 
 def _codegen(tape: EvaluationTape):
     """Generate one straight-line Python function evaluating the live part
-    of the tape over a slot vector ``V`` (floats or numpy rows)."""
+    of the tape over a slot vector ``V`` (floats or numpy rows); a term
+    tape returns ``0.0 + c1*v1 + c2*v2 + ...`` in term order."""
     opcodes = tape.opcodes
     operands = tape.operands
     arity = tape.arity
@@ -573,7 +620,13 @@ def _codegen(tape: EvaluationTape):
             for at in range(_CODEGEN_CHUNK, len(inputs), _CODEGEN_CHUNK):
                 chunk = joiner.join(inputs[at : at + _CODEGEN_CHUNK])
                 emit(f" v{i}=v{i}{joiner}{chunk}")
-    emit(f" return v{tape.output}")
+    if tape.terms is None:
+        emit(f" return v{tape.output}")
+    else:
+        emit(" r=0.0")
+        for coefficient, node in tape.terms:
+            emit(f" r=r+({coefficient})*v{node}")
+        emit(" return r")
     namespace: dict = {}
     exec(compile("\n".join(lines), "<evaluation-tape>", "exec"), namespace)
     return namespace["_tape_fn"]

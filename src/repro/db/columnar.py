@@ -18,9 +18,10 @@ module materializes, once per TID, the *columns* those scans consume:
   vectorized backend, and integer numerators over one shared common
   denominator ``D`` for the exact backend — the same integer
   common-denominator trick
-  :meth:`repro.circuits.evaluator.EvaluationTape.evaluate` uses, with
-  the same 64-bit guard (``denominator`` is ``None`` beyond it and the
-  exact caller falls back to :class:`~fractions.Fraction` arithmetic).
+  :meth:`repro.circuits.evaluator.EvaluationTape.evaluate` uses, up to
+  :data:`EXACT_DENOMINATOR_BITS` (``denominator`` is ``None`` beyond it
+  and the exact caller falls back to :class:`~fractions.Fraction`
+  arithmetic).
 
 Caching is two-layered, both keyed by the existing version counters: the
 *layout* (domains, index maps, present-tuple positions) depends only on
@@ -51,8 +52,12 @@ from repro.db.relation import Instance, TupleId
 from repro.db.tid import TupleIndependentDatabase
 
 #: Common denominators above this many bits disable the exact integer
-#: encoding (mirrors ``EvaluationTape._evaluate_common_denominator``).
-EXACT_DENOMINATOR_BITS = 64
+#: encoding, and the h-run kernels fall back to per-group Fractions.
+#: The integer sweep's numbers grow with the instance, so its lead
+#: shrinks with it: on q9 over ``complete_tid`` (2-vCPU VM) the fallback
+#: wins from about 1,100 bits at 4x4, 500 at 10x10 and 280 at 19x19,
+#: while at 180 bits the sweep is 8x faster at 4x4 and 2.8x at 19x19.
+EXACT_DENOMINATOR_BITS = 192
 
 
 def _s_chain_index(name: str) -> int | None:

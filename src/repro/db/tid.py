@@ -122,6 +122,25 @@ class TupleIndependentDatabase:
         self._prob_floats = (versions, floats)
         return floats
 
+    def slot_vector(self, tape) -> list[float]:
+        """``tape``'s variable slots resolved against
+        :meth:`probability_floats` (its
+        :meth:`~repro.circuits.evaluator.EvaluationTape.probability_vector`),
+        memoized per tape under the same key as :meth:`probability_floats`:
+        a :meth:`set_probability` invalidates every vector, and they are
+        dropped with the TID.  Read-only, like the float map."""
+        versions = (self._prob_version, self.instance.content_fingerprint())
+        cached = getattr(self, "_slot_vectors", None)
+        if cached is None or cached[0] != versions:
+            cached = self._slot_vectors = (versions, {})
+        vectors = cached[1]
+        vector = vectors.get(tape)
+        if vector is None:
+            vector = vectors[tape] = tape.probability_vector(
+                self.probability_floats()
+            )
+        return vector
+
     def probability_fingerprint(self) -> tuple:
         """A hashable value identifying the *numeric* content of the TID:
         per-tuple ``(numerator, denominator)`` pairs in ``tuple_ids()``

@@ -97,8 +97,9 @@ class CompiledLineage:
 
     def probability_float(self, tid: TupleIndependentDatabase) -> float:
         """One pass on the compiled ``float`` backend, over the TID's
-        memoized float probabilities."""
-        return self.tape.evaluate_floats(tid.probability_floats())
+        memoized slot vector."""
+        tape = self.tape
+        return tape.evaluate_floats(tid.slot_vector(tape))
 
     def probability_batch(
         self,
@@ -110,16 +111,16 @@ class CompiledLineage:
         sweep of the tape's float backend.
 
         Each batch member is a TID over the compiled instance (read
-        through its memoized float probabilities) or a bare probability
-        map; tuples absent from a map default to probability 0.
+        through its memoized slot vector) or a bare probability map;
+        tuples absent from a map default to probability 0.
         """
-        maps = [
-            p.probability_floats()
+        tape = self.tape
+        return tape.evaluate_vectors([
+            p.slot_vector(tape)
             if isinstance(p, TupleIndependentDatabase)
-            else p
+            else tape.probability_vector(p)
             for p in probs
-        ]
-        return self.tape.evaluate_batch(maps)
+        ])
 
     def size(self) -> int:
         """Gate count of the circuit."""

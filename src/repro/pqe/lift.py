@@ -49,8 +49,20 @@ plan :func:`repro.pqe.extensional.build_plan` returns).  Three
 evaluators share one memoized recursion: exact
 :class:`~fractions.Fraction`, exact integers over a common denominator
 (the :mod:`repro.db.columnar` encoding, used when the instance's common
-denominator fits ``EXACT_DENOMINATOR_BITS``), and float with
+denominator fits :data:`PLAN_DENOMINATOR_BITS`), and float with
 numpy-columnar fast paths for projections over single atoms.
+
+**Grounding.**  Every rule but inclusion–exclusion maps to a d-D gate
+(independent join → decomposable ∧; independent union and project →
+¬∧¬; complement → ¬; an h-run kernel → its chain DP as gates), so a
+plan grounded over one instance is a d-D circuit, and a root
+inclusion–exclusion is a signed sum of its terms' gates.
+:func:`ground_plan` caches that circuit's
+:class:`~repro.circuits.evaluator.EvaluationTape` per plan and instance
+content, and the float evaluators run it on the TID's memoized slot
+vector: the same bits as the float interpreter, which keeps plans whose
+grounding would exceed :data:`GROUND_GATE_LIMIT` gates (and plans with
+inclusion–exclusion below the root).
 """
 
 from __future__ import annotations
@@ -62,16 +74,24 @@ from math import lcm
 
 import numpy as _np
 
+from repro.circuits.circuit import Circuit
+from repro.circuits.evaluator import EvaluationTape
 from repro.db.columnar import (
-    EXACT_DENOMINATOR_BITS,
+    HColumnarLayout,
+    columnar_layout,
     h_columns,
     relation_column_values,
+    relation_grouping_layout,
     relation_probability_columns,
 )
 from repro.db.relation import Instance, TupleId
 from repro.db.tid import TupleIndependentDatabase
 from repro.lattice.poset import FinitePoset
-from repro.pqe.safe_plans import run_probability, run_probability_float
+from repro.pqe.safe_plans import (
+    run_gates,
+    run_probability,
+    run_probability_float,
+)
 from repro.queries.cq import Atom, ConjunctiveQuery, Constant
 from repro.queries.ucq import UnionOfCQs, conjoin_cqs, hquery_to_ucq
 
@@ -83,6 +103,20 @@ MAX_LIFT_DEPTH = 64
 #: Inclusion–exclusion enumerates subsets of disjuncts/components; cap
 #: the width so a degenerate query cannot demand 2^n plan terms.
 MAX_IE_WIDTH = 12
+
+#: Instance-wide common denominators above this many bits send exact
+#: plan evaluation without h-run kernels to Fractions.  Every value is
+#: scaled by powers of the whole instance's denominator, so the integers
+#: outgrow normalized Fractions early: on ``R(x),S(x,y) ∨ T(z)`` over a
+#: 16x16 domain the Fractions win from about 90 bits (2-vCPU VM).
+PLAN_DENOMINATOR_BITS = 64
+
+#: Plans whose grounding would exceed this many gates keep the float
+#: interpreter.  A warm tape call costs 28–46 ns per live gate, against
+#: 0.4–0.75 ms for the interpreter on q9 at any instance size, and a
+#: grounding costs about 25 µs per gate once (2-vCPU VM; the table in
+#: docs/extensional_fast_path.md, "Grounded plans").
+GROUND_GATE_LIMIT = 8192
 
 
 class UnsafeQueryError(ValueError):
@@ -201,6 +235,19 @@ class LiftPlan:
 
     query: object
     root: object
+
+    def __hash__(self) -> int:
+        # Groundings are cached per plan, so a served request hashes its
+        # plan: hash the op tree once, not on every lookup.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.query, self.root))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __reduce__(self):
+        # The memoized hash is salted per process: never ship it.
+        return (LiftPlan, (self.query, self.root))
 
     def op_count(self) -> int:
         """Number of distinct ops in the DAG (shared subplans count once)."""
@@ -794,22 +841,14 @@ def is_liftable(query) -> bool:
 # ----------------------------------------------------------------------
 
 
-class _Evaluation:
-    """One evaluation pass: per-(op, bindings) memo so shared subplans —
-    and the distinct runs of h-query plans — compute once."""
+class _PlanWalk:
+    """One pass over a plan: a per-(op, bindings) memo so shared subplans
+    — and the distinct runs of h-query plans — are visited once."""
 
-    def __init__(self, tid: TupleIndependentDatabase):
-        self.tid = tid
-        self.instance = tid.instance
+    def __init__(self, instance: Instance):
+        self.instance = instance
         self.memo: dict = {}
-        self._h_columns: dict = {}
         self._free: dict = {}
-
-    def h_columns(self, k: int):
-        columns = self._h_columns.get(k)
-        if columns is None:
-            columns = self._h_columns[k] = h_columns(self.tid, k)
-        return columns
 
     def domain(self, sources: tuple) -> list:
         return _project_domain(self.instance, sources)
@@ -840,11 +879,29 @@ class _Evaluation:
             )
         )
 
+
+def _leaf_values(op: LeafAtom, env: dict) -> tuple:
+    return tuple(
+        env[term] if isinstance(term, Marker) else term for term in op.terms
+    )
+
+
+class _Evaluation(_PlanWalk):
+    """One evaluation pass over a TID."""
+
+    def __init__(self, tid: TupleIndependentDatabase):
+        super().__init__(tid.instance)
+        self.tid = tid
+        self._h_columns: dict = {}
+
+    def h_columns(self, k: int):
+        columns = self._h_columns.get(k)
+        if columns is None:
+            columns = self._h_columns[k] = h_columns(self.tid, k)
+        return columns
+
     def leaf_probability(self, op: LeafAtom, env: dict) -> Fraction:
-        values = tuple(
-            env[term] if isinstance(term, Marker) else term
-            for term in op.terms
-        )
+        values = _leaf_values(op, env)
         if not self.instance.has(op.relation, values):
             return Fraction(0)
         return self.tid.probability_of(TupleId(op.relation, values))
@@ -947,10 +1004,22 @@ def _eval_float(op, env: dict, ev: _Evaluation) -> float:
 
 
 def _project_column(op: IndependentProject, env: dict, ev: _Evaluation):
-    """The columnar fast path of a projection: when the child is one
-    atom in which the projected marker occurs exactly once and every
-    other term is resolved, the whole domain sweep is one grouped
-    probability column — return it (a float array), else ``None``."""
+    """The columnar fast path of a projection: its group's probability
+    column (a float array) when :func:`_projection_group` finds one,
+    else ``None``."""
+    group = _projection_group(op, env)
+    if group is None:
+        return None
+    relation, key_positions, key = group
+    groups = relation_probability_columns(ev.tid, relation, key_positions)
+    return groups.get(key, _EMPTY_COLUMN)
+
+
+def _projection_group(op: IndependentProject, env: dict):
+    """When the child is one atom in which the projected marker occurs
+    exactly once and every other term is resolved, the whole domain
+    sweep is one group of that relation's facts: return ``(relation,
+    key positions, key values)``, else ``None``."""
     child = op.part
     if not isinstance(child, LeafAtom):
         return None
@@ -971,10 +1040,7 @@ def _project_column(op: IndependentProject, env: dict, ev: _Evaluation):
         else:
             key_values.append(term)
         key_positions.append(index)
-    groups = relation_probability_columns(
-        ev.tid, child.relation, tuple(key_positions)
-    )
-    return groups.get(tuple(key_values), _EMPTY_COLUMN)
+    return child.relation, tuple(key_positions), tuple(key_values)
 
 
 _EMPTY_COLUMN = _np.zeros(0)
@@ -1003,7 +1069,7 @@ class _CommonDenominator:
             )
         self.denominator = (
             denominator
-            if denominator.bit_length() <= EXACT_DENOMINATOR_BITS
+            if denominator.bit_length() <= PLAN_DENOMINATOR_BITS
             else None
         )
         self._powers: dict[int, int] = {0: 1, 1: denominator}
@@ -1071,24 +1137,209 @@ def _eval_common_denominator(
     return value
 
 
-def _contains_kernel(root) -> bool:
+def _plan_ops(root) -> set:
+    """The distinct ops of a plan DAG."""
     seen = set()
     stack = [root]
     while stack:
         op = stack.pop()
-        if op in seen:
-            continue
-        seen.add(op)
-        if isinstance(op, HRunKernel):
-            return True
-        stack.extend(op.children())
-    return False
+        if op not in seen:
+            seen.add(op)
+            stack.extend(op.children())
+    return seen
+
+
+def _contains_kernel(root) -> bool:
+    return any(isinstance(op, HRunKernel) for op in _plan_ops(root))
+
+
+# -- grounding ------------------------------------------------------------
+
+
+class _Ungroundable(Exception):
+    """The grounding stops: over its gate limit, or an
+    inclusion–exclusion below the root."""
+
+
+class _Grounding(_PlanWalk):
+    """One grounding pass: a hash-consed circuit and its gate builders.
+
+    The builders fold constants only where the float interpreter's
+    arithmetic is exact (``x·1.0``, ``x·0.0`` on the non-negative values
+    a plan computes, ``x+0.0``, ``1.0−1.0``, ``1.0−0.0``), and keep
+    every other gate's inputs in the interpreter's operand order.
+    """
+
+    def __init__(self, instance: Instance, limit: int | None):
+        super().__init__(instance)
+        self.limit = limit
+        self.circuit = Circuit(dedup=True)
+        self.false = self.circuit.add_const(False)
+        self.true = self.circuit.add_const(True)
+
+    def _counted(self, gate: int) -> int:
+        if self.limit is not None and len(self.circuit) > self.limit:
+            raise _Ungroundable
+        return gate
+
+    def var(self, tuple_id: TupleId) -> int:
+        return self._counted(self.circuit.add_var(tuple_id))
+
+    def and_(self, inputs) -> int:
+        kept = []
+        for gate in inputs:
+            if gate == self.false:
+                return self.false
+            if gate != self.true:
+                kept.append(gate)
+        return self._counted(self.circuit.add_and(kept))
+
+    def or_(self, inputs) -> int:
+        return self._counted(
+            self.circuit.add_or([g for g in inputs if g != self.false])
+        )
+
+    def not_(self, gate: int) -> int:
+        if gate == self.true:
+            return self.false
+        if gate == self.false:
+            return self.true
+        return self._counted(self.circuit.add_not(gate))
+
+    def any_of(self, gates) -> int:
+        """``1 − ∏(1 − g)``, the independent union, as ¬∧¬."""
+        return self.not_(self.and_([self.not_(g) for g in gates]))
+
+
+def _ground_op(op, env: dict, g: _Grounding) -> int:
+    key = (op, g.bindings_key(op, env))
+    cached = g.memo.get(key)
+    if cached is not None:
+        return cached
+    if isinstance(op, LeafAtom):
+        values = _leaf_values(op, env)
+        gate = (
+            g.var(TupleId(op.relation, values))
+            if g.instance.has(op.relation, values)
+            else g.false
+        )
+    elif isinstance(op, IndependentJoin):
+        gate = g.and_([_ground_op(child, env, g) for child in op.parts])
+    elif isinstance(op, IndependentUnion):
+        gate = g.any_of([_ground_op(child, env, g) for child in op.parts])
+    elif isinstance(op, Complement):
+        gate = g.not_(_ground_op(op.part, env, g))
+    elif isinstance(op, IndependentProject):
+        group = _projection_group(op, env)
+        if group is not None:  # the interpreter's columnar path
+            relation, key_positions, key = group
+            layout = relation_grouping_layout(
+                g.instance, relation, key_positions
+            )
+            gate = g.any_of([g.var(t) for t in layout.get(key, ())])
+        else:
+            parts = []
+            for constant in g.domain(op.sources):
+                bound = dict(env)
+                bound[op.marker] = constant
+                parts.append(_ground_op(op.part, bound, g))
+            gate = g.any_of(parts)
+    elif isinstance(op, HRunKernel):
+        gate = run_gates(
+            op.run, op.k, columnar_layout(g.instance, op.k), g
+        )
+    elif isinstance(op, InclusionExclusion):
+        raise _Ungroundable  # below the root: the interpreter keeps it
+    else:  # pragma: no cover - defensive
+        raise TypeError(f"unknown lift op {type(op).__name__}")
+    g.memo[key] = gate
+    return gate
+
+
+def ground_circuit(
+    plan: LiftPlan | object, instance: Instance, limit: int | None = None
+) -> tuple[Circuit, tuple | None] | None:
+    """Ground a plan over ``instance`` into one hash-consed circuit.
+
+    Returns ``(circuit, terms)``.  Without inclusion–exclusion the
+    circuit's output is the plan and ``terms`` is ``None``; a root
+    inclusion–exclusion leaves the output unset and returns its
+    ``(coefficient, gate)`` terms, whose signed sum is the plan.  Every
+    gate of a sound plan's circuit is d-D (tests check it with
+    :func:`repro.circuits.validation.assert_d_d`).  Returns ``None``
+    for an inclusion–exclusion below the root, or when the circuit would
+    exceed ``limit`` gates.  h-run kernels are held to that limit by
+    :func:`_kernel_gate_bound` before any gate is built, so a large
+    instance costs no thrown-away grounding.
+    """
+    root = plan.root if isinstance(plan, LiftPlan) else plan
+    if limit is not None:
+        kernels = [op for op in _plan_ops(root) if isinstance(op, HRunKernel)]
+        if kernels and _kernel_gate_bound(kernels, instance) > limit:
+            return None
+    g = _Grounding(instance, limit)
+    try:
+        if isinstance(root, InclusionExclusion):
+            terms = tuple(
+                (coefficient, _ground_op(child, {}, g))
+                for coefficient, child in root.terms
+            )
+            return g.circuit, terms
+        g.circuit.set_output(_ground_op(root, {}, g))
+    except _Ungroundable:
+        return None
+    return g.circuit, None
+
+
+def _kernel_gate_bound(kernels: list, instance: Instance) -> int:
+    """An upper bound on the gates ``kernels`` add to a grounding over
+    ``instance``.  Gates of distinct groups never coincide, and an absent
+    tuple only folds gates away, so no group adds more than the kernels
+    grounded over one complete group.  That count, on a one-group
+    layout, also holds one group's side and root gates, so scaling it by
+    the group count covers every side value too."""
+    bound = 0
+    for k in sorted({op.k for op in kernels}):
+        layout = columnar_layout(instance, k)
+        one = HColumnarLayout(
+            k=k,
+            xs=(0,),
+            ys=(0,),
+            r_slots=((0, "R"),),
+            t_slots=((0, "T"),),
+            s_slots=tuple(((0, f"S{i}"),) for i in range(1, k + 1)),
+        )
+        g = _Grounding(Instance(), None)
+        for op in kernels:
+            if op.k == k:
+                run_gates(op.run, k, one, g)
+        bound += (len(g.circuit) - 2) * layout.nx * layout.ny
+    return bound
+
+
+def ground_plan(
+    plan: LiftPlan | object, instance: Instance
+) -> EvaluationTape | None:
+    """The evaluation tape of :func:`ground_circuit` under
+    :data:`GROUND_GATE_LIMIT`, cached per plan and instance content
+    (:meth:`~repro.db.relation.Instance.cached_derivation`; only the
+    tape and its generated code stay).  ``None`` — also cached — when
+    the plan keeps the interpreter."""
+
+    def build(db: Instance) -> EvaluationTape | None:
+        grounded = ground_circuit(plan, db, GROUND_GATE_LIMIT)
+        if grounded is None:
+            return None
+        circuit, terms = grounded
+        return EvaluationTape.from_circuit(circuit, terms)
+
+    return instance.cached_derivation(("pqe.lift.ground", plan), build)
 
 
 def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fraction:
     """Exact ``Pr(Q)`` of a lifted plan: integer common-denominator
     arithmetic when the instance's denominator fits
-    ``EXACT_DENOMINATOR_BITS`` (and the plan has no h-kernels, which
+    :data:`PLAN_DENOMINATOR_BITS` (and the plan has no h-kernels, which
     return ready-made Fractions), exact Fractions otherwise — the two
     backends are exact, so they agree bit-identically."""
     root = plan.root if isinstance(plan, LiftPlan) else plan
@@ -1104,8 +1355,14 @@ def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fra
 def evaluate_plan_float(
     plan: LiftPlan | object, tid: TupleIndependentDatabase
 ) -> float:
-    """Float ``Pr(Q)`` of a lifted plan (numpy-columnar fast paths for
-    single-atom projections; h-kernels keep the chain-DP float sweeps)."""
+    """Float ``Pr(Q)`` of a lifted plan: its grounded tape
+    (:func:`ground_plan`) on the TID's memoized slot vector, or, for a
+    plan that keeps the interpreter, :func:`_eval_float` (numpy-columnar
+    fast paths for single-atom projections, the chain-DP float sweeps for
+    h-kernels).  Both give the same bits."""
+    tape = ground_plan(plan, tid.instance)
+    if tape is not None:
+        return tape.evaluate_vectors([tid.slot_vector(tape)])[0]
     root = plan.root if isinstance(plan, LiftPlan) else plan
     return _eval_float(root, {}, _Evaluation(tid))
 

@@ -31,7 +31,8 @@ float backend, and as integer numerators over one common denominator
 state mass after ``j`` chain steps is ``numerator / D**j``, and the one
 ``Fraction`` built at the end canonicalizes, so the result is
 bit-identical to the :class:`~fractions.Fraction` dynamic program).
-Exact maps whose common denominator overflows 64 bits fall back to the
+Exact maps whose common denominator overflows
+:data:`~repro.db.columnar.EXACT_DENOMINATOR_BITS` fall back to the
 per-group :class:`~fractions.Fraction` scans.
 """
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 
 import numpy as _np
 
-from repro.db.columnar import HColumns, h_columns
+from repro.db.columnar import HColumnarLayout, HColumns, h_columns
 from repro.db.tid import TupleIndependentDatabase
 
 
@@ -304,8 +305,115 @@ def _right_float(a: int, k: int, cols: HColumns) -> float:
 
 
 # ----------------------------------------------------------------------
+# Gate backend: the float sweeps written as d-D gates
+# ----------------------------------------------------------------------
+#
+# ``gates`` is a grounding builder (:func:`repro.pqe.lift.ground_circuit`)
+# with ``var``, ``and_``, ``or_``, ``not_`` and the constants ``true``
+# and ``false``.  Every gate takes its inputs in the order the float
+# sweeps above multiply or add them, so a tape of these gates returns
+# the sweeps' bits.
+
+
+def _chain_gates(gates, chain, satisfied_by_first, satisfied_by_last) -> int:
+    """:func:`_chain_sweep_float` for one group: ``chain`` holds each
+    position's tuple gate (``false`` when absent).  The four states are
+    disjoint events over the tuples so far, so every ∨ is deterministic;
+    each step ∧s the new tuple, or its ¬, with earlier states, so every
+    ∧ is decomposable."""
+    m = len(chain)
+    s00, s01, s10, s11 = gates.true, gates.false, gates.false, gates.false
+    for j, p in enumerate(chain):
+        q = gates.not_(p)
+        trigger = (j == 0 and satisfied_by_first) or (
+            j == m - 1 and satisfied_by_last
+        )
+        n00 = gates.and_((q, gates.or_((s00, s10))))
+        n01 = gates.and_((q, gates.or_((s01, s11))))
+        if trigger:
+            n10 = gates.false
+            n11 = gates.and_((p, gates.or_((s00, s01, s10, s11))))
+        else:
+            n10 = gates.and_((p, s00))
+            n11 = gates.and_((p, gates.or_((s01, s10, s11))))
+        s00, s01, s10, s11 = n00, n01, n10, n11
+    return gates.or_((s01, s11))
+
+
+def _gate_column(gates, slots, size: int) -> list[int]:
+    """One layout column as gates: present tuples become variables,
+    absent ones the constant ``false`` (probability 0)."""
+    column = [gates.false] * size
+    for position, tuple_id in slots:
+        column[position] = gates.var(tuple_id)
+    return column
+
+
+def _run_chain_rows(run: tuple[int, int], k: int) -> range:
+    """The ``S_i`` indices of a run's chains, as the float sweeps take
+    them."""
+    a, b = run
+    if a == 0:
+        return range(1, b + 2)
+    if b == k:
+        return range(a, k + 1)
+    return range(a, b + 2)
+
+
+def run_gates(
+    run: tuple[int, int], k: int, layout: HColumnarLayout, gates
+) -> int:
+    """``Pr(∨_{i in [a..b]} h_{k,i})`` as a d-D over the instance's
+    tuples: :func:`run_probability_float`'s sweep, with independent
+    products as ¬∧¬ and a left or right run's
+    ``r·(1−miss_fired) + (1−r)·(1−miss_plain)`` as an ∨ over ``R`` and
+    ``¬R``.  Returns the output gate.
+
+    :raises UnsafeSubqueryError: if the run is all of ``{0..k}``.
+    """
+    _check_run(run, k)
+    a, b = run
+    nx, ny = layout.nx, layout.ny
+    chains = [
+        _gate_column(gates, layout.s_slots[i - 1], nx * ny)
+        for i in _run_chain_rows(run, k)
+    ]
+    if 0 < a and b < k:
+        misses = [
+            gates.not_(
+                _chain_gates(gates, [c[cell] for c in chains], False, False)
+            )
+            for cell in range(nx * ny)
+        ]
+        return gates.not_(gates.and_(misses))
+    left = a == 0
+    if left:  # group by x, chain over y; R fires the first position
+        side = _gate_column(gates, layout.r_slots, nx)
+        groups = [[x * ny + y for y in range(ny)] for x in range(nx)]
+    else:  # group by y, chain over x; T fires the last position
+        side = _gate_column(gates, layout.t_slots, ny)
+        groups = [[x * ny + y for x in range(nx)] for y in range(ny)]
+    misses = []
+    for fires, cells in zip(side, groups):
+        plain = []
+        fired = []
+        for cell in cells:
+            chain = [c[cell] for c in chains]
+            plain.append(gates.not_(_chain_gates(gates, chain, False, False)))
+            fired.append(
+                gates.not_(_chain_gates(gates, chain, left, not left))
+            )
+        hit = gates.or_((
+            gates.and_((fires, gates.not_(gates.and_(fired)))),
+            gates.and_((gates.not_(fires), gates.not_(gates.and_(plain)))),
+        ))
+        misses.append(gates.not_(hit))
+    return gates.not_(gates.and_(misses))
+
+
+# ----------------------------------------------------------------------
 # Fraction fallback (the pre-columnar reference implementation; used
-# when the exact common denominator overflows 64 bits)
+# when the exact common denominator overflows EXACT_DENOMINATOR_BITS)
 # ----------------------------------------------------------------------
 
 

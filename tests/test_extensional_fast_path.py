@@ -9,10 +9,16 @@ from fractions import Fraction
 
 import pytest
 
+from repro.circuits.validation import CircuitPropertyError, assert_d_d
 from repro.core.boolean_function import BooleanFunction
-from repro.db.columnar import columnar_layout, h_columns
+from repro.db.columnar import (
+    EXACT_DENOMINATOR_BITS,
+    columnar_layout,
+    h_columns,
+)
 from repro.db.generator import complete_tid, random_tid
 from repro.db.relation import TupleId
+from repro.db.tid import TupleIndependentDatabase
 from repro.enumeration.monotone import enumerate_monotone_functions
 from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.engine import (
@@ -30,8 +36,22 @@ from repro.pqe.extensional import (
     probability_batch,
     probability_float,
 )
-from repro.pqe.lift import HRunKernel, InclusionExclusion, LiftPlan
+from repro.pqe import lift
+from repro.pqe.lift import (
+    HRunKernel,
+    IndependentJoin,
+    InclusionExclusion,
+    LiftPlan,
+    evaluate_plan_float,
+    ground_circuit,
+    ground_plan,
+    lift_query,
+    lifted_probability,
+)
+from repro.pqe.safe_plans import _run_probability_fractions, run_probability
 from repro.queries.hqueries import HQuery, q9
+from repro.queries.ucq import hquery_to_ucq
+from repro.serving.shard import compute
 
 
 class TestColumnarView:
@@ -75,8 +95,10 @@ class TestColumnarView:
         assert second is not first
         assert second.denominator == 6
 
-    def test_exact_encoding_disabled_beyond_64_bit_denominator(self):
-        tid = complete_tid(2, 1, 1, prob=Fraction(1, 2**70 + 1))
+    def test_exact_encoding_disabled_beyond_the_limit(self):
+        tid = complete_tid(
+            2, 1, 1, prob=Fraction(1, 2 ** (EXACT_DENOMINATOR_BITS + 6) + 1)
+        )
         cols = h_columns(tid, 2)
         assert cols.denominator is None
         assert cols.s_num is None
@@ -294,3 +316,147 @@ class TestEngineRouting:
         result = evaluate(query, tid)
         assert result.engine == "extensional"
         assert result.probability == probability(query, tid)
+
+
+class TestGroundedPlans:
+    """q9's extensional plan grounded into a d-D circuit and its tape."""
+
+    def test_q9_terms_ground_to_d_ds(self):
+        plan = build_plan(q9())
+        for n, m in ((1, 1), (2, 2), (3, 4)):
+            tid = complete_tid(3, n, m, prob=Fraction(3, 16))
+            circuit, terms = ground_circuit(plan, tid.instance)
+            assert [c for c, _ in terms] == [c for c, _ in plan.root.terms]
+            assert_d_d(circuit)  # every gate of every term
+            tape = ground_plan(plan, tid.instance)
+            assert tape.evaluate(tid.probability_map()) == probability(
+                q9(), tid
+            )
+            with pytest.raises(ValueError):  # the sum is not a gate
+                tape.evaluate_worlds([[0] * len(tape.var_labels)])
+
+    def test_grounded_floats_equal_the_interpreter(self):
+        # k/15 floats round, so an operand out of the interpreter's
+        # order changes bits (k/16 ones multiply exactly).
+        rng = random.Random(0x615)
+        queries = [q9()]
+        while len(queries) < 6:
+            phi = BooleanFunction.random_monotone(4, rng)
+            query = HQuery(3, phi)
+            if not (phi.is_bottom() or phi.is_top()) and is_safe(query):
+                queries.append(query)
+        for n, m, density in ((2, 3, 1.0), (3, 3, 0.8), (4, 3, 0.7)):
+            tid = random_tid(3, n, m, rng, tuple_density=density)
+            for t in tid.instance.tuple_ids():
+                tid.set_probability(t, Fraction(rng.randrange(0, 16), 15))
+            for query in queries:
+                plan = build_plan(query)
+                assert ground_plan(plan, tid.instance) is not None
+                interpreted = lift._eval_float(
+                    plan.root, {}, lift._Evaluation(tid)
+                )
+                grounded = evaluate_plan_float(plan, tid)
+                assert grounded.hex() == interpreted.hex(), (query, n, m)
+
+    def test_chain_operand_order_matches_the_sweep(self):
+        # A reordered sum or product shows only where its rounding
+        # survives the 1 - x steps above it: single kernels over one or
+        # two groups, with mid-range k/15 tuples (seed-fixed inputs on
+        # which a reordered three-state sum changes bits).
+        rng = random.Random(9)
+        for _ in range(200):
+            tid = complete_tid(3, rng.randint(1, 2), rng.randint(1, 2))
+            for t in tid.instance.tuple_ids():
+                tid.set_probability(t, Fraction(rng.randrange(4, 14), 15))
+            for run in [(0, 2), (1, 3), (1, 2)]:
+                kernel = HRunKernel(run, 3)
+                interpreted = lift._eval_float(
+                    kernel, {}, lift._Evaluation(tid)
+                )
+                grounded = evaluate_plan_float(kernel, tid)
+                assert grounded.hex() == interpreted.hex(), run
+
+    def test_overlapping_runs_are_not_decomposable(self):
+        # A join claiming [0..1] and [1..2] independent: both read S2.
+        tid = complete_tid(3, 1, 1)
+        join = IndependentJoin((HRunKernel((0, 1), 3), HRunKernel((1, 2), 3)))
+        circuit, terms = ground_circuit(join, tid.instance)
+        assert terms is None
+        with pytest.raises(CircuitPropertyError):
+            assert_d_d(circuit)
+
+    def test_kernel_plan_over_the_limit_builds_no_gate(self, monkeypatch):
+        plan = build_plan(q9())
+        tid = random_tid(3, 4, 4, random.Random(41), tuple_density=0.8)
+        assert ground_plan(plan, tid.instance) is not None
+        tid = complete_tid(3, 4, 4, prob=Fraction(5, 16))
+        monkeypatch.setattr(lift, "GROUND_GATE_LIMIT", 1000)
+
+        def no_grounding(*args):
+            raise AssertionError("grounded a plan over the limit")
+
+        monkeypatch.setattr(lift, "_ground_op", no_grounding)
+        assert ground_plan(plan, tid.instance) is None
+        assert not hasattr(tid, "_slot_vectors")
+        value = probability_float(q9(), tid, plan=plan)
+        assert not hasattr(tid, "_slot_vectors")  # the interpreter ran
+        assert hasattr(tid, "_columnar_cache")
+        assert value == pytest.approx(float(probability(q9(), tid)), abs=1e-12)
+
+    def test_slot_vectors_follow_probability_updates(self):
+        # A stale slot vector would serve the old map on both tape
+        # routes of serving compute.
+        zero_euler = HQuery(3, BooleanFunction(4, 9369))
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        cache, plans = CompilationCache(), ExtensionalPlanCache()
+
+        def answers(t):
+            return [
+                compute(cache, plans, route, query, [t], None, None)[0][0]
+                for route, query in (
+                    ("extensional", q9()),
+                    ("intensional", zero_euler),
+                )
+            ]
+
+        before = answers(tid)
+        assert answers(tid) == before
+        for t in tid.instance.tuple_ids()[:6]:
+            tid.set_probability(t, Fraction(15, 16))
+        fresh = TupleIndependentDatabase(tid.instance)
+        for t, p in tid.probability_map().items():
+            fresh.set_probability(t, p)
+        after = answers(tid)
+        assert after == answers(fresh)
+        assert all(a != b for a, b in zip(after, before))
+        # Each tape read its own vector: the floats track the exact
+        # answers.
+        exact = [
+            probability(q9(), fresh),
+            evaluate(zero_euler, fresh, method="intensional").probability,
+        ]
+        assert after == pytest.approx([float(e) for e in exact], abs=1e-12)
+        assert ground_plan(plans.get_or_build(q9())[0], tid.instance)
+
+    def test_wide_denominators_take_the_exact_sweep(self):
+        # Eight 16-bit primes: a common denominator between 64 bits and
+        # the limit, which the integer sweep now takes.
+        primes = [65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423]
+        tid = complete_tid(3, 2, 1)
+        for i, t in enumerate(tid.instance.tuple_ids()):
+            tid.set_probability(t, Fraction(i + 1, primes[i % len(primes)]))
+        cols = h_columns(tid, 3)
+        assert cols.denominator is not None
+        assert 64 < cols.denominator.bit_length() <= EXACT_DENOMINATOR_BITS
+        for run in [(0, 0), (0, 2), (1, 2), (2, 2), (1, 3), (3, 3)]:
+            assert run_probability(run, 3, tid) == _run_probability_fractions(
+                run, 3, tid
+            )
+        # The kernel plan against the Fraction interpreter of the UCQ
+        # plan (whose common denominator is beyond its own limit).
+        exact = probability(q9(), tid)
+        assert exact == lifted_probability(hquery_to_ucq(q9()), tid)
+        assert exact == probability_by_world_enumeration(q9(), tid)
+        assert evaluate_plan_float(build_plan(q9()), tid) == pytest.approx(
+            float(exact), abs=1e-12
+        )

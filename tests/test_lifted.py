@@ -11,11 +11,16 @@ family — the two safety notions must coincide where they overlap.
 from __future__ import annotations
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from repro.circuits.validation import assert_d_d
 from repro.core.boolean_function import BooleanFunction
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
@@ -24,6 +29,7 @@ from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.dichotomy import classify, classify_query
 from repro.pqe.engine import HardQueryError, evaluate, evaluate_batch
 from repro.pqe.extensional import (
+    build_plan,
     extensional_plan_stats,
     lattice_cache_counters,
     plan_for,
@@ -41,6 +47,8 @@ from repro.pqe.lift import (
     describe_plan,
     evaluate_plan,
     evaluate_plan_float,
+    ground_circuit,
+    ground_plan,
     is_liftable,
     lift_query,
     lifted_probability,
@@ -70,6 +78,43 @@ def random_tid(rng, rels, domain=2, density=0.8):
 
 def h_schema(k):
     return {"R": 1, "T": 1, **{f"S{i}": 2 for i in range(1, k + 1)}}
+
+
+def random_map(tid, rng, denominator=16):
+    """A fresh TID over ``tid``'s instance: a random k/``denominator``
+    map whose first two tuples are 0 and 1.  k/16 floats are exact, so
+    they multiply and add without rounding; k/15 ones round, and only
+    they show a gate whose operands are out of the interpreter's order."""
+    fresh = TupleIndependentDatabase(tid.instance)
+    for i, t in enumerate(tid.instance.tuple_ids()):
+        fresh.set_probability(
+            t,
+            Fraction(i) if i < 2
+            else Fraction(rng.randrange(0, denominator + 1), denominator),
+        )
+    return fresh
+
+
+def check_grounded(plan, tid, oracle=None, enumerate_worlds=True) -> bool:
+    """Check a plan's grounded tape on ``tid`` against the interpreters,
+    the oracle (``oracle``, else world enumeration up to 22 tuples) and
+    ``assert_d_d``; return whether the plan grounds."""
+    tape = ground_plan(plan, tid.instance)
+    if tape is None:
+        return False
+    interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
+    assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
+    exact = evaluate_plan(plan, tid)
+    assert tape.evaluate(tid.probability_map()) == exact
+    if oracle is None and enumerate_worlds and len(tid) <= 22:
+        oracle = probability_by_world_enumeration(plan.query, tid)
+    if oracle is not None:
+        assert exact == oracle
+    # Without inclusion-exclusion the circuit is the plan; with it, the
+    # arena holds every term's gates.
+    circuit, _ = ground_circuit(plan, tid.instance)
+    assert_d_d(circuit)
+    return True
 
 
 class TestSafetyAgreement:
@@ -146,6 +191,8 @@ class TestHQueryParity:
     @pytest.mark.parametrize("k", [1, 2])
     def test_exact_parity_with_extensional(self, k):
         rng = random.Random(0xB0B5 + k)
+        maps = random.Random(0x16 + k)
+        ucq_plans = grounded = 0
         n = k + 1
         for table in range(1, (1 << (1 << n)) - 1):
             query = HQuery(k, BooleanFunction(n, table))
@@ -157,6 +204,18 @@ class TestHQueryParity:
             lifted = lifted_probability(hquery_to_ucq(query), tid)
             extensional = extensional_probability(query, tid)
             assert lifted == extensional, f"k={k} table={table}"
+            # The h-kernel plan grounds; the UCQ plan does unless it has
+            # inclusion-exclusion below the root.
+            kernel_plan = build_plan(query)
+            ucq_plan = lift_query(hquery_to_ucq(query))
+            assert check_grounded(kernel_plan, random_map(tid, maps))
+            ucq_plans += 1
+            grounded += check_grounded(ucq_plan, random_map(tid, maps))
+            for plan in (kernel_plan, ucq_plan):
+                check_grounded(
+                    plan, random_map(tid, maps, 15), enumerate_worlds=False
+                )
+        assert 0 < grounded <= ucq_plans
 
     def test_extensional_plan_lowers_onto_ir(self):
         # The h-query fast path evaluates through the IR: q9's plan is an
@@ -204,22 +263,37 @@ class TestRandomizedUCQs:
 
     def test_random_suite(self):
         rng = random.Random(20260807)
-        accepted = rejected = 0
+        maps = random.Random(0x16)
+        accepted = rejected = grounded = 0
         for _ in range(120):
             query = UnionOfCQs(
                 tuple(self.random_cq(rng) for _ in range(rng.randrange(1, 3)))
             )
             tid = random_tid(rng, self.RELS)
             try:
-                probability = lifted_probability(query, tid)
+                plan = lift_query(query)
             except UnsafeQueryError:
                 rejected += 1
                 continue
             accepted += 1
-            assert probability == probability_by_world_enumeration(query, tid)
+            probability = lifted_probability(query, tid, plan=plan)
+            oracle = probability_by_world_enumeration(query, tid)
+            assert probability == oracle
+            grounded += check_grounded(plan, tid, oracle)
+            # On new maps the tape's Fraction is checked against
+            # evaluate_plan, which the oracle pins just above.
+            for denominator in (16, 15):
+                check_grounded(
+                    plan,
+                    random_map(tid, maps, denominator),
+                    enumerate_worlds=False,
+                )
         # The generator covers both sides of the dichotomy.
         assert accepted >= 30
         assert rejected >= 5
+        # Plans with inclusion-exclusion below the root keep the
+        # interpreter; every other plan grounds.
+        assert accepted - 10 <= grounded < accepted
 
     def test_constants_shatter_self_joins(self):
         rng = random.Random(7)
@@ -416,3 +490,107 @@ class TestServingLiftedRoute:
         )
         with pytest.raises(ValueError):
             decode_query({"ucq": [[["R", [{"bogus": 1}]]]]})
+
+
+class TestGroundedPlans:
+    """Plans ground into tapes: the selection and the hash seed."""
+
+    SAFE_UCQ = UnionOfCQs((
+        ConjunctiveQuery((Atom("R", ("x",)), Atom("S", ("x", "y")))),
+        ConjunctiveQuery((Atom("T", ("z",)),)),
+    ))
+
+    def test_plan_over_the_limit_keeps_the_interpreter(self, monkeypatch):
+        rng = random.Random(0x1A)
+        tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=2, density=1.0)
+        plan = lift_query(self.SAFE_UCQ)
+        assert check_grounded(plan, tid)  # under the real limit it grounds
+        tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=2, density=1.0)
+        monkeypatch.setattr(lift, "GROUND_GATE_LIMIT", 5)
+        interpreted = []
+        eval_float = lift._eval_float
+
+        def counting(op, env, ev):
+            interpreted.append(op)
+            return eval_float(op, env, ev)
+
+        monkeypatch.setattr(lift, "_eval_float", counting)
+        assert ground_plan(plan, tid.instance) is None
+        value = evaluate_plan_float(plan, tid)
+        assert interpreted and interpreted[0] is plan.root
+        # The refusal is what the instance caches: no tape, and no
+        # second grounding.
+        assert tid.instance.cached_derivation(
+            ("pqe.lift.ground", plan), lambda db: pytest.fail("re-grounded")
+        ) is None
+        assert value == pytest.approx(
+            float(probability_by_world_enumeration(self.SAFE_UCQ, tid)),
+            abs=1e-12,
+        )
+
+    def test_projection_operand_order_matches_the_interpreter(self):
+        # Products of three or more rounded k/15 factors: a projection
+        # or union reordered against the interpreter changes bits.
+        rng = random.Random(9)
+        plan = lift_query(self.SAFE_UCQ)
+        for _ in range(30):
+            instance = Instance()
+            tid = TupleIndependentDatabase(instance)
+            domain = rng.randint(3, 5)
+            for x in range(domain):
+                tid.add("R", (x,), Fraction(rng.randrange(1, 15), 15))
+                tid.add("T", (x,), Fraction(rng.randrange(1, 5), 15))
+                for y in range(domain):
+                    tid.add("S", (x, y), Fraction(rng.randrange(1, 5), 15))
+            interpreted = lift._eval_float(
+                plan.root, {}, lift._Evaluation(tid)
+            )
+            assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
+
+    def test_grounded_floats_do_not_depend_on_the_hash_seed(self):
+        script = (
+            "from fractions import Fraction\n"
+            "from repro.db.generator import complete_tid\n"
+            "from repro.db.relation import Instance\n"
+            "from repro.db.tid import TupleIndependentDatabase\n"
+            "from repro.pqe.extensional import build_plan\n"
+            "from repro.pqe import lift\n"
+            "from repro.pqe.lift import evaluate_plan_float, ground_plan\n"
+            "from repro.pqe.lift import lift_query\n"
+            "from repro.queries.hqueries import q9\n"
+            "from repro.serving.api import decode_query\n"
+            "tid = complete_tid(3, 3, 4)\n"
+            "rel = TupleIndependentDatabase(Instance())\n"
+            "for x in ('a', 'b', 'c'):\n"
+            "    rel.add('R', (x,)); rel.add('T', (x,))\n"
+            "    for y in ('a', 'b', 'c'):\n"
+            "        rel.add('S', (x, y))\n"
+            "for t in (tid, rel):\n"
+            "    for i, f in enumerate(t.instance.tuple_ids()):\n"
+            "        t.set_probability(f, Fraction(i * 7 % 16, 15))\n"
+            "safe = decode_query({'ucq': [[['R', ['x']], ['S', ['x', 'y']]],"
+            " [['T', ['z']]]]})\n"
+            "for plan, t in ((build_plan(q9()), tid), (lift_query(safe), rel)):\n"
+            "    assert ground_plan(plan, t.instance) is not None\n"
+            "    ev = lift._Evaluation(t)\n"
+            "    interpreted = lift._eval_float(plan.root, {}, ev).hex()\n"
+            "    assert evaluate_plan_float(plan, t).hex() == interpreted\n"
+            "    print(interpreted)\n"
+        )
+        repo_root = pathlib.Path(__file__).resolve().parents[1]
+        outputs = set()
+        for hash_seed in ("0", "4242"):
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = hash_seed
+            env["PYTHONPATH"] = str(repo_root / "src")
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env=env,
+                cwd=str(repo_root),
+                check=True,
+            )
+            outputs.add(result.stdout)
+        assert len(outputs) == 1, outputs
+        assert len(outputs.pop().split()) == 2

@@ -443,12 +443,12 @@ class TestProcessStats:
         )
         try:
             service.submit(q9(), tid).result()
-            os.kill(service._shards[0]._client._process.pid, signal.SIGKILL)
+            # Poll the killed client itself: the supervisor swaps in a
+            # live respawned one after a short backoff.
+            client = service._shards[0]._client
+            os.kill(client._process.pid, signal.SIGKILL)
             deadline = time.monotonic() + 10
-            while (
-                service._shards[0]._client.alive()
-                and time.monotonic() < deadline
-            ):
+            while client.alive() and time.monotonic() < deadline:
                 time.sleep(0.01)
             stats = service.stats()  # falls back to the parent snapshot
             assert stats.requests == 1

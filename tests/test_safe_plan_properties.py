@@ -221,11 +221,13 @@ class TestBackendsAgainstBruteForce:
             run_probability_float((0, k), k, tid)
 
     def test_exotic_denominators_fall_back_exactly(self):
-        # A probability whose denominator overflows the 64-bit common
+        # A probability whose denominator overflows the common
         # denominator guard: the columnar exact backend must hand off to
         # the Fraction fallback and still match the oracle bit for bit.
+        from repro.db.columnar import EXACT_DENOMINATOR_BITS
+
         k = 2
-        huge = Fraction(1, 2**70 + 1)
+        huge = Fraction(1, 2 ** (EXACT_DENOMINATOR_BITS + 6) + 1)
         tid = TupleIndependentDatabase()
         tid.add("R", ("a1",), huge)
         tid.add("S1", ("a1", "b1"), Fraction(1, 2))
