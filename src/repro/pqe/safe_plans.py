@@ -33,7 +33,9 @@ state mass after ``j`` chain steps is ``numerator / D**j``, and the one
 bit-identical to the :class:`~fractions.Fraction` dynamic program).
 Exact maps whose common denominator overflows
 :data:`~repro.db.columnar.EXACT_DENOMINATOR_BITS` fall back to the
-per-group :class:`~fractions.Fraction` scans.
+per-group :class:`~fractions.Fraction` scans.  :func:`run_gates` writes
+the float sweep as d-D gates, for grounded plans
+(:func:`repro.pqe.lift.ground_circuit`).
 """
 
 from __future__ import annotations

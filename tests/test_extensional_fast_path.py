@@ -45,7 +45,6 @@ from repro.pqe.lift import (
     evaluate_plan_float,
     ground_circuit,
     ground_plan,
-    lift_query,
     lifted_probability,
 )
 from repro.pqe.safe_plans import _run_probability_fractions, run_probability
@@ -437,6 +436,48 @@ class TestGroundedPlans:
         ]
         assert after == pytest.approx([float(e) for e in exact], abs=1e-12)
         assert ground_plan(plans.get_or_build(q9())[0], tid.instance)
+
+    def test_concurrent_first_calls_share_one_grounding(self):
+        # More threads than cores, switching often, on one TID: every
+        # thread gets the one cached tape, and each tape its own slot
+        # vector, so every float equals the single-threaded one.
+        import sys
+        import threading
+
+        zero_euler = HQuery(3, BooleanFunction(4, 9369))
+        reference_tid = complete_tid(3, 3, 2, prob=Fraction(7, 15))
+        cache, plans = CompilationCache(), ExtensionalPlanCache()
+        routes = (("extensional", q9()), ("intensional", zero_euler))
+        expected = [
+            compute(cache, plans, route, query, [reference_tid], None, None)
+            [0][0]
+            for route, query in routes
+        ]
+        tid = complete_tid(3, 3, 2, prob=Fraction(7, 15))
+        plan = plans.get_or_build(q9())[0]
+        tapes, wrong = [], []
+
+        def worker():
+            for i in range(40):
+                tapes.append(ground_plan(plan, tid.instance))
+                route, query = routes[i % 2]
+                got = compute(cache, plans, route, query, [tid], None, None)
+                if got[0][0] != expected[i % 2]:
+                    wrong.append((route, got[0][0]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(tapes) == 240 and len({id(t) for t in tapes}) == 1
 
     def test_wide_denominators_take_the_exact_sweep(self):
         # Eight 16-bit primes: a common denominator between 64 bits and
