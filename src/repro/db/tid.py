@@ -31,6 +31,7 @@ import itertools
 import random
 from collections.abc import Hashable, Iterator, Mapping, Sequence
 from fractions import Fraction
+from weakref import WeakKeyDictionary
 
 import numpy as _np
 
@@ -128,11 +129,13 @@ class TupleIndependentDatabase:
         :meth:`~repro.circuits.evaluator.EvaluationTape.probability_vector`),
         memoized per tape under the same key as :meth:`probability_floats`:
         a :meth:`set_probability` invalidates every vector, and they are
-        dropped with the TID.  Read-only, like the float map."""
+        dropped with the TID.  The tapes are held weakly, so a tape that
+        its cache evicts frees its vector.  Read-only, like the float
+        map."""
         versions = (self._prob_version, self.instance.content_fingerprint())
         cached = getattr(self, "_slot_vectors", None)
         if cached is None or cached[0] != versions:
-            cached = self._slot_vectors = (versions, {})
+            cached = self._slot_vectors = (versions, WeakKeyDictionary())
         vectors = cached[1]
         vector = vectors.get(tape)
         if vector is None:

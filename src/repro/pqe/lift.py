@@ -59,10 +59,12 @@ plan grounded over one instance is a d-D circuit, and a root
 inclusion–exclusion is a signed sum of its terms' gates.
 :func:`ground_plan` caches that circuit's
 :class:`~repro.circuits.evaluator.EvaluationTape` per plan and instance
-content, and the float evaluators run it on the TID's memoized slot
-vector: the same bits as the float interpreter, which keeps plans whose
-grounding would exceed :data:`GROUND_GATE_LIMIT` gates (and plans with
-inclusion–exclusion below the root).
+content.  The float evaluators interpret a plan's first
+:data:`GROUND_AFTER_CALLS` calls on an instance's content and then run
+its tape on the TID's memoized slot vector: the same bits as the float
+interpreter, which keeps plans whose grounding would exceed
+:data:`GROUND_GATE_LIMIT` gates (and plans with inclusion–exclusion
+below the root).
 """
 
 from __future__ import annotations
@@ -113,10 +115,19 @@ PLAN_DENOMINATOR_BITS = 64
 
 #: Plans whose grounding would exceed this many gates keep the float
 #: interpreter.  A warm tape call costs 28–46 ns per live gate, against
-#: 0.4–0.75 ms for the interpreter on q9 at any instance size, and a
-#: grounding costs about 25 µs per gate once (2-vCPU VM; the table in
-#: docs/extensional_fast_path.md, "Grounded plans").
+#: 0.4–0.75 ms for the interpreter on q9 at any instance size (2-vCPU
+#: VM; the table in docs/extensional_fast_path.md, "Grounded plans").
 GROUND_GATE_LIMIT = 8192
+
+#: A plan's float calls on one instance's content run the interpreter
+#: this many times before the plan is grounded, so an instance evaluated
+#: only a few times never pays for a grounding.  A grounding costs about
+#: 30 µs per live gate: as much as 18–33 interpreted calls on the 33–288
+#: tuple instances the benchmark serves (q9 on 3x3 to 4x4, ``safe_ucq``
+#: on a 16x16 domain), and 190 for q9 on 9x9 (2-vCPU VM).  Renting up
+#: to the price of buying, a reused instance of the first kind costs at
+#: most about twice what the best choice of call to ground on would.
+GROUND_AFTER_CALLS = 32
 
 
 class UnsafeQueryError(ValueError):
@@ -1257,7 +1268,7 @@ def _ground_op(op, env: dict, g: _Grounding) -> int:
 
 
 def ground_circuit(
-    plan: LiftPlan | object, instance: Instance, limit: int | None = None
+    plan: LiftPlan | object, instance: Instance
 ) -> tuple[Circuit, tuple | None] | None:
     """Ground a plan over ``instance`` into one hash-consed circuit.
 
@@ -1268,16 +1279,15 @@ def ground_circuit(
     gate of a sound plan's circuit is d-D (tests check it with
     :func:`repro.circuits.validation.assert_d_d`).  Returns ``None``
     for an inclusion–exclusion below the root, or when the circuit would
-    exceed ``limit`` gates.  h-run kernels are held to that limit by
-    :func:`_kernel_gate_bound` before any gate is built, so a large
-    instance costs no thrown-away grounding.
+    exceed :data:`GROUND_GATE_LIMIT` gates.  h-run kernels are held to
+    that limit by :func:`_kernel_gate_bound` before any gate is built, so
+    a large instance costs no thrown-away grounding.
     """
     root = plan.root if isinstance(plan, LiftPlan) else plan
-    if limit is not None:
-        kernels = [op for op in _plan_ops(root) if isinstance(op, HRunKernel)]
-        if kernels and _kernel_gate_bound(kernels, instance) > limit:
-            return None
-    g = _Grounding(instance, limit)
+    kernels = [op for op in _plan_ops(root) if isinstance(op, HRunKernel)]
+    if kernels and _kernel_gate_bound(kernels, instance) > GROUND_GATE_LIMIT:
+        return None
+    g = _Grounding(instance, GROUND_GATE_LIMIT)
     try:
         if isinstance(root, InclusionExclusion):
             terms = tuple(
@@ -1317,23 +1327,45 @@ def _kernel_gate_bound(kernels: list, instance: Instance) -> int:
     return bound
 
 
+class _PlanGrounding:
+    """One plan over one instance's content: the float calls that have
+    interpreted it so far, then its grounded tape (``None`` when the plan
+    keeps the interpreter)."""
+
+    __slots__ = ("calls", "tape")
+
+    def __init__(self):
+        self.calls = 0
+        self.tape = _NOT_GROUNDED
+
+
+_NOT_GROUNDED = object()
+
+
+def _plan_grounding(plan, instance: Instance) -> _PlanGrounding:
+    return instance.cached_derivation(
+        ("pqe.lift.ground", plan), lambda db: _PlanGrounding()
+    )
+
+
 def ground_plan(
     plan: LiftPlan | object, instance: Instance
 ) -> EvaluationTape | None:
-    """The evaluation tape of :func:`ground_circuit` under
-    :data:`GROUND_GATE_LIMIT`, cached per plan and instance content
+    """The evaluation tape of :func:`ground_circuit`, built on the first
+    call and cached per plan and instance content
     (:meth:`~repro.db.relation.Instance.cached_derivation`; only the
     tape and its generated code stay).  ``None`` — also cached — when
     the plan keeps the interpreter."""
-
-    def build(db: Instance) -> EvaluationTape | None:
-        grounded = ground_circuit(plan, db, GROUND_GATE_LIMIT)
-        if grounded is None:
-            return None
-        circuit, terms = grounded
-        return EvaluationTape.from_circuit(circuit, terms)
-
-    return instance.cached_derivation(("pqe.lift.ground", plan), build)
+    grounding = _plan_grounding(plan, instance)
+    if grounding.tape is _NOT_GROUNDED:
+        with instance.derivation_lock:
+            if grounding.tape is _NOT_GROUNDED:
+                grounded = ground_circuit(plan, instance)
+                grounding.tape = (
+                    None if grounded is None
+                    else EvaluationTape.from_circuit(*grounded)
+                )
+    return grounding.tape
 
 
 def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fraction:
@@ -1355,12 +1387,21 @@ def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fra
 def evaluate_plan_float(
     plan: LiftPlan | object, tid: TupleIndependentDatabase
 ) -> float:
-    """Float ``Pr(Q)`` of a lifted plan: its grounded tape
-    (:func:`ground_plan`) on the TID's memoized slot vector, or, for a
-    plan that keeps the interpreter, :func:`_eval_float` (numpy-columnar
+    """Float ``Pr(Q)`` of a lifted plan: :func:`_eval_float` (numpy-columnar
     fast paths for single-atom projections, the chain-DP float sweeps for
-    h-kernels).  Both give the same bits."""
-    tape = ground_plan(plan, tid.instance)
+    h-kernels) for the plan's first :data:`GROUND_AFTER_CALLS` calls on
+    an instance's content, then its grounded tape (:func:`ground_plan`)
+    on the TID's memoized slot vector, unless the plan keeps the
+    interpreter.  Both give the same bits."""
+    grounding = _plan_grounding(plan, tid.instance)
+    tape = grounding.tape
+    if tape is _NOT_GROUNDED:
+        grounding.calls += 1
+        tape = (
+            ground_plan(plan, tid.instance)
+            if grounding.calls > GROUND_AFTER_CALLS
+            else None
+        )
     if tape is not None:
         return tape.evaluate_vectors([tid.slot_vector(tape)])[0]
     root = plan.root if isinstance(plan, LiftPlan) else plan

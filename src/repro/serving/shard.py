@@ -26,11 +26,12 @@ probability maps agree (equal
 :meth:`~repro.db.tid.TupleIndependentDatabase.probability_digest`)
 share **one** evaluation whose float is fanned out to every twin, and
 an exact route computes all of the group's distinct maps in one call —
-one plan or circuit probe and one
+one plan or circuit probe and, on the intensional route, one
 :meth:`~repro.circuits.evaluator.EvaluationTape.evaluate_vectors` sweep
-of the compiled or grounded tape over the TIDs' memoized slot vectors.  Hard large groups take the sampling analogue:
-one vectorized budget-adaptive sweep per distinct ``(budget,
-probability map)``, sharing the instance's cached lineage structure.
+of the compiled tape over the TIDs' memoized slot vectors.  Hard large
+groups take the sampling analogue: one vectorized budget-adaptive sweep
+per distinct ``(budget, probability map)``, sharing the instance's
+cached lineage structure.
 Because every kernel is per-element IEEE arithmetic and every sweep is
 deterministic per budget seed, batch composition never changes any
 individual float: a microbatched answer is bit-for-float identical to
@@ -79,7 +80,7 @@ from repro.pqe.brute_force import probability_by_lineage_enumeration
 from repro.pqe.dichotomy import classify_query
 from repro.pqe.engine import ROUTES, CompilationCache, route_of
 from repro.pqe.extensional import ExtensionalPlanCache
-from repro.pqe.lift import evaluate_plan_batch, ground_plan
+from repro.pqe.lift import evaluate_plan_batch
 from repro.serving.api import AccuracyBudget, QueryRequest, QueryResponse
 from repro.serving.faults import (
     FaultInjector,
@@ -126,13 +127,8 @@ def compute(cache, plan_cache, route, query, tids, budget, deadline):
     if deadline is not None:
         deadline.check("computation admission")
     if route in ("extensional", "lifted"):
-        # The plan's grounded tape; plans above the gate limit keep the
-        # interpreter (lift.GROUND_GATE_LIMIT).
         plan, hit = plan_cache.get_or_build(query)
-        tape = ground_plan(plan, tids[0].instance)
-        if tape is None:
-            return evaluate_plan_batch(plan, tids), route, hit, 0.0
-        return _evaluate_tape(tape, tids), route, hit, 0.0
+        return evaluate_plan_batch(plan, tids), route, hit, 0.0
     if route == "intensional":
         instance = tids[0].instance
         compiled, hit = cache.get_or_compile(
@@ -140,7 +136,10 @@ def compute(cache, plan_cache, route, query, tids, budget, deadline):
         )
         if deadline is not None:
             deadline.check("post-compilation")
-        values = _evaluate_tape(compiled.tape, tids)
+        tape = compiled.tape
+        values = tape.evaluate_vectors(
+            [tid.slot_vector(tape) for tid in tids]
+        )
         return values, route, hit, 0.0 if hit else compiled.compile_ms
     if route == "brute_force":
         values = []
@@ -156,11 +155,6 @@ def compute(cache, plan_cache, route, query, tids, budget, deadline):
         plan = sampling_plan(query, tid)
         return plan.run(budget, deadline=deadline), plan.engine, False, 0.0
     raise ValueError(f"unknown route {route!r}")
-
-
-def _evaluate_tape(tape, tids) -> list[float]:
-    """One tape sweep over the TIDs' memoized slot vectors."""
-    return tape.evaluate_vectors([tid.slot_vector(tape) for tid in tids])
 
 
 @dataclass

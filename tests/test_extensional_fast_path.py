@@ -372,6 +372,7 @@ class TestGroundedPlans:
                 interpreted = lift._eval_float(
                     kernel, {}, lift._Evaluation(tid)
                 )
+                assert ground_plan(kernel, tid.instance) is not None
                 grounded = evaluate_plan_float(kernel, tid)
                 assert grounded.hex() == interpreted.hex(), run
 
@@ -408,6 +409,7 @@ class TestGroundedPlans:
         zero_euler = HQuery(3, BooleanFunction(4, 9369))
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
         cache, plans = CompilationCache(), ExtensionalPlanCache()
+        assert ground_plan(plans.get_or_build(q9())[0], tid.instance)
 
         def answers(t):
             return [
@@ -435,7 +437,29 @@ class TestGroundedPlans:
             evaluate(zero_euler, fresh, method="intensional").probability,
         ]
         assert after == pytest.approx([float(e) for e in exact], abs=1e-12)
-        assert ground_plan(plans.get_or_build(q9())[0], tid.instance)
+
+    def test_evicted_tapes_free_their_slot_vectors(self):
+        # A TID outlives the compilation cache's entries: the tapes it
+        # has read must not stay alive through their slot vectors.
+        import gc
+        import weakref
+
+        zero_euler = HQuery(3, BooleanFunction(4, 9369))
+        tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        cache, plans = CompilationCache(limit=1), ExtensionalPlanCache()
+        compute(cache, plans, "intensional", zero_euler, [tid], None, None)
+        tape = weakref.ref(
+            cache.get_or_compile(
+                zero_euler, tid.instance, tid.instance.content_fingerprint()
+            )[0].tape
+        )
+        vectors = tid._slot_vectors[1]
+        assert list(vectors.keys()) == [tape()]
+        # Compiling a second query evicts the first.
+        compute(cache, plans, "intensional", q9(), [tid], None, None)
+        gc.collect()
+        assert tape() is None
+        assert len(vectors) == 1 and tid._slot_vectors[1] is vectors
 
     def test_concurrent_first_calls_share_one_grounding(self):
         # More threads than cores, switching often, on one TID: every

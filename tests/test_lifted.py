@@ -520,9 +520,12 @@ class TestGroundedPlans:
         assert interpreted and interpreted[0] is plan.root
         # The refusal is what the instance caches: no tape, and no
         # second grounding.
-        assert tid.instance.cached_derivation(
-            ("pqe.lift.ground", plan), lambda db: pytest.fail("re-grounded")
-        ) is None
+        monkeypatch.setattr(
+            lift, "ground_circuit", lambda *a: pytest.fail("re-grounded")
+        )
+        assert ground_plan(plan, tid.instance) is None
+        for _ in range(lift.GROUND_AFTER_CALLS + 1):
+            assert evaluate_plan_float(plan, tid) == value
         assert value == pytest.approx(
             float(probability_by_world_enumeration(self.SAFE_UCQ, tid)),
             abs=1e-12,
@@ -545,7 +548,47 @@ class TestGroundedPlans:
             interpreted = lift._eval_float(
                 plan.root, {}, lift._Evaluation(tid)
             )
+            assert ground_plan(plan, tid.instance) is not None
             assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
+
+    def test_plans_ground_once_their_instance_is_reused(self, monkeypatch):
+        # The first GROUND_AFTER_CALLS float calls on an instance's
+        # content interpret, whichever TIDs over it they come through;
+        # the next one grounds, once.
+        rng = random.Random(0x2B)
+        plan = lift_query(self.SAFE_UCQ)
+        tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0)
+        maps = [random_map(tid, rng, 15) for _ in range(3)]
+        expected = [
+            lift._eval_float(plan.root, {}, lift._Evaluation(t)).hex()
+            for t in maps
+        ]
+        groundings = []
+        ground_circuit_ = lift.ground_circuit
+
+        def counting(*args):
+            groundings.append(args)
+            return ground_circuit_(*args)
+
+        monkeypatch.setattr(lift, "ground_circuit", counting)
+        for call in range(lift.GROUND_AFTER_CALLS):
+            t = call % len(maps)
+            assert evaluate_plan_float(plan, maps[t]).hex() == expected[t]
+        assert groundings == []
+        assert not any(hasattr(t, "_slot_vectors") for t in maps)
+        assert evaluate_plan_float(plan, maps[0]).hex() == expected[0]
+        assert len(groundings) == 1
+        for call in range(2 * len(maps)):
+            t = call % len(maps)
+            assert evaluate_plan_float(plan, maps[t]).hex() == expected[t]
+        assert len(groundings) == 1
+        assert all(hasattr(t, "_slot_vectors") for t in maps)
+        # A TID over other instance content starts its own count.
+        other = random_tid(
+            rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0
+        )
+        evaluate_plan_float(plan, other)
+        assert len(groundings) == 1
 
     def test_grounded_floats_do_not_depend_on_the_hash_seed(self):
         script = (
