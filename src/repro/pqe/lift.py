@@ -126,7 +126,7 @@ GROUND_GATE_LIMIT = 8192
 #: tuple instances the benchmark serves (q9 on 3x3 to 4x4, ``safe_ucq``
 #: on a 16x16 domain), and 190 for q9 on 9x9 (2-vCPU VM).  Renting up
 #: to the price of buying, a reused instance of the first kind costs at
-#: most about twice what the best choice of call to ground on would.
+#: most 1.9–2.7 times what the best choice of call to ground on would.
 GROUND_AFTER_CALLS = 32
 
 
@@ -1393,15 +1393,14 @@ def evaluate_plan_float(
     an instance's content, then its grounded tape (:func:`ground_plan`)
     on the TID's memoized slot vector, unless the plan keeps the
     interpreter.  Both give the same bits."""
-    grounding = _plan_grounding(plan, tid.instance)
+    instance = tid.instance
+    grounding = _plan_grounding(plan, instance)
     tape = grounding.tape
     if tape is _NOT_GROUNDED:
-        grounding.calls += 1
-        tape = (
-            ground_plan(plan, tid.instance)
-            if grounding.calls > GROUND_AFTER_CALLS
-            else None
-        )
+        with instance.derivation_lock:
+            grounding.calls += 1
+            reused = grounding.calls > GROUND_AFTER_CALLS
+        tape = ground_plan(plan, instance) if reused else None
     if tape is not None:
         return tape.evaluate_vectors([tid.slot_vector(tape)])[0]
     root = plan.root if isinstance(plan, LiftPlan) else plan

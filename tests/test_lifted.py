@@ -590,6 +590,67 @@ class TestGroundedPlans:
         evaluate_plan_float(plan, other)
         assert len(groundings) == 1
 
+    def test_concurrent_calls_count_every_interpretation(self, monkeypatch):
+        # More threads than cores, switching often, on one TID: exactly
+        # GROUND_AFTER_CALLS calls interpret and one grounds, which a
+        # lost update of the shared call count would break.  Reading the
+        # count yields the interpreter lock, inside the read-modify-write.
+        import threading
+        import time
+
+        class YieldingGrounding(lift._PlanGrounding):
+            __slots__ = ("_calls",)
+
+            @property
+            def calls(self):
+                time.sleep(0)
+                return self._calls
+
+            @calls.setter
+            def calls(self, value):
+                self._calls = value
+
+        monkeypatch.setattr(lift, "_PlanGrounding", YieldingGrounding)
+        rng = random.Random(0x3C)
+        plan = lift_query(self.SAFE_UCQ)
+        tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0)
+        expected = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
+        interpreted, groundings, wrong = [], [], []
+        eval_float, ground_circuit_ = lift._eval_float, lift.ground_circuit
+
+        def counting_eval(op, env, ev):
+            if op is plan.root:
+                interpreted.append(op)
+            return eval_float(op, env, ev)
+
+        def counting_ground(*args):
+            groundings.append(args)
+            return ground_circuit_(*args)
+
+        monkeypatch.setattr(lift, "_eval_float", counting_eval)
+        monkeypatch.setattr(lift, "ground_circuit", counting_ground)
+
+        def worker():
+            for _ in range(12):
+                value = evaluate_plan_float(plan, tid)
+                if value.hex() != expected.hex():
+                    wrong.append(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(interpreted) == lift.GROUND_AFTER_CALLS
+        assert len(groundings) == 1
+
     def test_grounded_floats_do_not_depend_on_the_hash_seed(self):
         script = (
             "from fractions import Fraction\n"
