@@ -45,11 +45,10 @@ The plan is an IR of small frozen ops (:class:`IndependentJoin`,
 :class:`Complement`, :class:`InclusionExclusion`, :class:`LeafAtom`,
 and :class:`HRunKernel`, which delegates an ``h``-run to the vectorized
 chain DP of :mod:`repro.pqe.safe_plans`, the leaf of every h-query
-plan :func:`repro.pqe.extensional.build_plan` returns).  Three
-evaluators share one memoized recursion: exact
-:class:`~fractions.Fraction`, exact integers over a common denominator
-(the :mod:`repro.db.columnar` encoding, used when the instance's common
-denominator fits :data:`PLAN_DENOMINATOR_BITS`), and float with
+plan :func:`repro.pqe.extensional.build_plan` returns).  Two
+interpreters share one memoized recursion: exact
+:class:`~fractions.Fraction` (with the integer chain DP of
+:mod:`repro.db.columnar` for h-run kernels), and float with
 numpy-columnar fast paths for projections over single atoms.
 
 **Grounding.**  Every rule but inclusion–exclusion maps to a d-D gate
@@ -59,12 +58,14 @@ plan grounded over one instance is a d-D circuit, and a root
 inclusion–exclusion is a signed sum of its terms' gates.
 :func:`ground_plan` caches that circuit's
 :class:`~repro.circuits.evaluator.EvaluationTape` per plan and instance
-content.  The float evaluators interpret a plan's first
+content.  Exact calls on a plan without h-run kernels ground it on the
+first call and run the tape's exact backends (integers over a common
+denominator, or Fractions).  Float calls interpret a plan's first
 :data:`GROUND_AFTER_CALLS` calls on an instance's content and then run
 its tape on the TID's memoized slot vector: the same bits as the float
-interpreter, which keeps plans whose grounding would exceed
-:data:`GROUND_GATE_LIMIT` gates (and plans with inclusion–exclusion
-below the root).
+interpreter.  Plans whose grounding would exceed
+:data:`GROUND_GATE_LIMIT` gates, and plans with inclusion–exclusion
+below the root, keep the interpreters.
 """
 
 from __future__ import annotations
@@ -72,7 +73,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
 
 import numpy as _np
 
@@ -106,15 +106,8 @@ MAX_LIFT_DEPTH = 64
 #: the width so a degenerate query cannot demand 2^n plan terms.
 MAX_IE_WIDTH = 12
 
-#: Instance-wide common denominators above this many bits send exact
-#: plan evaluation without h-run kernels to Fractions.  Every value is
-#: scaled by powers of the whole instance's denominator, so the integers
-#: outgrow normalized Fractions early: on ``R(x),S(x,y) ∨ T(z)`` over a
-#: 16x16 domain the Fractions win from about 90 bits (2-vCPU VM).
-PLAN_DENOMINATOR_BITS = 64
-
-#: Plans whose grounding would exceed this many gates keep the float
-#: interpreter.  A warm tape call costs 28–46 ns per live gate, against
+#: Plans whose grounding would exceed this many gates keep the
+#: interpreters.  A warm tape call costs 28–46 ns per live gate, against
 #: 0.4–0.75 ms for the interpreter on q9 at any instance size (2-vCPU
 #: VM; the table in docs/extensional_fast_path.md, "Grounded plans").
 GROUND_GATE_LIMIT = 8192
@@ -1062,92 +1055,6 @@ def _one_minus_prod(column) -> float:
     return float(1.0 - _np.prod(1.0 - column))
 
 
-# -- exact integers over a common denominator ---------------------------
-
-
-class _CommonDenominator:
-    """The integer encoding of :mod:`repro.db.columnar`: every value is
-    ``numerator / D**exponent`` for the instance-wide common denominator
-    ``D`` — multiplication stays integral and one ``Fraction`` at the
-    root canonicalizes."""
-
-    def __init__(self, tid: TupleIndependentDatabase):
-        self.tid = tid
-        denominator = 1
-        for tuple_id in tid.instance.tuple_ids():
-            denominator = lcm(
-                denominator, tid.probability_of(tuple_id).denominator
-            )
-        self.denominator = (
-            denominator
-            if denominator.bit_length() <= PLAN_DENOMINATOR_BITS
-            else None
-        )
-        self._powers: dict[int, int] = {0: 1, 1: denominator}
-
-    def power(self, exponent: int) -> int:
-        cached = self._powers.get(exponent)
-        if cached is None:
-            cached = self._powers[exponent] = self.denominator**exponent
-        return cached
-
-
-def _eval_common_denominator(
-    op, env: dict, ev: _Evaluation, cd: _CommonDenominator
-) -> tuple:
-    """Evaluate to ``(numerator, exponent)`` with value ``n / D**e``."""
-    key = ("cd", op, ev.bindings_key(op, env))
-    cached = ev.memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(op, LeafAtom):
-        probability = ev.leaf_probability(op, env)
-        numerator = probability.numerator * (
-            cd.denominator // probability.denominator
-        )
-        value = (numerator, 1)
-    elif isinstance(op, IndependentJoin):
-        numerator, exponent = 1, 0
-        for child in op.parts:
-            n, e = _eval_common_denominator(child, env, ev, cd)
-            numerator *= n
-            exponent += e
-        value = (numerator, exponent)
-    elif isinstance(op, (IndependentUnion, IndependentProject)):
-        numerator, exponent = 1, 0
-        if isinstance(op, IndependentUnion):
-            bound_children = [(child, env) for child in op.parts]
-        else:
-            bound_children = []
-            for constant in ev.domain(op.sources):
-                bound = dict(env)
-                bound[op.marker] = constant
-                bound_children.append((op.part, bound))
-        for child, bound in bound_children:
-            n, e = _eval_common_denominator(child, bound, ev, cd)
-            numerator *= cd.power(e) - n
-            exponent += e
-        value = (cd.power(exponent) - numerator, exponent)
-    elif isinstance(op, Complement):
-        n, e = _eval_common_denominator(op.part, env, ev, cd)
-        value = (cd.power(e) - n, e)
-    elif isinstance(op, InclusionExclusion):
-        parts = [
-            (coefficient, _eval_common_denominator(child, env, ev, cd))
-            for coefficient, child in op.terms
-        ]
-        exponent = max((e for _, (_, e) in parts), default=0)
-        numerator = sum(
-            coefficient * n * cd.power(exponent - e)
-            for coefficient, (n, e) in parts
-        )
-        value = (numerator, exponent)
-    else:  # pragma: no cover - HRunKernel plans take the Fraction path
-        raise TypeError(f"unknown lift op {type(op).__name__}")
-    ev.memo[key] = value
-    return value
-
-
 def _plan_ops(root) -> set:
     """The distinct ops of a plan DAG."""
     seen = set()
@@ -1369,19 +1276,19 @@ def ground_plan(
 
 
 def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fraction:
-    """Exact ``Pr(Q)`` of a lifted plan: integer common-denominator
-    arithmetic when the instance's denominator fits
-    :data:`PLAN_DENOMINATOR_BITS` (and the plan has no h-kernels, which
-    return ready-made Fractions), exact Fractions otherwise — the two
-    backends are exact, so they agree bit-identically."""
+    """Exact ``Pr(Q)`` of a lifted plan.  A plan without h-run kernels
+    runs its grounded tape (:func:`ground_plan`, grounded on the first
+    call) on the tape's exact backend: integers over a common
+    denominator, or Fractions when that denominator exceeds 64 bits.
+    Plans with kernels, and plans that do not ground, run
+    :func:`_eval_fraction`, whose kernels sweep the columnar integers.
+    Every path is exact, so they agree as Fractions."""
     root = plan.root if isinstance(plan, LiftPlan) else plan
-    ev = _Evaluation(tid)
     if not _contains_kernel(root):
-        cd = _CommonDenominator(tid)
-        if cd.denominator is not None:
-            numerator, exponent = _eval_common_denominator(root, {}, ev, cd)
-            return Fraction(numerator, cd.power(exponent))
-    return _eval_fraction(root, {}, ev)
+        tape = ground_plan(plan, tid.instance)
+        if tape is not None:
+            return tape.evaluate(tid.probability_map())
+    return _eval_fraction(root, {}, _Evaluation(tid))
 
 
 def evaluate_plan_float(

@@ -518,7 +518,7 @@ class TestGroundedPlans:
                 run, 3, tid
             )
         # The kernel plan against the Fraction interpreter of the UCQ
-        # plan (whose common denominator is beyond its own limit).
+        # plan (which nests inclusion-exclusion, so it does not ground).
         exact = probability(q9(), tid)
         assert exact == lifted_probability(hquery_to_ucq(q9()), tid)
         assert exact == probability_by_world_enumeration(q9(), tid)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.circuits.validation import assert_d_d
 from repro.core.boolean_function import BooleanFunction
+from repro.db.generator import complete_tid
 from repro.db.relation import Instance
 from repro.db.tid import TupleIndependentDatabase
 from repro.pqe import lift
@@ -80,32 +81,43 @@ def h_schema(k):
     return {"R": 1, "T": 1, **{f"S{i}": 2 for i in range(1, k + 1)}}
 
 
+#: Eight 16-bit primes: a map drawing its denominators from them has a
+#: common denominator over 64 bits once five distinct ones meet.
+WIDE_PRIMES = (65521, 65519, 65497, 65479, 65449, 65447, 65437, 65423)
+
+
 def random_map(tid, rng, denominator=16):
     """A fresh TID over ``tid``'s instance: a random k/``denominator``
-    map whose first two tuples are 0 and 1.  k/16 floats are exact, so
-    they multiply and add without rounding; k/15 ones round, and only
-    they show a gate whose operands are out of the interpreter's order."""
+    map whose first two tuples are 0 and 1 (a tuple of denominators is
+    used in turn).  k/16 floats are exact, so they multiply and add
+    without rounding; k/15 ones round, and only they show a gate whose
+    operands are out of the interpreter's order."""
     fresh = TupleIndependentDatabase(tid.instance)
     for i, t in enumerate(tid.instance.tuple_ids()):
+        q = (
+            denominator if isinstance(denominator, int)
+            else denominator[i % len(denominator)]
+        )
         fresh.set_probability(
-            t,
-            Fraction(i) if i < 2
-            else Fraction(rng.randrange(0, denominator + 1), denominator),
+            t, Fraction(i) if i < 2 else Fraction(rng.randrange(0, q + 1), q)
         )
     return fresh
 
 
 def check_grounded(plan, tid, oracle=None, enumerate_worlds=True) -> bool:
-    """Check a plan's grounded tape on ``tid`` against the interpreters,
-    the oracle (``oracle``, else world enumeration up to 22 tuples) and
-    ``assert_d_d``; return whether the plan grounds."""
+    """Check a plan's grounded tape on ``tid`` against the interpreters
+    (float by ``float.hex``, exact against :func:`lift._eval_fraction`,
+    which never runs a tape), the oracle (``oracle``, else world
+    enumeration up to 22 tuples) and ``assert_d_d``; return whether the
+    plan grounds."""
     tape = ground_plan(plan, tid.instance)
     if tape is None:
         return False
     interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
     assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
-    exact = evaluate_plan(plan, tid)
+    exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(tid))
     assert tape.evaluate(tid.probability_map()) == exact
+    assert evaluate_plan(plan, tid) == exact
     if oracle is None and enumerate_worlds and len(tid) <= 22:
         oracle = probability_by_world_enumeration(plan.query, tid)
     if oracle is not None:
@@ -264,7 +276,7 @@ class TestRandomizedUCQs:
     def test_random_suite(self):
         rng = random.Random(20260807)
         maps = random.Random(0x16)
-        accepted = rejected = grounded = 0
+        accepted = rejected = grounded = wide = 0
         for _ in range(120):
             query = UnionOfCQs(
                 tuple(self.random_cq(rng) for _ in range(rng.randrange(1, 3)))
@@ -276,24 +288,30 @@ class TestRandomizedUCQs:
                 rejected += 1
                 continue
             accepted += 1
+            # Exact answers of plans that do not ground come from the
+            # Fraction interpreter; the oracle pins both paths.
             probability = lifted_probability(query, tid, plan=plan)
             oracle = probability_by_world_enumeration(query, tid)
             assert probability == oracle
             grounded += check_grounded(plan, tid, oracle)
             # On new maps the tape's Fraction is checked against
-            # evaluate_plan, which the oracle pins just above.
-            for denominator in (16, 15):
-                check_grounded(
-                    plan,
-                    random_map(tid, maps, denominator),
-                    enumerate_worlds=False,
-                )
+            # _eval_fraction, which the oracle pins just above.  On the
+            # wide map the tape's common denominator can exceed 64 bits,
+            # and its Fraction interpreter answers.
+            for denominator in (16, 15, WIDE_PRIMES):
+                fresh = random_map(tid, maps, denominator)
+                if check_grounded(plan, fresh, enumerate_worlds=False):
+                    tape = ground_plan(plan, fresh.instance)
+                    wide += tape._evaluate_common_denominator(
+                        fresh.probability_map()
+                    ) is None
         # The generator covers both sides of the dichotomy.
         assert accepted >= 30
         assert rejected >= 5
         # Plans with inclusion-exclusion below the root keep the
         # interpreter; every other plan grounds.
         assert accepted - 10 <= grounded < accepted
+        assert wide > 0
 
     def test_constants_shatter_self_joins(self):
         rng = random.Random(7)
@@ -526,10 +544,66 @@ class TestGroundedPlans:
         assert ground_plan(plan, tid.instance) is None
         for _ in range(lift.GROUND_AFTER_CALLS + 1):
             assert evaluate_plan_float(plan, tid) == value
-        assert value == pytest.approx(
-            float(probability_by_world_enumeration(self.SAFE_UCQ, tid)),
-            abs=1e-12,
+        oracle = probability_by_world_enumeration(self.SAFE_UCQ, tid)
+        assert value == pytest.approx(float(oracle), abs=1e-12)
+        # The exact call reads the same refusal and interprets.
+        fractions = []
+        eval_fraction = lift._eval_fraction
+
+        def counting_fraction(op, env, ev):
+            fractions.append(op)
+            return eval_fraction(op, env, ev)
+
+        monkeypatch.setattr(lift, "_eval_fraction", counting_fraction)
+        assert evaluate_plan(plan, tid) == oracle
+        assert fractions and fractions[0] is plan.root
+
+    def test_exact_calls_ground_on_their_first_call(self, monkeypatch):
+        # An exact call on a kernel-less plan grounds it at once and
+        # answers from the tape's exact backend.  Float calls on that
+        # instance, through any TID, then run the tape without counting.
+        rng = random.Random(0x4D)
+        plan = lift_query(self.SAFE_UCQ)
+        tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=2, density=1.0)
+        first, other = random_map(tid, rng, 15), random_map(tid, rng, 15)
+        interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(other))
+        groundings = []
+        ground_circuit_ = lift.ground_circuit
+
+        def counting(*args):
+            groundings.append(args)
+            return ground_circuit_(*args)
+
+        monkeypatch.setattr(lift, "ground_circuit", counting)
+        exact = evaluate_plan(plan, first)
+        assert len(groundings) == 1
+        assert isinstance(exact, Fraction)
+        assert exact == lift._eval_fraction(
+            plan.root, {}, lift._Evaluation(first)
         )
+        assert exact == probability_by_world_enumeration(self.SAFE_UCQ, first)
+        assert evaluate_plan(plan, first) == exact
+        monkeypatch.setattr(
+            lift, "_eval_float", lambda *a: pytest.fail("interpreted")
+        )
+        assert evaluate_plan_float(plan, other).hex() == interpreted.hex()
+        assert hasattr(other, "_slot_vectors")
+        assert len(groundings) == 1
+
+    def test_exact_kernel_plans_never_ground(self, monkeypatch):
+        # Plans with h-run kernels keep the Fraction interpreter and the
+        # columnar integer sweeps for exact answers.
+        rng = random.Random(0x5E)
+        tid = random_map(complete_tid(3, 1, 2), rng, 15)
+        monkeypatch.setattr(
+            lift, "ground_circuit", lambda *a: pytest.fail("grounded")
+        )
+        oracle = probability_by_world_enumeration(q9(), tid)
+        plan = build_plan(q9())
+        for _ in range(lift.GROUND_AFTER_CALLS + 1):
+            assert evaluate_plan(plan, tid) == oracle
+        assert extensional_probability(q9(), tid) == oracle
+        assert evaluate(q9(), tid).probability == oracle
 
     def test_projection_operand_order_matches_the_interpreter(self):
         # Products of three or more rounded k/15 factors: a projection
@@ -649,6 +723,63 @@ class TestGroundedPlans:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         assert len(interpreted) == lift.GROUND_AFTER_CALLS
+        assert len(groundings) == 1
+
+    def test_concurrent_exact_and_float_calls_ground_once(self, monkeypatch):
+        # More threads than cores, switching often, mixing exact and
+        # float calls on one fresh instance: the exact calls ground, once,
+        # and every answer is right whichever path it took.  Half the
+        # threads open with an exact call, all at once, and the grounding
+        # sleeps, so racing groundings would show.
+        import threading
+        import time
+
+        rng = random.Random(0x6F)
+        plan = lift_query(self.SAFE_UCQ)
+        tid = random_map(
+            random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0),
+            rng,
+            15,
+        )
+        interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
+        exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(tid))
+        groundings, wrong = [], []
+        ground_circuit_ = lift.ground_circuit
+
+        def counting_ground(*args):
+            groundings.append(args)
+            time.sleep(0.005)
+            return ground_circuit_(*args)
+
+        monkeypatch.setattr(lift, "ground_circuit", counting_ground)
+        start = threading.Barrier(6)
+
+        def worker(index):
+            start.wait(timeout=60)
+            for call in range(12):
+                if (index + call) % 2:
+                    value = evaluate_plan(plan, tid)
+                    if not isinstance(value, Fraction) or value != exact:
+                        wrong.append(value)
+                else:
+                    value = evaluate_plan_float(plan, tid)
+                    if value.hex() != interpreted.hex():
+                        wrong.append(value)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
         assert len(groundings) == 1
 
     def test_grounded_floats_do_not_depend_on_the_hash_seed(self):
