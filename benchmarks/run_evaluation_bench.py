@@ -983,8 +983,7 @@ def bench_lifted(
       evaluators against the possible-world oracle on a small instance,
       for a safe CQ and a safe union (the correctness gate);
     * IR exact/float evaluation time and batch throughput on an
-      instance the oracle cannot touch (the exact timing's first call
-      grounds the plan, so both best-of times read its tape);
+      instance the oracle cannot touch;
     * ``h_parity_identical`` — every safe monotone h-query at
       ``k <= 2`` evaluated through the lowered plan IR against the
       seed ``Fraction`` loops (the ported-kernel bit-identity claim);

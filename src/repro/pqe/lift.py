@@ -58,12 +58,12 @@ plan grounded over one instance is a d-D circuit, and a root
 inclusion–exclusion is a signed sum of its terms' gates.
 :func:`ground_plan` caches that circuit's
 :class:`~repro.circuits.evaluator.EvaluationTape` per plan and instance
-content.  Exact calls on a plan without h-run kernels ground it on the
-first call and run the tape's exact backends (integers over a common
-denominator, or Fractions).  Float calls interpret a plan's first
-:data:`GROUND_AFTER_CALLS` calls on an instance's content and then run
-its tape on the TID's memoized slot vector: the same bits as the float
-interpreter.  Plans whose grounding would exceed
+content.  A plan's first :data:`GROUND_AFTER_CALLS` calls on an
+instance's content, exact and float counted together, interpret; later
+calls run its tape.  Float calls run it on the TID's memoized slot
+vector (the same bits as the float interpreter); exact calls on a plan
+without h-run kernels run the tape's exact backends (integers over a
+common denominator, or Fractions).  Plans whose grounding would exceed
 :data:`GROUND_GATE_LIMIT` gates, and plans with inclusion–exclusion
 below the root, keep the interpreters.
 """
@@ -112,14 +112,15 @@ MAX_IE_WIDTH = 12
 #: VM; the table in docs/extensional_fast_path.md, "Grounded plans").
 GROUND_GATE_LIMIT = 8192
 
-#: A plan's float calls on one instance's content run the interpreter
-#: this many times before the plan is grounded, so an instance evaluated
-#: only a few times never pays for a grounding.  A grounding costs about
-#: 30 µs per live gate: as much as 18–33 interpreted calls on the 33–288
-#: tuple instances the benchmark serves (q9 on 3x3 to 4x4, ``safe_ucq``
-#: on a 16x16 domain), and 190 for q9 on 9x9 (2-vCPU VM).  Renting up
-#: to the price of buying, a reused instance of the first kind costs at
-#: most 1.9–2.7 times what the best choice of call to ground on would.
+#: A plan's calls on one instance's content, exact and float together,
+#: run the interpreters this many times before the plan is grounded, so
+#: an instance evaluated only a few times never pays for a grounding.
+#: A grounding costs about 30 µs per live gate: as much as 18–33
+#: interpreted float calls on the 33–288 tuple instances the benchmark
+#: serves (q9 on 3x3 to 4x4, ``safe_ucq`` on a 16x16 domain), and 190
+#: for q9 on 9x9 (2-vCPU VM).  Renting up to the price of buying, a
+#: reused instance of the first kind costs at most 1.9–2.7 times what
+#: the best choice of call to ground on would.
 GROUND_AFTER_CALLS = 32
 
 
@@ -1235,7 +1236,7 @@ def _kernel_gate_bound(kernels: list, instance: Instance) -> int:
 
 
 class _PlanGrounding:
-    """One plan over one instance's content: the float calls that have
+    """One plan over one instance's content: the calls that have
     interpreted it so far, then its grounded tape (``None`` when the plan
     keeps the interpreter)."""
 
@@ -1275,17 +1276,36 @@ def ground_plan(
     return grounding.tape
 
 
+def _reused_tape(plan, instance: Instance) -> EvaluationTape | None:
+    """The plan's grounded tape once ``instance``'s content has served it
+    :data:`GROUND_AFTER_CALLS` calls, exact and float together (exact
+    calls count only on plans without h-run kernels, the ones whose
+    exact answers run the tape); ``None`` before that, and when the plan
+    keeps the interpreter.  The count's increment and comparison run
+    under the instance's derivation lock, so no call is lost between
+    threads."""
+    grounding = _plan_grounding(plan, instance)
+    tape = grounding.tape
+    if tape is _NOT_GROUNDED:
+        with instance.derivation_lock:
+            grounding.calls += 1
+            reused = grounding.calls > GROUND_AFTER_CALLS
+        tape = ground_plan(plan, instance) if reused else None
+    return tape
+
+
 def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fraction:
     """Exact ``Pr(Q)`` of a lifted plan.  A plan without h-run kernels
-    runs its grounded tape (:func:`ground_plan`, grounded on the first
-    call) on the tape's exact backend: integers over a common
-    denominator, or Fractions when that denominator exceeds 64 bits.
-    Plans with kernels, and plans that do not ground, run
-    :func:`_eval_fraction`, whose kernels sweep the columnar integers.
-    Every path is exact, so they agree as Fractions."""
+    runs :func:`_eval_fraction` until its instance is reused, then its
+    grounded tape (:func:`_reused_tape`) on the tape's exact backend:
+    integers over a common denominator, or Fractions when that
+    denominator exceeds 64 bits.  Plans with kernels, and plans that do
+    not ground, always run :func:`_eval_fraction`, whose kernels sweep
+    the columnar integers.  Every path is exact, so they agree as
+    Fractions."""
     root = plan.root if isinstance(plan, LiftPlan) else plan
     if not _contains_kernel(root):
-        tape = ground_plan(plan, tid.instance)
+        tape = _reused_tape(plan, tid.instance)
         if tape is not None:
             return tape.evaluate(tid.probability_map())
     return _eval_fraction(root, {}, _Evaluation(tid))
@@ -1296,18 +1316,10 @@ def evaluate_plan_float(
 ) -> float:
     """Float ``Pr(Q)`` of a lifted plan: :func:`_eval_float` (numpy-columnar
     fast paths for single-atom projections, the chain-DP float sweeps for
-    h-kernels) for the plan's first :data:`GROUND_AFTER_CALLS` calls on
-    an instance's content, then its grounded tape (:func:`ground_plan`)
-    on the TID's memoized slot vector, unless the plan keeps the
-    interpreter.  Both give the same bits."""
-    instance = tid.instance
-    grounding = _plan_grounding(plan, instance)
-    tape = grounding.tape
-    if tape is _NOT_GROUNDED:
-        with instance.derivation_lock:
-            grounding.calls += 1
-            reused = grounding.calls > GROUND_AFTER_CALLS
-        tape = ground_plan(plan, instance) if reused else None
+    h-kernels) until its instance is reused, then its grounded tape
+    (:func:`_reused_tape`) on the TID's memoized slot vector, unless the
+    plan keeps the interpreter.  Both give the same bits."""
+    tape = _reused_tape(plan, tid.instance)
     if tape is not None:
         return tape.evaluate_vectors([tid.slot_vector(tape)])[0]
     root = plan.root if isinstance(plan, LiftPlan) else plan

@@ -288,8 +288,8 @@ class TestRandomizedUCQs:
                 rejected += 1
                 continue
             accepted += 1
-            # Exact answers of plans that do not ground come from the
-            # Fraction interpreter; the oracle pins both paths.
+            # A first exact call interprets; the oracle pins it, and
+            # check_grounded pins the tape against the interpreter.
             probability = lifted_probability(query, tid, plan=plan)
             oracle = probability_by_world_enumeration(query, tid)
             assert probability == oracle
@@ -558,31 +558,49 @@ class TestGroundedPlans:
         assert evaluate_plan(plan, tid) == oracle
         assert fractions and fractions[0] is plan.root
 
-    def test_exact_calls_ground_on_their_first_call(self, monkeypatch):
-        # An exact call on a kernel-less plan grounds it at once and
-        # answers from the tape's exact backend.  Float calls on that
-        # instance, through any TID, then run the tape without counting.
+    def test_exact_calls_ground_once_their_instance_is_reused(
+        self, monkeypatch
+    ):
+        # Exact calls on a kernel-less plan count with float calls: the
+        # first GROUND_AFTER_CALLS calls on an instance's content, of
+        # either kind and through any TID, interpret; the next one, here
+        # exact, grounds once and answers from the tape's exact backend.
+        # Float calls on that instance then run the tape.
         rng = random.Random(0x4D)
         plan = lift_query(self.SAFE_UCQ)
         tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=2, density=1.0)
         first, other = random_map(tid, rng, 15), random_map(tid, rng, 15)
+        exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(first))
+        assert exact == probability_by_world_enumeration(self.SAFE_UCQ, first)
         interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(other))
-        groundings = []
+        groundings, fractions = [], []
         ground_circuit_ = lift.ground_circuit
+        eval_fraction = lift._eval_fraction
 
-        def counting(*args):
+        def counting_ground(*args):
             groundings.append(args)
             return ground_circuit_(*args)
 
-        monkeypatch.setattr(lift, "ground_circuit", counting)
-        exact = evaluate_plan(plan, first)
+        def counting_fraction(op, env, ev):
+            if op is plan.root:
+                fractions.append(op)
+            return eval_fraction(op, env, ev)
+
+        monkeypatch.setattr(lift, "ground_circuit", counting_ground)
+        monkeypatch.setattr(lift, "_eval_fraction", counting_fraction)
+        for call in range(lift.GROUND_AFTER_CALLS):
+            if call % 2:
+                value = evaluate_plan_float(plan, other)
+                assert value.hex() == interpreted.hex()
+            else:
+                assert evaluate_plan(plan, first) == exact
+        assert groundings == []
+        assert len(fractions) == lift.GROUND_AFTER_CALLS // 2
+        value = evaluate_plan(plan, first)
         assert len(groundings) == 1
-        assert isinstance(exact, Fraction)
-        assert exact == lift._eval_fraction(
-            plan.root, {}, lift._Evaluation(first)
-        )
-        assert exact == probability_by_world_enumeration(self.SAFE_UCQ, first)
+        assert isinstance(value, Fraction) and value == exact
         assert evaluate_plan(plan, first) == exact
+        assert len(fractions) == lift.GROUND_AFTER_CALLS // 2
         monkeypatch.setattr(
             lift, "_eval_float", lambda *a: pytest.fail("interpreted")
         )
@@ -677,8 +695,9 @@ class TestGroundedPlans:
 
             @property
             def calls(self):
+                calls = self._calls
                 time.sleep(0)
-                return self._calls
+                return calls
 
             @calls.setter
             def calls(self, value):
@@ -727,13 +746,29 @@ class TestGroundedPlans:
 
     def test_concurrent_exact_and_float_calls_ground_once(self, monkeypatch):
         # More threads than cores, switching often, mixing exact and
-        # float calls on one fresh instance: the exact calls ground, once,
-        # and every answer is right whichever path it took.  Half the
-        # threads open with an exact call, all at once, and the grounding
-        # sleeps, so racing groundings would show.
+        # float calls on one fresh instance: exactly GROUND_AFTER_CALLS
+        # calls of either kind interpret, one grounds, and every answer
+        # is right whichever path it took.  Half the threads open with
+        # an exact call, all at once; reading the shared count yields the
+        # interpreter lock and the grounding sleeps, so a lost update or
+        # racing groundings would show.
         import threading
         import time
 
+        class YieldingGrounding(lift._PlanGrounding):
+            __slots__ = ("_calls",)
+
+            @property
+            def calls(self):
+                calls = self._calls
+                time.sleep(0)
+                return calls
+
+            @calls.setter
+            def calls(self, value):
+                self._calls = value
+
+        monkeypatch.setattr(lift, "_PlanGrounding", YieldingGrounding)
         rng = random.Random(0x6F)
         plan = lift_query(self.SAFE_UCQ)
         tid = random_map(
@@ -743,14 +778,25 @@ class TestGroundedPlans:
         )
         interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
         exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(tid))
-        groundings, wrong = [], []
+        interpretations, groundings, wrong = [], [], []
+        eval_float, eval_fraction = lift._eval_float, lift._eval_fraction
         ground_circuit_ = lift.ground_circuit
+
+        def counting(evaluate):
+            def run(op, env, ev):
+                if op is plan.root:
+                    interpretations.append(op)
+                return evaluate(op, env, ev)
+
+            return run
 
         def counting_ground(*args):
             groundings.append(args)
             time.sleep(0.005)
             return ground_circuit_(*args)
 
+        monkeypatch.setattr(lift, "_eval_float", counting(eval_float))
+        monkeypatch.setattr(lift, "_eval_fraction", counting(eval_fraction))
         monkeypatch.setattr(lift, "ground_circuit", counting_ground)
         start = threading.Barrier(6)
 
@@ -780,6 +826,7 @@ class TestGroundedPlans:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+        assert len(interpretations) == lift.GROUND_AFTER_CALLS
         assert len(groundings) == 1
 
     def test_grounded_floats_do_not_depend_on_the_hash_seed(self):
