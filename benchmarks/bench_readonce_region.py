@@ -6,10 +6,19 @@ lineages; the H-queries' building blocks ``h_{k,i}`` are themselves
 hierarchical and self-join-free.  This bench regenerates that baseline:
 
 * every ``h_{k,i}`` passes the hierarchy test and compiles to a read-once
-  lineage whose probability matches the safe plan exactly;
+  lineage whose probability matches the safe plan exactly, and both
+  match the chain DP of :func:`repro.pqe.safe_plans.disjunction_probability`
+  (the safe plan and the lineage are the lifted plan's exact arithmetic
+  and its grounding, :mod:`repro.pqe.lift`'s walker; the chain DP is an
+  independent route);
 * the classical non-hierarchical query ``R(x), S(x,y), T(y)`` is refused;
 * the read-once plan scales linearly while the naive DNF lineage needs
   exponential-time weighted model counting (printed as the series shape).
+
+The printed gate counts are the lineage's live gates: the grounding's
+two constant gates, and gates left under an ∧ that an absent tuple
+folds to false, are not part of it (24 gates for ``h_{3,1}`` at
+``n = 2``).
 """
 
 from __future__ import annotations

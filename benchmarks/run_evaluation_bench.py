@@ -824,16 +824,16 @@ def seed_extensional_probability(query, tid):
 
 def _grounded_identical(plan, tid) -> bool:
     """Whether ``plan`` grounds over ``tid``'s instance and its tape
-    agrees with the interpreters: the float by ``float.hex``, the exact
-    Fraction with ``_eval_fraction`` (``evaluate_plan`` itself runs the
-    tape on plans without h-run kernels)."""
+    agrees with the plan walker: the float by ``float.hex``, the exact
+    Fraction with the walker's exact arithmetic (``evaluate_plan``
+    itself runs the tape on plans without h-run kernels)."""
     from repro.pqe import lift
 
     tape = lift.ground_plan(plan, tid.instance)
     if tape is None:
         return False
-    interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
-    exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(tid))
+    interpreted = lift._walk(plan.root, {}, lift._Float(tid))
+    exact = lift._walk(plan.root, {}, lift._Exact(tid))
     return lift.evaluate_plan_float(
         plan, tid
     ).hex() == interpreted.hex() and tape.evaluate(
@@ -859,8 +859,8 @@ def bench_extensional(n=19, batch_size=256, suite_size=16, repeats=3):
       ``exact_identical`` for seed-vs-vectorized on the big instance;
     * ``grounded_identical`` — on the batch's first 16 maps and every
       suite instance (the big one stays on the kernels), each plan's
-      grounded tape equals the interpreter float for float and
-      ``_eval_fraction`` exactly.
+      grounded tape equals the walker's float arithmetic float for float
+      and its exact arithmetic exactly.
     """
     import repro.pqe.extensional as extensional
     from repro.db.generator import random_tid
@@ -992,7 +992,8 @@ def bench_lifted(
       across backends and to the direct plan evaluation;
     * ``grounded_identical`` — both plans' grounded tapes on the oracle,
       big, first 8 batch and serving instances, equal to the
-      interpreter float for float and to ``_eval_fraction`` exactly.
+      walker's float arithmetic float for float and to its exact
+      arithmetic exactly.
     """
     import repro.pqe.extensional as extensional
     from repro.db.relation import Instance

@@ -37,6 +37,10 @@ import numpy as _np
 
 from repro.db.relation import Instance, TupleId
 
+#: The probability of a fact never weighted; Fractions are immutable, so
+#: every such lookup shares this one.
+_ONE = Fraction(1)
+
 
 class TupleIndependentDatabase:
     """A TID ``(D, pi)``: an instance plus per-tuple probabilities.
@@ -73,7 +77,7 @@ class TupleIndependentDatabase:
 
     def probability_of(self, tuple_id: TupleId) -> Fraction:
         """``pi(t)`` (1 for facts never explicitly weighted)."""
-        return self._prob.get(tuple_id, Fraction(1))
+        return self._prob.get(tuple_id, _ONE)
 
     @property
     def probability_version(self) -> int:

@@ -45,17 +45,19 @@ The plan is an IR of small frozen ops (:class:`IndependentJoin`,
 :class:`Complement`, :class:`InclusionExclusion`, :class:`LeafAtom`,
 and :class:`HRunKernel`, which delegates an ``h``-run to the vectorized
 chain DP of :mod:`repro.pqe.safe_plans`, the leaf of every h-query
-plan :func:`repro.pqe.extensional.build_plan` returns).  Two
-interpreters share one memoized recursion: exact
-:class:`~fractions.Fraction` (with the integer chain DP of
-:mod:`repro.db.columnar` for h-run kernels), and float with
-numpy-columnar fast paths for projections over single atoms.
+plan :func:`repro.pqe.extensional.build_plan` returns).
 
-**Grounding.**  Every rule but inclusion–exclusion maps to a d-D gate
-(independent join → decomposable ∧; independent union and project →
-¬∧¬; complement → ¬; an h-run kernel → its chain DP as gates), so a
-plan grounded over one instance is a d-D circuit, and a root
-inclusion–exclusion is a signed sum of its terms' gates.
+**One walker, three arithmetics.**  Every rule but inclusion–exclusion
+is one d-D gate (independent join → decomposable ∧; independent union
+and project → ¬∧¬; complement → ¬; an h-run kernel → its chain DP as
+gates), so evaluating a plan and grounding it are one rule table read
+in different arithmetics.  One memoized recursion, :func:`_walk`, reads
+it in exact :class:`~fractions.Fraction` s (with the integer chain DP
+of :mod:`repro.db.columnar` for h-run kernels), in floats (numpy
+columns for projections over single atoms), or in the gates of one
+instance's circuit, and so fixes each rule's operand order once for
+all three.  A plan grounded over one instance is a d-D circuit, and a
+root inclusion–exclusion is a signed sum of its terms' gates.
 :func:`ground_plan` caches that circuit's
 :class:`~repro.circuits.evaluator.EvaluationTape` per plan and instance
 content.  A plan's first :data:`GROUND_AFTER_CALLS` calls on an
@@ -847,16 +849,14 @@ def is_liftable(query) -> bool:
 
 
 class _PlanWalk:
-    """One pass over a plan: a per-(op, bindings) memo so shared subplans
-    — and the distinct runs of h-query plans — are visited once."""
+    """The state :func:`_walk` keeps for one pass over a plan: a
+    per-(op, bindings) memo so shared subplans — and the distinct runs
+    of h-query plans — are visited once."""
 
     def __init__(self, instance: Instance):
         self.instance = instance
         self.memo: dict = {}
         self._free: dict = {}
-
-    def domain(self, sources: tuple) -> list:
-        return _project_domain(self.instance, sources)
 
     def free_markers(self, op) -> frozenset:
         cached = self._free.get(op)
@@ -877,6 +877,8 @@ class _PlanWalk:
 
     def bindings_key(self, op, env: dict) -> tuple:
         free = self.free_markers(op)
+        if not free:
+            return ()
         return tuple(
             sorted(
                 ((marker.index, env[marker]) for marker in free),
@@ -884,32 +886,13 @@ class _PlanWalk:
             )
         )
 
-
-def _leaf_values(op: LeafAtom, env: dict) -> tuple:
-    return tuple(
-        env[term] if isinstance(term, Marker) else term for term in op.terms
-    )
-
-
-class _Evaluation(_PlanWalk):
-    """One evaluation pass over a TID."""
-
-    def __init__(self, tid: TupleIndependentDatabase):
-        super().__init__(tid.instance)
-        self.tid = tid
-        self._h_columns: dict = {}
-
-    def h_columns(self, k: int):
-        columns = self._h_columns.get(k)
-        if columns is None:
-            columns = self._h_columns[k] = h_columns(self.tid, k)
-        return columns
-
-    def leaf_probability(self, op: LeafAtom, env: dict) -> Fraction:
-        values = _leaf_values(op, env)
-        if not self.instance.has(op.relation, values):
-            return Fraction(0)
-        return self.tid.probability_of(TupleId(op.relation, values))
+    def group(self, relation: str, key_positions: tuple, key: tuple):
+        """A projection's columnar group (:func:`_projection_group`): the
+        complement-product over the group's tuples."""
+        groups = relation_grouping_layout(
+            self.instance, relation, key_positions
+        )
+        return self.any_of([self.var(t) for t in groups.get(key, ())])
 
 
 def _project_domain(instance: Instance, sources: tuple) -> list:
@@ -926,98 +909,57 @@ def _project_domain(instance: Instance, sources: tuple) -> list:
     return instance.cached_derivation(("pqe.lift.domain", sources), build)
 
 
-def _eval_fraction(op, env: dict, ev: _Evaluation) -> Fraction:
-    key = (op, ev.bindings_key(op, env))
-    cached = ev.memo.get(key)
-    if cached is not None:
+def _walk(op, env: dict, arithmetic):
+    """The value of ``op`` under the marker bindings ``env``, in one of
+    three arithmetics: :class:`_Exact`, :class:`_Float` or the gates of
+    :class:`_Grounding`.  Each rule is one gate read in the arithmetic —
+    a leaf is a tuple's variable (``false`` when absent), an independent
+    join ∧, an independent union or project ¬∧¬ (``any_of``), a
+    complement ¬ — so a grounded tape keeps the float arithmetic's
+    operand order by construction."""
+    key = (op, arithmetic.bindings_key(op, env))
+    cached = arithmetic.memo.get(key)
+    if cached is not None:  # gate 0 and Fraction(0) are hits
         return cached
     if isinstance(op, LeafAtom):
-        value = ev.leaf_probability(op, env)
-    elif isinstance(op, IndependentJoin):
-        value = Fraction(1)
-        for child in op.parts:
-            value *= _eval_fraction(child, env, ev)
-    elif isinstance(op, IndependentUnion):
-        miss = Fraction(1)
-        for child in op.parts:
-            miss *= 1 - _eval_fraction(child, env, ev)
-        value = 1 - miss
-    elif isinstance(op, Complement):
-        value = 1 - _eval_fraction(op.part, env, ev)
-    elif isinstance(op, IndependentProject):
-        miss = Fraction(1)
-        for constant in ev.domain(op.sources):
-            bound = dict(env)
-            bound[op.marker] = constant
-            miss *= 1 - _eval_fraction(op.part, bound, ev)
-        value = 1 - miss
-    elif isinstance(op, InclusionExclusion):
-        value = Fraction(0)
-        for coefficient, child in op.terms:
-            value += coefficient * _eval_fraction(child, env, ev)
-    elif isinstance(op, HRunKernel):
-        value = run_probability(
-            op.run, op.k, ev.tid, columns=ev.h_columns(op.k)
+        values = tuple(
+            env[term] if isinstance(term, Marker) else term
+            for term in op.terms
         )
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown lift op {type(op).__name__}")
-    ev.memo[key] = value
-    return value
-
-
-def _eval_float(op, env: dict, ev: _Evaluation) -> float:
-    key = (op, ev.bindings_key(op, env))
-    cached = ev.memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(op, LeafAtom):
-        value = float(ev.leaf_probability(op, env))
+        value = (
+            arithmetic.var(TupleId(op.relation, values))
+            if arithmetic.instance.has(op.relation, values)
+            else arithmetic.false
+        )
     elif isinstance(op, IndependentJoin):
-        value = 1.0
-        for child in op.parts:
-            value *= _eval_float(child, env, ev)
+        value = arithmetic.and_([_walk(c, env, arithmetic) for c in op.parts])
     elif isinstance(op, IndependentUnion):
-        miss = 1.0
-        for child in op.parts:
-            miss *= 1.0 - _eval_float(child, env, ev)
-        value = 1.0 - miss
+        value = arithmetic.any_of(
+            [_walk(c, env, arithmetic) for c in op.parts]
+        )
     elif isinstance(op, Complement):
-        value = 1.0 - _eval_float(op.part, env, ev)
+        value = arithmetic.not_(_walk(op.part, env, arithmetic))
     elif isinstance(op, IndependentProject):
-        column = _project_column(op, env, ev)
-        if column is not None:
-            value = _one_minus_prod(column)
+        group = _projection_group(op, env)
+        if group is not None:
+            value = arithmetic.group(*group)
         else:
-            miss = 1.0
-            for constant in ev.domain(op.sources):
-                bound = dict(env)
-                bound[op.marker] = constant
-                miss *= 1.0 - _eval_float(op.part, bound, ev)
-            value = 1.0 - miss
+            domain = _project_domain(arithmetic.instance, op.sources)
+            value = arithmetic.any_of([
+                _walk(op.part, {**env, op.marker: constant}, arithmetic)
+                for constant in domain
+            ])
     elif isinstance(op, InclusionExclusion):
-        value = 0.0
-        for coefficient, child in op.terms:
-            value += coefficient * _eval_float(child, env, ev)
-    elif isinstance(op, HRunKernel):
-        value = run_probability_float(
-            op.run, op.k, ev.tid, columns=ev.h_columns(op.k)
+        value = arithmetic.signed_sum(
+            (coefficient, _walk(child, env, arithmetic))
+            for coefficient, child in op.terms
         )
+    elif isinstance(op, HRunKernel):
+        value = arithmetic.kernel(op)
     else:  # pragma: no cover - defensive
         raise TypeError(f"unknown lift op {type(op).__name__}")
-    ev.memo[key] = value
+    arithmetic.memo[key] = value
     return value
-
-
-def _project_column(op: IndependentProject, env: dict, ev: _Evaluation):
-    """The columnar fast path of a projection: its group's probability
-    column (a float array) when :func:`_projection_group` finds one,
-    else ``None``."""
-    group = _projection_group(op, env)
-    if group is None:
-        return None
-    relation, key_positions, key = group
-    groups = relation_probability_columns(ev.tid, relation, key_positions)
-    return groups.get(key, _EMPTY_COLUMN)
 
 
 def _projection_group(op: IndependentProject, env: dict):
@@ -1048,12 +990,84 @@ def _projection_group(op: IndependentProject, env: dict):
     return child.relation, tuple(key_positions), tuple(key_values)
 
 
+class _Numbers(_PlanWalk):
+    """The walker's arithmetic of probabilities over a TID: ∧ multiplies,
+    ¬ complements, ¬∧¬ is the complement-product, each folded left to
+    right from ``true``; a root inclusion–exclusion is the signed sum."""
+
+    def __init__(self, tid: TupleIndependentDatabase):
+        super().__init__(tid.instance)
+        self.tid = tid
+        self._h_columns: dict = {}
+
+    def h_columns(self, k: int):
+        columns = self._h_columns.get(k)
+        if columns is None:
+            columns = self._h_columns[k] = h_columns(self.tid, k)
+        return columns
+
+    def and_(self, values):
+        value = self.true
+        for child in values:
+            value *= child
+        return value
+
+    def not_(self, value):
+        return self.true - value
+
+    def any_of(self, values):
+        one = self.true
+        miss = one
+        for child in values:
+            miss *= one - child
+        return one - miss
+
+    def signed_sum(self, terms):
+        value = self.false
+        for coefficient, child in terms:
+            value += coefficient * child
+        return value
+
+
+class _Exact(_Numbers):
+    """Exact :class:`~fractions.Fraction` s; h-run kernels sweep the
+    columnar integers (:func:`run_probability`)."""
+
+    true, false = Fraction(1), Fraction(0)
+
+    def var(self, tuple_id: TupleId) -> Fraction:
+        return self.tid.probability_of(tuple_id)
+
+    def kernel(self, op: HRunKernel) -> Fraction:
+        return run_probability(
+            op.run, op.k, self.tid, columns=self.h_columns(op.k)
+        )
+
+
+class _Float(_Numbers):
+    """Floats; a projection's group is one numpy complement-product over
+    its probability column, and h-run kernels the float chain-DP sweeps
+    (:func:`run_probability_float`)."""
+
+    true, false = 1.0, 0.0
+
+    def var(self, tuple_id: TupleId) -> float:
+        return float(self.tid.probability_of(tuple_id))
+
+    def group(self, relation: str, key_positions: tuple, key: tuple):
+        groups = relation_probability_columns(
+            self.tid, relation, key_positions
+        )
+        column = groups.get(key, _EMPTY_COLUMN)
+        return float(1.0 - _np.prod(1.0 - column))
+
+    def kernel(self, op: HRunKernel) -> float:
+        return run_probability_float(
+            op.run, op.k, self.tid, columns=self.h_columns(op.k)
+        )
+
+
 _EMPTY_COLUMN = _np.zeros(0)
-
-
-def _one_minus_prod(column) -> float:
-    """``1 - prod(1 - column)`` over a float probability column."""
-    return float(1.0 - _np.prod(1.0 - column))
 
 
 def _plan_ops(root) -> set:
@@ -1081,12 +1095,13 @@ class _Ungroundable(Exception):
 
 
 class _Grounding(_PlanWalk):
-    """One grounding pass: a hash-consed circuit and its gate builders.
+    """The walker's arithmetic of gates: a hash-consed circuit over one
+    instance and its gate builders.
 
-    The builders fold constants only where the float interpreter's
-    arithmetic is exact (``x·1.0``, ``x·0.0`` on the non-negative values
-    a plan computes, ``x+0.0``, ``1.0−1.0``, ``1.0−0.0``), and keep
-    every other gate's inputs in the interpreter's operand order.
+    The builders fold constants only where the float arithmetic is exact
+    (``x·1.0``, ``x·0.0`` on the non-negative values a plan computes,
+    ``x+0.0``, ``1.0−1.0``, ``1.0−0.0``), and keep every other gate's
+    inputs in the walker's operand order.
     """
 
     def __init__(self, instance: Instance, limit: int | None):
@@ -1129,50 +1144,28 @@ class _Grounding(_PlanWalk):
         """``1 − ∏(1 − g)``, the independent union, as ¬∧¬."""
         return self.not_(self.and_([self.not_(g) for g in gates]))
 
+    def kernel(self, op: HRunKernel) -> int:
+        return run_gates(
+            op.run, op.k, columnar_layout(self.instance, op.k), self
+        )
 
-def _ground_op(op, env: dict, g: _Grounding) -> int:
-    key = (op, g.bindings_key(op, env))
-    cached = g.memo.get(key)
-    if cached is not None:
-        return cached
-    if isinstance(op, LeafAtom):
-        values = _leaf_values(op, env)
-        gate = (
-            g.var(TupleId(op.relation, values))
-            if g.instance.has(op.relation, values)
-            else g.false
-        )
-    elif isinstance(op, IndependentJoin):
-        gate = g.and_([_ground_op(child, env, g) for child in op.parts])
-    elif isinstance(op, IndependentUnion):
-        gate = g.any_of([_ground_op(child, env, g) for child in op.parts])
-    elif isinstance(op, Complement):
-        gate = g.not_(_ground_op(op.part, env, g))
-    elif isinstance(op, IndependentProject):
-        group = _projection_group(op, env)
-        if group is not None:  # the interpreter's columnar path
-            relation, key_positions, key = group
-            layout = relation_grouping_layout(
-                g.instance, relation, key_positions
-            )
-            gate = g.any_of([g.var(t) for t in layout.get(key, ())])
-        else:
-            parts = []
-            for constant in g.domain(op.sources):
-                bound = dict(env)
-                bound[op.marker] = constant
-                parts.append(_ground_op(op.part, bound, g))
-            gate = g.any_of(parts)
-    elif isinstance(op, HRunKernel):
-        gate = run_gates(
-            op.run, op.k, columnar_layout(g.instance, op.k), g
-        )
-    elif isinstance(op, InclusionExclusion):
-        raise _Ungroundable  # below the root: the interpreter keeps it
-    else:  # pragma: no cover - defensive
-        raise TypeError(f"unknown lift op {type(op).__name__}")
-    g.memo[key] = gate
-    return gate
+    def signed_sum(self, terms):
+        raise _Ungroundable  # below the root: the interpreters keep it
+
+    def ground(self, root) -> tuple[Circuit, tuple | None] | None:
+        """:func:`ground_circuit`'s result for ``root``, or ``None`` when
+        the grounding stops."""
+        try:
+            if isinstance(root, InclusionExclusion):
+                terms = tuple(
+                    (coefficient, _walk(child, {}, self))
+                    for coefficient, child in root.terms
+                )
+                return self.circuit, terms
+            self.circuit.set_output(_walk(root, {}, self))
+        except _Ungroundable:
+            return None
+        return self.circuit, None
 
 
 def ground_circuit(
@@ -1186,27 +1179,26 @@ def ground_circuit(
     ``(coefficient, gate)`` terms, whose signed sum is the plan.  Every
     gate of a sound plan's circuit is d-D (tests check it with
     :func:`repro.circuits.validation.assert_d_d`).  Returns ``None``
-    for an inclusion–exclusion below the root, or when the circuit would
-    exceed :data:`GROUND_GATE_LIMIT` gates.  h-run kernels are held to
-    that limit by :func:`_kernel_gate_bound` before any gate is built, so
-    a large instance costs no thrown-away grounding.
+    only for an inclusion–exclusion below the root: the construction
+    has no size limit (:func:`ground_plan` holds what an instance caches
+    to :data:`GROUND_GATE_LIMIT`).
     """
+    root = plan.root if isinstance(plan, LiftPlan) else plan
+    return _Grounding(instance, None).ground(root)
+
+
+def _ground_within_limit(
+    plan: LiftPlan | object, instance: Instance
+) -> tuple[Circuit, tuple | None] | None:
+    """:func:`ground_circuit`, or ``None`` when the circuit would exceed
+    :data:`GROUND_GATE_LIMIT` gates.  h-run kernels are held to that
+    limit by :func:`_kernel_gate_bound` before any gate is built, so a
+    large instance costs no thrown-away grounding."""
     root = plan.root if isinstance(plan, LiftPlan) else plan
     kernels = [op for op in _plan_ops(root) if isinstance(op, HRunKernel)]
     if kernels and _kernel_gate_bound(kernels, instance) > GROUND_GATE_LIMIT:
         return None
-    g = _Grounding(instance, GROUND_GATE_LIMIT)
-    try:
-        if isinstance(root, InclusionExclusion):
-            terms = tuple(
-                (coefficient, _ground_op(child, {}, g))
-                for coefficient, child in root.terms
-            )
-            return g.circuit, terms
-        g.circuit.set_output(_ground_op(root, {}, g))
-    except _Ungroundable:
-        return None
-    return g.circuit, None
+    return _Grounding(instance, GROUND_GATE_LIMIT).ground(root)
 
 
 def _kernel_gate_bound(kernels: list, instance: Instance) -> int:
@@ -1263,12 +1255,13 @@ def ground_plan(
     call and cached per plan and instance content
     (:meth:`~repro.db.relation.Instance.cached_derivation`; only the
     tape and its generated code stay).  ``None`` — also cached — when
-    the plan keeps the interpreter."""
+    the plan keeps the interpreter: an inclusion–exclusion below the
+    root, or a circuit over :data:`GROUND_GATE_LIMIT` gates."""
     grounding = _plan_grounding(plan, instance)
     if grounding.tape is _NOT_GROUNDED:
         with instance.derivation_lock:
             if grounding.tape is _NOT_GROUNDED:
-                grounded = ground_circuit(plan, instance)
+                grounded = _ground_within_limit(plan, instance)
                 grounding.tape = (
                     None if grounded is None
                     else EvaluationTape.from_circuit(*grounded)
@@ -1296,34 +1289,35 @@ def _reused_tape(plan, instance: Instance) -> EvaluationTape | None:
 
 def evaluate_plan(plan: LiftPlan | object, tid: TupleIndependentDatabase) -> Fraction:
     """Exact ``Pr(Q)`` of a lifted plan.  A plan without h-run kernels
-    runs :func:`_eval_fraction` until its instance is reused, then its
-    grounded tape (:func:`_reused_tape`) on the tape's exact backend:
-    integers over a common denominator, or Fractions when that
-    denominator exceeds 64 bits.  Plans with kernels, and plans that do
-    not ground, always run :func:`_eval_fraction`, whose kernels sweep
-    the columnar integers.  Every path is exact, so they agree as
-    Fractions."""
+    runs :func:`_walk` in :class:`_Exact` arithmetic until its instance
+    is reused, then its grounded tape (:func:`_reused_tape`) on the
+    tape's exact backend: integers over a common denominator, or
+    Fractions when that denominator exceeds 64 bits.  Plans with
+    kernels, and plans that do not ground, always run the walker, whose
+    kernels sweep the columnar integers.  Every path is exact, so they
+    agree as Fractions."""
     root = plan.root if isinstance(plan, LiftPlan) else plan
     if not _contains_kernel(root):
         tape = _reused_tape(plan, tid.instance)
         if tape is not None:
             return tape.evaluate(tid.probability_map())
-    return _eval_fraction(root, {}, _Evaluation(tid))
+    return _walk(root, {}, _Exact(tid))
 
 
 def evaluate_plan_float(
     plan: LiftPlan | object, tid: TupleIndependentDatabase
 ) -> float:
-    """Float ``Pr(Q)`` of a lifted plan: :func:`_eval_float` (numpy-columnar
-    fast paths for single-atom projections, the chain-DP float sweeps for
-    h-kernels) until its instance is reused, then its grounded tape
-    (:func:`_reused_tape`) on the TID's memoized slot vector, unless the
-    plan keeps the interpreter.  Both give the same bits."""
+    """Float ``Pr(Q)`` of a lifted plan: :func:`_walk` in :class:`_Float`
+    arithmetic (numpy-columnar groups for single-atom projections, the
+    chain-DP float sweeps for h-kernels) until its instance is reused,
+    then its grounded tape (:func:`_reused_tape`) on the TID's memoized
+    slot vector, unless the plan keeps the interpreter.  Both give the
+    same bits."""
     tape = _reused_tape(plan, tid.instance)
     if tape is not None:
         return tape.evaluate_vectors([tid.slot_vector(tape)])[0]
     root = plan.root if isinstance(plan, LiftPlan) else plan
-    return _eval_float(root, {}, _Evaluation(tid))
+    return _walk(root, {}, _Float(tid))
 
 
 def evaluate_plan_batch(

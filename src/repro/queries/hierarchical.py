@@ -16,21 +16,26 @@ knowledge-compilation spectrum the paper maps:
 * :func:`safe_plan_probability` — the lifted plan: independent project on a
   root variable, independent join across connected components, ground out
   constants (exact Fractions, polynomial data complexity);
-* :func:`read_once_lineage` — the same recursion producing the lineage as
+* :func:`read_once_lineage` — the same plan grounded into the lineage as
   a read-once circuit (every tuple variable appears exactly once), whose
   probability therefore also falls out of one bottom-up pass with no
   determinism side conditions at all.
+
+On this fragment the general safe-plan search of :mod:`repro.pqe.lift`
+finds exactly that plan, so both functions check the fragment and then
+run :func:`~repro.pqe.lift.lift_query`'s plan through lift's walker:
+its exact arithmetic, and its grounding.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from fractions import Fraction
 
 from repro.circuits.circuit import Circuit
-from repro.db.relation import TupleId
+from repro.circuits.serialization import circuit_from_dict, circuit_to_dict
 from repro.db.tid import TupleIndependentDatabase
-from repro.queries.cq import Atom, ConjunctiveQuery, Constant
+from repro.pqe.lift import LiftPlan, evaluate_plan, ground_circuit, lift_query
+from repro.queries.cq import ConjunctiveQuery
 
 
 class NotHierarchicalError(ValueError):
@@ -41,14 +46,6 @@ class NotHierarchicalError(ValueError):
 class NotSelfJoinFreeError(ValueError):
     """Raised when a query repeats a relation name (the dichotomy and the
     plan below assume self-join-freeness)."""
-
-
-def _check_self_join_free(query: ConjunctiveQuery) -> None:
-    names = [atom.relation for atom in query.atoms]
-    if len(names) != len(set(names)):
-        raise NotSelfJoinFreeError(
-            f"query repeats a relation: {sorted(names)}"
-        )
 
 
 def atom_sets(query: ConjunctiveQuery) -> dict[str, frozenset[int]]:
@@ -71,56 +68,17 @@ def is_hierarchical(query: ConjunctiveQuery) -> bool:
     return True
 
 
-def _root_variables(query: ConjunctiveQuery) -> list[str]:
-    """Variables appearing in *every* atom of the query (the candidates
-    for an independent project)."""
-    sets = atom_sets(query)
-    total = len(query.atoms)
-    return sorted(v for v, s in sets.items() if len(s) == total)
-
-
-def _connected_components(query: ConjunctiveQuery) -> list[ConjunctiveQuery]:
-    """Partition the atoms by shared variables."""
-    parent = list(range(len(query.atoms)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    sets = atom_sets(query)
-    for indices in sets.values():
-        indices = sorted(indices)
-        for other in indices[1:]:
-            parent[find(indices[0])] = find(other)
-    groups: dict[int, list[Atom]] = {}
-    for i, atom in enumerate(query.atoms):
-        groups.setdefault(find(i), []).append(atom)
-    return [ConjunctiveQuery(tuple(atoms)) for atoms in groups.values()]
-
-
-def _substitute(query: ConjunctiveQuery, variable: str, value: Hashable):
-    atoms = tuple(
-        Atom(
-            atom.relation,
-            tuple(
-                Constant(value) if term == variable else term
-                for term in atom.terms
-            ),
+def _lifted_plan(query: ConjunctiveQuery, refusal: str) -> LiftPlan:
+    """The lifted plan of a hierarchical self-join-free CQ, after the
+    fragment's checks (self-joins first, then the hierarchy)."""
+    names = [atom.relation for atom in query.atoms]
+    if len(names) != len(set(names)):
+        raise NotSelfJoinFreeError(
+            f"query repeats a relation: {sorted(names)}"
         )
-        for atom in query.atoms
-    )
-    return ConjunctiveQuery(atoms)
-
-
-def _ground_tuple_probability(
-    atom: Atom, tid: TupleIndependentDatabase
-) -> Fraction:
-    values = tuple(term.value for term in atom.terms)  # all constants
-    if not tid.instance.has(atom.relation, values):
-        return Fraction(0)
-    return tid.probability_of(TupleId(atom.relation, values))
+    if not is_hierarchical(query):
+        raise NotHierarchicalError(refusal)
+    return lift_query(query)
 
 
 def safe_plan_probability(
@@ -128,123 +86,44 @@ def safe_plan_probability(
 ) -> Fraction:
     """Exact ``Pr(query)`` for a hierarchical self-join-free Boolean CQ.
 
-    Recursion (the classical lifted plan):
+    The query's lifted plan (:func:`repro.pqe.lift.lift_query`) is the
+    classical one: ground atoms over distinct relations multiply; so do
+    connected components, which share no variables *and* (by
+    self-join-freeness) no relations; a connected query has a root
+    variable ``x`` (hierarchical + connected guarantees it), whose
+    values give independent events, so ``Pr = 1 - prod over domain
+    values a of (1 - Pr(query[x := a]))``.
 
-    * no variables left → the query is a conjunction of ground atoms over
-      distinct relations: multiply their tuple probabilities;
-    * several connected components → they share no variables *and* (by
-      self-join-freeness) no relations: multiply their probabilities;
-    * otherwise a root variable ``x`` exists (hierarchical + connected
-      guarantees it): the events for distinct values of ``x`` are
-      independent, so ``Pr = 1 - prod over domain values a of
-      (1 - Pr(query[x := a]))``.
-
-    :raises NotHierarchicalError: on a non-hierarchical query.
     :raises NotSelfJoinFreeError: on a self-join.
+    :raises NotHierarchicalError: on a non-hierarchical query.
     """
-    _check_self_join_free(query)
-    if not is_hierarchical(query):
-        raise NotHierarchicalError(
-            "non-hierarchical self-join-free CQs are #P-hard [12]"
-        )
-    return _plan(query, tid)
-
-
-def _plan(query: ConjunctiveQuery, tid: TupleIndependentDatabase) -> Fraction:
-    if not query.variables():
-        probability = Fraction(1)
-        for atom in query.atoms:
-            probability *= _ground_tuple_probability(atom, tid)
-        return probability
-    components = _connected_components(query)
-    if len(components) > 1:
-        probability = Fraction(1)
-        for component in components:
-            probability *= _plan(component, tid)
-        return probability
-    roots = _root_variables(query)
-    if not roots:
-        raise NotHierarchicalError(
-            "connected query with no root variable: not hierarchical"
-        )
-    root = roots[0]
-    domain = _domain_of(query, root, tid)
-    miss_all = Fraction(1)
-    for value in domain:
-        miss_all *= 1 - _plan(_substitute(query, root, value), tid)
-    return 1 - miss_all
-
-
-def _domain_of(
-    query: ConjunctiveQuery, variable: str, tid: TupleIndependentDatabase
-) -> list[Hashable]:
-    """Values the variable can take in any atom containing it."""
-    values: set[Hashable] = set()
-    for atom in query.atoms:
-        if variable not in atom.variables():
-            continue
-        try:
-            relation = tid.instance.relation(atom.relation)
-        except KeyError:
-            continue
-        positions = [
-            i for i, term in enumerate(atom.terms) if term == variable
-        ]
-        for row in relation:
-            values.update(row[i] for i in positions)
-    return sorted(values, key=repr)
+    plan = _lifted_plan(
+        query, "non-hierarchical self-join-free CQs are #P-hard [12]"
+    )
+    return evaluate_plan(plan, tid)
 
 
 def read_once_lineage(
     query: ConjunctiveQuery, tid: TupleIndependentDatabase
 ) -> Circuit:
     """The lineage of a hierarchical self-join-free CQ as a *read-once*
-    circuit: the same recursion as :func:`safe_plan_probability`, emitting
-    gates instead of numbers.  Every tuple variable feeds exactly one wire,
-    so the circuit is trivially decomposable and its ∨-gates are
-    independent-or gates; probability can be computed with the inclusion–
-    exclusion-free rule ``1 - prod(1 - p_i)`` — we emit that shape with
-    ¬/∧/¬ so the standard d-D pass is exact too.
+    circuit: the plan of :func:`safe_plan_probability` grounded into
+    gates (:func:`repro.pqe.lift.ground_circuit`, with no gate limit),
+    live gates only.  Every tuple variable feeds exactly one wire, so
+    the circuit is trivially decomposable and its independent-or gates
+    come out as ¬∧¬, the shape the standard d-D pass evaluates exactly.
 
-    :raises NotHierarchicalError: / :raises NotSelfJoinFreeError: as above.
+    :raises NotSelfJoinFreeError: / :raises NotHierarchicalError: as above.
     """
-    _check_self_join_free(query)
-    if not is_hierarchical(query):
-        raise NotHierarchicalError(
-            "non-hierarchical self-join-free CQs have no read-once lineage "
-            "in general"
-        )
-    circuit = Circuit()
-    circuit.set_output(_lineage(query, tid, circuit))
-    return circuit
-
-
-def _lineage(
-    query: ConjunctiveQuery, tid: TupleIndependentDatabase, circuit: Circuit
-) -> int:
-    if not query.variables():
-        gates = []
-        for atom in query.atoms:
-            values = tuple(term.value for term in atom.terms)
-            if not tid.instance.has(atom.relation, values):
-                return circuit.add_const(False)
-            gates.append(circuit.add_var(TupleId(atom.relation, values)))
-        return circuit.add_and(gates)
-    components = _connected_components(query)
-    if len(components) > 1:
-        return circuit.add_and(
-            [_lineage(component, tid, circuit) for component in components]
-        )
-    root = _root_variables(query)[0]
-    domain = _domain_of(query, root, tid)
-    # Independent-or as ¬(∧ ¬child): keeps ∨-gates deterministic-free and
-    # the circuit read-once; the ∧ is decomposable because distinct root
-    # values touch disjoint tuples.
-    negated_children = [
-        circuit.add_not(_lineage(_substitute(query, root, value), tid, circuit))
-        for value in domain
-    ]
-    return circuit.add_not(circuit.add_and(negated_children))
+    plan = _lifted_plan(
+        query,
+        "non-hierarchical self-join-free CQs have no read-once lineage "
+        "in general",
+    )
+    grounded, _ = ground_circuit(plan, tid.instance)
+    # Only the gates the output reaches: a ∧ folded to false leaves its
+    # other inputs' gates behind, outside the lineage's own v-tree.
+    return circuit_from_dict(circuit_to_dict(grounded))
 
 
 def is_read_once_circuit(circuit: Circuit) -> bool:

@@ -351,9 +351,7 @@ class TestGroundedPlans:
             for query in queries:
                 plan = build_plan(query)
                 assert ground_plan(plan, tid.instance) is not None
-                interpreted = lift._eval_float(
-                    plan.root, {}, lift._Evaluation(tid)
-                )
+                interpreted = lift._walk(plan.root, {}, lift._Float(tid))
                 grounded = evaluate_plan_float(plan, tid)
                 assert grounded.hex() == interpreted.hex(), (query, n, m)
 
@@ -369,9 +367,7 @@ class TestGroundedPlans:
                 tid.set_probability(t, Fraction(rng.randrange(4, 14), 15))
             for run in [(0, 2), (1, 3), (1, 2)]:
                 kernel = HRunKernel(run, 3)
-                interpreted = lift._eval_float(
-                    kernel, {}, lift._Evaluation(tid)
-                )
+                interpreted = lift._walk(kernel, {}, lift._Float(tid))
                 assert ground_plan(kernel, tid.instance) is not None
                 grounded = evaluate_plan_float(kernel, tid)
                 assert grounded.hex() == interpreted.hex(), run
@@ -391,11 +387,14 @@ class TestGroundedPlans:
         assert ground_plan(plan, tid.instance) is not None
         tid = complete_tid(3, 4, 4, prob=Fraction(5, 16))
         monkeypatch.setattr(lift, "GROUND_GATE_LIMIT", 1000)
+        walk = lift._walk
 
-        def no_grounding(*args):
-            raise AssertionError("grounded a plan over the limit")
+        def no_grounding(op, env, arithmetic):
+            if isinstance(arithmetic, lift._Grounding):
+                raise AssertionError("grounded a plan over the limit")
+            return walk(op, env, arithmetic)
 
-        monkeypatch.setattr(lift, "_ground_op", no_grounding)
+        monkeypatch.setattr(lift, "_walk", no_grounding)
         assert ground_plan(plan, tid.instance) is None
         assert not hasattr(tid, "_slot_vectors")
         value = probability_float(q9(), tid, plan=plan)

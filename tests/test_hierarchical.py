@@ -9,8 +9,13 @@ from fractions import Fraction
 import pytest
 
 from repro.circuits import is_decomposable, probability as circuit_probability
+from repro.circuits.vtree import respects_vtree, vtree_of_read_once
+from repro.db.generator import complete_tid
 from repro.db.tid import TupleIndependentDatabase
+from repro.pqe import lift
+from repro.pqe.lift import lift_query
 from repro.queries.cq import Atom, ConjunctiveQuery
+from repro.queries.hqueries import h_query
 from repro.queries.hierarchical import (
     NotHierarchicalError,
     NotSelfJoinFreeError,
@@ -169,3 +174,39 @@ class TestReadOnceLineage:
         tid = random_tid(random.Random(9))
         with pytest.raises(NotHierarchicalError):
             read_once_lineage(hard_query(), tid)
+
+    def test_lineage_respects_its_own_vtree(self):
+        # An absent tuple folds its ∧ to false; the gates built under
+        # that ∧ must not stay in the lineage, where no v-tree of the
+        # lineage places their variables.
+        rng = random.Random(10)
+        queries = [
+            hk0(),
+            ConjunctiveQuery(
+                (Atom("R", ("x",)), Atom("S", ("x", "y")), Atom("T", ("z",)))
+            ),
+        ]
+        checked = 0
+        for _ in range(40):
+            tid = random_tid(rng)
+            for query in queries:
+                circuit = read_once_lineage(query, tid)
+                if circuit.gate_variable_sets()[circuit.output]:
+                    assert respects_vtree(circuit, vtree_of_read_once(circuit))
+                    checked += 1
+        assert checked >= 60
+
+    def test_lineage_has_no_gate_limit(self, monkeypatch):
+        # The lineage is the plan's grounding without a gate limit;
+        # only what ground_plan caches for an instance is held to one.
+        query = h_query(3, 1)
+        tid = complete_tid(3, 4, 4, prob=Fraction(1, 2))
+        monkeypatch.setattr(lift, "GROUND_GATE_LIMIT", 5)
+        circuit = read_once_lineage(query, tid)
+        assert len(circuit) > lift.GROUND_GATE_LIMIT
+        assert is_read_once_circuit(circuit)
+        assert is_decomposable(circuit)
+        assert circuit_probability(
+            circuit, tid.probability_map()
+        ) == safe_plan_probability(query, tid)
+        assert lift.ground_plan(lift_query(query), tid.instance) is None

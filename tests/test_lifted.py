@@ -105,17 +105,17 @@ def random_map(tid, rng, denominator=16):
 
 
 def check_grounded(plan, tid, oracle=None, enumerate_worlds=True) -> bool:
-    """Check a plan's grounded tape on ``tid`` against the interpreters
-    (float by ``float.hex``, exact against :func:`lift._eval_fraction`,
-    which never runs a tape), the oracle (``oracle``, else world
-    enumeration up to 22 tuples) and ``assert_d_d``; return whether the
-    plan grounds."""
+    """Check a plan's grounded tape on ``tid`` against the walker's
+    arithmetics (float by ``float.hex``, exact against the walker's
+    :class:`lift._Exact` arithmetic, which never runs a tape), the
+    oracle (``oracle``, else world enumeration up to 22 tuples) and
+    ``assert_d_d``; return whether the plan grounds."""
     tape = ground_plan(plan, tid.instance)
     if tape is None:
         return False
-    interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
+    interpreted = lift._walk(plan.root, {}, lift._Float(tid))
     assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
-    exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(tid))
+    exact = lift._walk(plan.root, {}, lift._Exact(tid))
     assert tape.evaluate(tid.probability_map()) == exact
     assert evaluate_plan(plan, tid) == exact
     if oracle is None and enumerate_worlds and len(tid) <= 22:
@@ -294,10 +294,10 @@ class TestRandomizedUCQs:
             oracle = probability_by_world_enumeration(query, tid)
             assert probability == oracle
             grounded += check_grounded(plan, tid, oracle)
-            # On new maps the tape's Fraction is checked against
-            # _eval_fraction, which the oracle pins just above.  On the
-            # wide map the tape's common denominator can exceed 64 bits,
-            # and its Fraction interpreter answers.
+            # On new maps the tape's Fraction is checked against the
+            # walker's exact arithmetic, which the oracle pins just
+            # above.  On the wide map the tape's common denominator can
+            # exceed 64 bits, and its Fraction interpreter answers.
             for denominator in (16, 15, WIDE_PRIMES):
                 fresh = random_map(tid, maps, denominator)
                 if check_grounded(plan, fresh, enumerate_worlds=False):
@@ -525,21 +525,28 @@ class TestGroundedPlans:
         assert check_grounded(plan, tid)  # under the real limit it grounds
         tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=2, density=1.0)
         monkeypatch.setattr(lift, "GROUND_GATE_LIMIT", 5)
-        interpreted = []
-        eval_float = lift._eval_float
+        interpreted, fractions = [], []
+        walk = lift._walk
 
-        def counting(op, env, ev):
-            interpreted.append(op)
-            return eval_float(op, env, ev)
+        def counting(op, env, arithmetic):
+            if isinstance(arithmetic, lift._Float):
+                interpreted.append(op)
+            elif isinstance(arithmetic, lift._Exact):
+                fractions.append(op)
+            return walk(op, env, arithmetic)
 
-        monkeypatch.setattr(lift, "_eval_float", counting)
+        monkeypatch.setattr(lift, "_walk", counting)
         assert ground_plan(plan, tid.instance) is None
+        assert interpreted == [] and fractions == []
         value = evaluate_plan_float(plan, tid)
         assert interpreted and interpreted[0] is plan.root
+        assert fractions == []
         # The refusal is what the instance caches: no tape, and no
         # second grounding.
         monkeypatch.setattr(
-            lift, "ground_circuit", lambda *a: pytest.fail("re-grounded")
+            lift,
+            "_ground_within_limit",
+            lambda *a: pytest.fail("re-grounded"),
         )
         assert ground_plan(plan, tid.instance) is None
         for _ in range(lift.GROUND_AFTER_CALLS + 1):
@@ -547,14 +554,7 @@ class TestGroundedPlans:
         oracle = probability_by_world_enumeration(self.SAFE_UCQ, tid)
         assert value == pytest.approx(float(oracle), abs=1e-12)
         # The exact call reads the same refusal and interprets.
-        fractions = []
-        eval_fraction = lift._eval_fraction
-
-        def counting_fraction(op, env, ev):
-            fractions.append(op)
-            return eval_fraction(op, env, ev)
-
-        monkeypatch.setattr(lift, "_eval_fraction", counting_fraction)
+        assert fractions == []
         assert evaluate_plan(plan, tid) == oracle
         assert fractions and fractions[0] is plan.root
 
@@ -570,24 +570,24 @@ class TestGroundedPlans:
         plan = lift_query(self.SAFE_UCQ)
         tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=2, density=1.0)
         first, other = random_map(tid, rng, 15), random_map(tid, rng, 15)
-        exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(first))
+        exact = lift._walk(plan.root, {}, lift._Exact(first))
         assert exact == probability_by_world_enumeration(self.SAFE_UCQ, first)
-        interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(other))
+        interpreted = lift._walk(plan.root, {}, lift._Float(other))
         groundings, fractions = [], []
-        ground_circuit_ = lift.ground_circuit
-        eval_fraction = lift._eval_fraction
+        ground_within_limit = lift._ground_within_limit
+        walk = lift._walk
 
         def counting_ground(*args):
             groundings.append(args)
-            return ground_circuit_(*args)
+            return ground_within_limit(*args)
 
-        def counting_fraction(op, env, ev):
-            if op is plan.root:
+        def counting_fraction(op, env, arithmetic):
+            if op is plan.root and isinstance(arithmetic, lift._Exact):
                 fractions.append(op)
-            return eval_fraction(op, env, ev)
+            return walk(op, env, arithmetic)
 
-        monkeypatch.setattr(lift, "ground_circuit", counting_ground)
-        monkeypatch.setattr(lift, "_eval_fraction", counting_fraction)
+        monkeypatch.setattr(lift, "_ground_within_limit", counting_ground)
+        monkeypatch.setattr(lift, "_walk", counting_fraction)
         for call in range(lift.GROUND_AFTER_CALLS):
             if call % 2:
                 value = evaluate_plan_float(plan, other)
@@ -602,7 +602,7 @@ class TestGroundedPlans:
         assert evaluate_plan(plan, first) == exact
         assert len(fractions) == lift.GROUND_AFTER_CALLS // 2
         monkeypatch.setattr(
-            lift, "_eval_float", lambda *a: pytest.fail("interpreted")
+            lift, "_walk", lambda *a: pytest.fail("interpreted")
         )
         assert evaluate_plan_float(plan, other).hex() == interpreted.hex()
         assert hasattr(other, "_slot_vectors")
@@ -614,7 +614,7 @@ class TestGroundedPlans:
         rng = random.Random(0x5E)
         tid = random_map(complete_tid(3, 1, 2), rng, 15)
         monkeypatch.setattr(
-            lift, "ground_circuit", lambda *a: pytest.fail("grounded")
+            lift, "_ground_within_limit", lambda *a: pytest.fail("grounded")
         )
         oracle = probability_by_world_enumeration(q9(), tid)
         plan = build_plan(q9())
@@ -637,9 +637,7 @@ class TestGroundedPlans:
                 tid.add("T", (x,), Fraction(rng.randrange(1, 5), 15))
                 for y in range(domain):
                     tid.add("S", (x, y), Fraction(rng.randrange(1, 5), 15))
-            interpreted = lift._eval_float(
-                plan.root, {}, lift._Evaluation(tid)
-            )
+            interpreted = lift._walk(plan.root, {}, lift._Float(tid))
             assert ground_plan(plan, tid.instance) is not None
             assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
 
@@ -652,17 +650,16 @@ class TestGroundedPlans:
         tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0)
         maps = [random_map(tid, rng, 15) for _ in range(3)]
         expected = [
-            lift._eval_float(plan.root, {}, lift._Evaluation(t)).hex()
-            for t in maps
+            lift._walk(plan.root, {}, lift._Float(t)).hex() for t in maps
         ]
         groundings = []
-        ground_circuit_ = lift.ground_circuit
+        ground_within_limit = lift._ground_within_limit
 
         def counting(*args):
             groundings.append(args)
-            return ground_circuit_(*args)
+            return ground_within_limit(*args)
 
-        monkeypatch.setattr(lift, "ground_circuit", counting)
+        monkeypatch.setattr(lift, "_ground_within_limit", counting)
         for call in range(lift.GROUND_AFTER_CALLS):
             t = call % len(maps)
             assert evaluate_plan_float(plan, maps[t]).hex() == expected[t]
@@ -707,21 +704,21 @@ class TestGroundedPlans:
         rng = random.Random(0x3C)
         plan = lift_query(self.SAFE_UCQ)
         tid = random_tid(rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0)
-        expected = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
+        expected = lift._walk(plan.root, {}, lift._Float(tid))
         interpreted, groundings, wrong = [], [], []
-        eval_float, ground_circuit_ = lift._eval_float, lift.ground_circuit
+        walk, ground_within_limit = lift._walk, lift._ground_within_limit
 
-        def counting_eval(op, env, ev):
-            if op is plan.root:
+        def counting_eval(op, env, arithmetic):
+            if op is plan.root and isinstance(arithmetic, lift._Float):
                 interpreted.append(op)
-            return eval_float(op, env, ev)
+            return walk(op, env, arithmetic)
 
         def counting_ground(*args):
             groundings.append(args)
-            return ground_circuit_(*args)
+            return ground_within_limit(*args)
 
-        monkeypatch.setattr(lift, "_eval_float", counting_eval)
-        monkeypatch.setattr(lift, "ground_circuit", counting_ground)
+        monkeypatch.setattr(lift, "_walk", counting_eval)
+        monkeypatch.setattr(lift, "_ground_within_limit", counting_ground)
 
         def worker():
             for _ in range(12):
@@ -776,28 +773,25 @@ class TestGroundedPlans:
             rng,
             15,
         )
-        interpreted = lift._eval_float(plan.root, {}, lift._Evaluation(tid))
-        exact = lift._eval_fraction(plan.root, {}, lift._Evaluation(tid))
+        interpreted = lift._walk(plan.root, {}, lift._Float(tid))
+        exact = lift._walk(plan.root, {}, lift._Exact(tid))
         interpretations, groundings, wrong = [], [], []
-        eval_float, eval_fraction = lift._eval_float, lift._eval_fraction
-        ground_circuit_ = lift.ground_circuit
+        walk, ground_within_limit = lift._walk, lift._ground_within_limit
 
-        def counting(evaluate):
-            def run(op, env, ev):
-                if op is plan.root:
-                    interpretations.append(op)
-                return evaluate(op, env, ev)
-
-            return run
+        def counting(op, env, arithmetic):
+            if op is plan.root and isinstance(
+                arithmetic, (lift._Float, lift._Exact)
+            ):
+                interpretations.append(op)
+            return walk(op, env, arithmetic)
 
         def counting_ground(*args):
             groundings.append(args)
             time.sleep(0.005)
-            return ground_circuit_(*args)
+            return ground_within_limit(*args)
 
-        monkeypatch.setattr(lift, "_eval_float", counting(eval_float))
-        monkeypatch.setattr(lift, "_eval_fraction", counting(eval_fraction))
-        monkeypatch.setattr(lift, "ground_circuit", counting_ground)
+        monkeypatch.setattr(lift, "_walk", counting)
+        monkeypatch.setattr(lift, "_ground_within_limit", counting_ground)
         start = threading.Barrier(6)
 
         def worker(index):
@@ -854,8 +848,8 @@ class TestGroundedPlans:
             " [['T', ['z']]]]})\n"
             "for plan, t in ((build_plan(q9()), tid), (lift_query(safe), rel)):\n"
             "    assert ground_plan(plan, t.instance) is not None\n"
-            "    ev = lift._Evaluation(t)\n"
-            "    interpreted = lift._eval_float(plan.root, {}, ev).hex()\n"
+            "    floats = lift._Float(t)\n"
+            "    interpreted = lift._walk(plan.root, {}, floats).hex()\n"
             "    assert evaluate_plan_float(plan, t).hex() == interpreted\n"
             "    print(interpreted)\n"
         )
