@@ -176,9 +176,9 @@ class TestReadOnceLineage:
             read_once_lineage(hard_query(), tid)
 
     def test_lineage_respects_its_own_vtree(self):
-        # An absent tuple folds its ∧ to false; the gates built under
-        # that ∧ must not stay in the lineage, where no v-tree of the
-        # lineage places their variables.
+        # An absent tuple folds its ∧ to false; the gates already built
+        # for that ∧'s other inputs must not stay in the lineage, where
+        # no v-tree of the lineage places their variables.
         rng = random.Random(10)
         queries = [
             hk0(),
