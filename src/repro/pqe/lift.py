@@ -940,7 +940,7 @@ def _walk(op, env: dict, arithmetic):
     elif isinstance(op, Complement):
         value = arithmetic.not_(_walk(op.part, env, arithmetic))
     elif isinstance(op, IndependentProject):
-        group = _projection_group(op, env)
+        group = _projection_group(op, env, arithmetic.instance)
         if group is not None:
             value = arithmetic.group(*group)
         else:
@@ -962,13 +962,19 @@ def _walk(op, env: dict, arithmetic):
     return value
 
 
-def _projection_group(op: IndependentProject, env: dict):
-    """When the child is one atom in which the projected marker occurs
-    exactly once and every other term is resolved, the whole domain
-    sweep is one group of that relation's facts: return ``(relation,
-    key positions, key values)``, else ``None``."""
+def _projection_group(op: IndependentProject, env: dict, instance: Instance):
+    """When the child is one atom of its relation's arity (no fact
+    matches another) in which the projected marker occurs exactly once
+    and every other term is resolved, the whole domain sweep is one group
+    of that relation's facts: return ``(relation, key positions, key
+    values)``, else ``None``."""
     child = op.part
     if not isinstance(child, LeafAtom):
+        return None
+    try:
+        if instance.relation(child.relation).arity != len(child.terms):
+            return None
+    except KeyError:
         return None
     marker_positions = [
         index for index, term in enumerate(child.terms) if term == op.marker

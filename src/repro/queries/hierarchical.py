@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.circuits.circuit import Circuit
-from repro.circuits.serialization import circuit_from_dict, circuit_to_dict
+from repro.circuits.circuit import Circuit, GateKind
 from repro.db.tid import TupleIndependentDatabase
 from repro.pqe.lift import LiftPlan, evaluate_plan, ground_circuit, lift_query
 from repro.queries.cq import ConjunctiveQuery
@@ -121,16 +120,34 @@ def read_once_lineage(
         "in general",
     )
     grounded, _ = ground_circuit(plan, tid.instance)
-    # Only the gates the output reaches: a ∧ folded to false leaves its
-    # other inputs' gates behind, outside the lineage's own v-tree.
-    return circuit_from_dict(circuit_to_dict(grounded))
+    return _live_part(grounded)
+
+
+def _live_part(circuit: Circuit) -> Circuit:
+    """The gates ``circuit``'s output reaches: an absent tuple's false
+    leaves its ∧'s other inputs' gates outside the lineage."""
+    live = Circuit()
+    copied: dict[int, int] = {}
+    for gate_id in sorted(circuit.reachable_from_output()):
+        gate = circuit.gate(gate_id)
+        inputs = [copied[i] for i in gate.inputs]
+        if gate.kind is GateKind.VAR:
+            copied[gate_id] = live.add_var(gate.payload)
+        elif gate.kind is GateKind.CONST:
+            copied[gate_id] = live.add_const(gate.payload)
+        elif gate.kind is GateKind.NOT:
+            copied[gate_id] = live.add_not(inputs[0])
+        elif gate.kind is GateKind.AND:
+            copied[gate_id] = live.add_and(inputs)
+        else:
+            copied[gate_id] = live.add_or(inputs)
+    live.set_output(copied[circuit.output])
+    return live
 
 
 def is_read_once_circuit(circuit: Circuit) -> bool:
     """Whether every variable gate feeds exactly one wire — the read-once
     property of the produced lineages."""
-    from repro.circuits.circuit import GateKind
-
     fanout: dict[int, int] = {}
     for _, gate in circuit.gates():
         for input_id in gate.inputs:

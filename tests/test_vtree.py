@@ -113,6 +113,35 @@ class TestInducedVtree:
         tree = vtree_of_read_once(circuit)
         assert respects_vtree(circuit, tree)
 
+        # Instances that also drop R and T tuples: an absent tuple folds
+        # its ∧ to false, and the gates already built for that ∧'s other
+        # inputs must stay out of the lineage, where no v-tree of the
+        # lineage places their variables.
+        queries = [
+            query,
+            ConjunctiveQuery(
+                (Atom("R", ("x",)), Atom("S", ("x", "y")), Atom("T", ("z",)))
+            ),
+        ]
+        checked = 0
+        for _ in range(40):
+            tid = TupleIndependentDatabase()
+            for x in ("a", "b"):
+                for relation in ("R", "T"):
+                    if rng.random() < 0.8:
+                        tid.add(relation, (x,), Fraction(1, 2))
+                for y in ("c", "d"):
+                    if rng.random() < 0.8:
+                        tid.add("S", (x, y), Fraction(1, 2))
+            for relation, arity in (("R", 1), ("S", 2), ("T", 1)):
+                tid.instance.declare(relation, arity)
+            for query in queries:
+                circuit = read_once_lineage(query, tid)
+                if circuit.gate_variable_sets()[circuit.output]:
+                    assert respects_vtree(circuit, vtree_of_read_once(circuit))
+                    checked += 1
+        assert checked >= 60
+
     def test_constant_circuit_rejected(self):
         circuit = Circuit()
         circuit.set_output(circuit.add_const(True))
