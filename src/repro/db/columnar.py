@@ -27,10 +27,10 @@ Caching is two-layered, both keyed by the existing version counters: the
 *layout* (domains, index maps, present-tuple positions) depends only on
 the instance's facts and lives in
 :meth:`~repro.db.relation.Instance.cached_derivation`; the *filled*
-columns additionally depend on ``pi`` and are memoized on the TID against
-``(instance versions, probability version)``, so probability updates
-rebuild only the numeric fill, never the layout.  Both cached objects are
-shared state — treat them as read-only.
+columns additionally depend on ``pi`` and live in
+:meth:`~repro.db.tid.TupleIndependentDatabase.cached_derivation`, so
+probability updates rebuild only the numeric fill, never the layout.
+Both cached objects are shared state — treat them as read-only.
 
 Beyond the fixed h-schema, the same two-layer scheme serves *generalized*
 views keyed by ``(relation, grouping positions)`` —
@@ -101,13 +101,20 @@ class HColumnarLayout:
 
 def columnar_layout(instance: Instance, k: int) -> HColumnarLayout:
     """The (memoized) columnar layout of ``instance`` for the ``h_{k,i}``
-    schema ``R, S1..Sk, T``.  Relations outside the schema are ignored,
-    like the lifted plans ignore them."""
+    schema ``R, S1..Sk, T``.  Relations outside the schema, and facts of
+    another arity than their atom's, are ignored, as world enumeration
+    ignores them."""
 
     def build(db: Instance) -> HColumnarLayout:
+        # An atom matches only facts of its arity: R and T are unary,
+        # every S<i> is binary.
+        facts = [
+            t for t in db.tuple_ids()
+            if len(t.values) == (1 if t.relation in ("R", "T") else 2)
+        ]
         xs: set = set()
         ys: set = set()
-        for tuple_id in db.tuple_ids():
+        for tuple_id in facts:
             if tuple_id.relation == "R":
                 xs.add(tuple_id.values[0])
             elif tuple_id.relation == "T":
@@ -123,7 +130,7 @@ def columnar_layout(instance: Instance, k: int) -> HColumnarLayout:
         r_slots = []
         t_slots = []
         s_slots: list[list[tuple[int, TupleId]]] = [[] for _ in range(k)]
-        for tuple_id in db.tuple_ids():
+        for tuple_id in facts:
             name = tuple_id.relation
             if name == "R":
                 r_slots.append((x_index[tuple_id.values[0]], tuple_id))
@@ -264,19 +271,20 @@ _WORD_BOUND = 1 << 63
 
 
 def probability_columns(tid: TupleIndependentDatabase) -> ProbabilityColumns:
-    """The (memoized) transportable columns of ``tid`` — keyed, like the
-    :func:`h_columns` fill, by ``(instance versions, probability
-    version)``, so the encode cost is paid once per numeric content."""
-    key = (tid.instance._versions(), tid.probability_version)
-    cached = getattr(tid, "_probability_columns", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
+    """The (memoized) transportable columns of ``tid``, encoded from its
+    :meth:`~repro.db.tid.TupleIndependentDatabase.probability_fingerprint`
+    once per numeric content
+    (:meth:`~repro.db.tid.TupleIndependentDatabase.cached_derivation`)."""
+    return tid.cached_derivation(
+        "db.columnar.probability_columns", _encode_columns
+    )
+
+
+def _encode_columns(tid: TupleIndependentDatabase) -> ProbabilityColumns:
     numerators: list[int] = []
     denominators: list[int] = []
     overflow: list[tuple[int, int, int]] = []
-    for slot, tuple_id in enumerate(tid.instance.tuple_ids()):
-        p = tid.probability_of(tuple_id)
-        num, den = p.numerator, p.denominator
+    for slot, (num, den) in enumerate(tid.probability_fingerprint()):
         if num < _WORD_BOUND and den < _WORD_BOUND:
             numerators.append(num)
             denominators.append(den)
@@ -284,11 +292,9 @@ def probability_columns(tid: TupleIndependentDatabase) -> ProbabilityColumns:
             numerators.append(0)
             denominators.append(0)
             overflow.append((slot, num, den))
-    columns = ProbabilityColumns(
+    return ProbabilityColumns(
         tuple(numerators), tuple(denominators), tuple(overflow)
     )
-    tid._probability_columns = (key, columns)
-    return columns
 
 
 def apply_probability_columns(
@@ -366,45 +372,34 @@ def relation_probability_columns(
     """The filled generalized columnar view: per-group float probability
     columns (numpy arrays) for the facts of ``relation``
     grouped by ``key_positions`` — the kernel input of the lifted IR's
-    vectorized projections.  The fill is memoized on the TID against
-    ``(instance versions, probability version)``, exactly like the
-    :func:`h_columns` fill; the layout half comes from
+    vectorized projections.  The fill is memoized through
+    :meth:`~repro.db.tid.TupleIndependentDatabase.cached_derivation`,
+    exactly like the :func:`h_columns` fill; the layout half comes from
     :func:`relation_grouping_layout`.  Read-only shared cache state."""
-    version_key = (tid.instance._versions(), tid.probability_version)
-    cache = getattr(tid, "_relation_columns_cache", None)
-    if cache is None:
-        cache = {}
-        tid._relation_columns_cache = cache
-    entry = cache.get((relation, key_positions))
-    if entry is not None and entry[0] == version_key:
-        return entry[1]
-    layout = relation_grouping_layout(tid.instance, relation, key_positions)
-    probability_of = tid.probability_of
-    filled = {
-        key: _np.array([float(probability_of(t)) for t in ids], dtype=float)
-        for key, ids in layout.items()
-    }
-    cache[(relation, key_positions)] = (version_key, filled)
-    return filled
+
+    def build(t: TupleIndependentDatabase) -> dict:
+        layout = relation_grouping_layout(t.instance, relation, key_positions)
+        probability_of = t.probability_of
+        return {
+            key: _np.array(
+                [float(probability_of(t)) for t in ids], dtype=float
+            )
+            for key, ids in layout.items()
+        }
+
+    return tid.cached_derivation(
+        ("db.columnar.relation_columns", relation, key_positions), build
+    )
 
 
 def h_columns(tid: TupleIndependentDatabase, k: int) -> HColumns:
-    """The (memoized) columnar view of ``tid`` for the ``h_{k,i}`` schema.
-
-    The layout half is keyed by the instance's relation versions (via
-    ``cached_derivation``); the numeric fill is additionally keyed by the
-    TID's :attr:`~repro.db.tid.TupleIndependentDatabase.probability_version`,
-    so inserts and ``set_probability`` calls invalidate exactly what they
-    changed.  The returned view is shared cache state — read-only.
-    """
-    key = (tid.instance._versions(), tid.probability_version)
-    cache = getattr(tid, "_columnar_cache", None)
-    if cache is None:
-        cache = {}
-        tid._columnar_cache = cache
-    entry = cache.get(k)  # one slot per k: mixed-k workloads never thrash
-    if entry is not None and entry[0] == key:
-        return entry[1]
-    columns = HColumns(columnar_layout(tid.instance, k), tid)
-    cache[k] = (key, columns)
-    return columns
+    """The (memoized) columnar view of ``tid`` for the ``h_{k,i}`` schema:
+    the instance's :func:`columnar_layout`, filled once per ``k`` and
+    numeric content
+    (:meth:`~repro.db.tid.TupleIndependentDatabase.cached_derivation`),
+    so mixed-k workloads never thrash and a ``set_probability`` rebuilds
+    only the fill.  Shared cache state — read-only."""
+    return tid.cached_derivation(
+        ("db.columnar.h_columns", k),
+        lambda t: HColumns(columnar_layout(t.instance, k), t),
+    )

@@ -53,6 +53,7 @@ class TupleIndependentDatabase:
         self.instance = instance if instance is not None else Instance()
         self._prob: dict[TupleId, Fraction] = {}
         self._prob_version = 0  # Bumped per pi mutation; keys derived caches.
+        self._derived: dict[Hashable, tuple[tuple, object]] = {}
 
     def add(
         self,
@@ -83,11 +84,10 @@ class TupleIndependentDatabase:
     def probability_version(self) -> int:
         """A counter bumped on every ``pi`` mutation (``add`` /
         :meth:`set_probability`).  Together with the instance's relation
-        versions it keys caches of anything derived from the *numeric*
-        content of the TID — e.g. the columnar probability arrays of
-        :mod:`repro.db.columnar` — the way
-        :meth:`~repro.db.relation.Instance.cached_derivation` keys caches
-        of purely structural state."""
+        versions it keys :meth:`cached_derivation`, the home of anything
+        derived from the *numeric* content of the TID, the way
+        :meth:`~repro.db.relation.Instance.cached_derivation` keys
+        purely structural state."""
         return self._prob_version
 
     def set_probability(
@@ -107,40 +107,44 @@ class TupleIndependentDatabase:
         """``pi`` as a dict over all facts of the instance."""
         return {t: self.probability_of(t) for t in self.instance.tuple_ids()}
 
+    def cached_derivation(self, key: Hashable, build) -> object:
+        """Memoize ``build(self)`` against :attr:`probability_version`
+        and the instance's relation versions: the ``pi``-side twin of
+        :meth:`~repro.db.relation.Instance.cached_derivation`, home of
+        everything derived from the TID's numeric content.  No lock is
+        taken: two racing threads may both build, and either (equal)
+        value is kept.  The cached value is shared state: treat it as
+        read-only unless the builder documents otherwise.
+        """
+        versions = (self._prob_version, self.instance._versions())
+        entry = self._derived.get(key)
+        if entry is not None and entry[0] == versions:
+            return entry[1]
+        value = build(self)
+        self._derived[key] = (versions, value)
+        return value
+
     def probability_floats(self) -> dict[TupleId, float]:
         """:meth:`probability_map` as correctly rounded floats, for the
-        float evaluation paths.
-
-        Memoized against ``probability_version`` and the instance's
-        relation versions, like :meth:`probability_fingerprint`, so a
-        TID re-evaluated under unchanged probabilities converts them
-        once.  Callers share the returned dict and must not mutate it.
+        float evaluation paths, memoized through
+        :meth:`cached_derivation`: a TID re-evaluated under unchanged
+        probabilities converts them once.  Callers share the returned
+        dict and must not mutate it.
         """
-        versions = (self._prob_version, self.instance.content_fingerprint())
-        cached = getattr(self, "_prob_floats", None)
-        if cached is not None and cached[0] == versions:
-            return cached[1]
-        floats = {
-            t: float(self.probability_of(t))
-            for t in self.instance.tuple_ids()
-        }
-        self._prob_floats = (versions, floats)
-        return floats
+        return self.cached_derivation("tid.probability_floats", _float_map)
 
     def slot_vector(self, tape) -> list[float]:
         """``tape``'s variable slots resolved against
         :meth:`probability_floats` (its
         :meth:`~repro.circuits.evaluator.EvaluationTape.probability_vector`),
-        memoized per tape under the same key as :meth:`probability_floats`:
-        a :meth:`set_probability` invalidates every vector, and they are
+        memoized per tape through :meth:`cached_derivation`: a
+        :meth:`set_probability` invalidates every vector, and they are
         dropped with the TID.  The tapes are held weakly, so a tape that
         its cache evicts frees its vector.  Read-only, like the float
         map."""
-        versions = (self._prob_version, self.instance.content_fingerprint())
-        cached = getattr(self, "_slot_vectors", None)
-        if cached is None or cached[0] != versions:
-            cached = self._slot_vectors = (versions, WeakKeyDictionary())
-        vectors = cached[1]
+        vectors = self.cached_derivation(
+            "tid.slot_vectors", lambda tid: WeakKeyDictionary()
+        )
         vector = vectors.get(tape)
         if vector is None:
             vector = vectors[tape] = tape.probability_vector(
@@ -156,21 +160,12 @@ class TupleIndependentDatabase:
         The sampling layer groups concurrent hard-query requests whose
         instances share a content fingerprint; two such requests may be
         served one shared sampling sweep only when their probabilities
-        agree as well, which this fingerprint decides.  Memoized against
-        ``probability_version`` and the instance's relation versions.
+        agree as well, which this fingerprint decides.  Memoized through
+        :meth:`cached_derivation`.
         """
-        versions = (self._prob_version, self.instance.content_fingerprint())
-        cached = getattr(self, "_prob_fingerprint", None)
-        if cached is not None and cached[0] == versions:
-            return cached[1]
-        fingerprint = tuple(
-            (p.numerator, p.denominator)
-            for p in (
-                self.probability_of(t) for t in self.instance.tuple_ids()
-            )
+        return self.cached_derivation(
+            "tid.probability_fingerprint", _fingerprint
         )
-        self._prob_fingerprint = (versions, fingerprint)
-        return fingerprint
 
     def probability_digest(self) -> int:
         """A process-stable 64-bit blake2b digest of
@@ -183,18 +178,9 @@ class TupleIndependentDatabase:
         content-addressed key under which a probability column is
         published to worker processes — stable across processes (unlike
         ``hash()`` under ``PYTHONHASHSEED``) and across the fork
-        boundary.  Memoized with the fingerprint.
+        boundary.  Memoized through :meth:`cached_derivation`.
         """
-        versions = (self._prob_version, self.instance.content_fingerprint())
-        cached = getattr(self, "_prob_digest", None)
-        if cached is not None and cached[0] == versions:
-            return cached[1]
-        payload = repr(self.probability_fingerprint()).encode()
-        digest = int.from_bytes(
-            hashlib.blake2b(payload, digest_size=8).digest(), "big"
-        )
-        self._prob_digest = (versions, digest)
-        return digest
+        return self.cached_derivation("tid.probability_digest", _digest)
 
     def world_probability(self, present: frozenset[TupleId]) -> Fraction:
         """``Pr(D')`` of Section 2: the product over kept and dropped
@@ -243,6 +229,24 @@ class TupleIndependentDatabase:
 
     def __repr__(self) -> str:
         return f"TupleIndependentDatabase({self.instance!r})"
+
+
+def _float_map(tid: TupleIndependentDatabase) -> dict[TupleId, float]:
+    return {t: float(tid.probability_of(t)) for t in tid.instance.tuple_ids()}
+
+
+def _fingerprint(tid: TupleIndependentDatabase) -> tuple:
+    return tuple(
+        (p.numerator, p.denominator)
+        for p in map(tid.probability_of, tid.instance.tuple_ids())
+    )
+
+
+def _digest(tid: TupleIndependentDatabase) -> int:
+    payload = repr(tid.probability_fingerprint()).encode()
+    return int.from_bytes(
+        hashlib.blake2b(payload, digest_size=8).digest(), "big"
+    )
 
 
 def _as_fraction(prob: Fraction | int | str | float) -> Fraction:

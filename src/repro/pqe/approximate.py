@@ -62,7 +62,7 @@ import numpy as _np
 
 from repro.circuits.evaluator import EvaluationTape, tape_for
 from repro.core.deadline import Deadline
-from repro.db.relation import Instance, TupleId
+from repro.db.relation import Instance
 from repro.db.tid import (
     DrawStream,
     TupleIndependentDatabase,
@@ -313,7 +313,6 @@ class _ClauseStructure:
     sampler (plans, serving microbatches) over the same instance shares
     one copy."""
 
-    tuple_ids: tuple[TupleId, ...]
     clauses: tuple[frozenset, ...]
     positions: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
@@ -353,8 +352,7 @@ def _clause_structure(
         clauses = tuple(
             sorted(ucq.grounding_sets(db), key=lambda clause: sorted(clause))
         )
-        tuple_ids = tuple(db.tuple_ids())
-        index_of = {t: i for i, t in enumerate(tuple_ids)}
+        index_of = {t: i for i, t in enumerate(db.tuple_ids())}
         positions = tuple(
             tuple(sorted(index_of[t] for t in clause)) for clause in clauses
         )
@@ -370,7 +368,6 @@ def _clause_structure(
             )
             size_groups.append((size, _np.array(ids, dtype=_np.int64), matrix))
         return _ClauseStructure(
-            tuple_ids=tuple_ids,
             clauses=clauses,
             positions=positions,
             sizes=tuple(len(p) for p in positions),
@@ -404,26 +401,9 @@ def _indicator_tape(
     return tape, columns
 
 
-def _probability_columns(
-    tid: TupleIndependentDatabase,
-) -> tuple[list[int], list[int]]:
-    """Per-tuple ``(numerator, denominator)`` columns in ``tuple_ids()``
-    order — the probability map hoisted once per plan/sampler."""
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for t in tid.instance.tuple_ids():
-        p = tid.probability_of(t)
-        numerators.append(p.numerator)
-        denominators.append(p.denominator)
-    return numerators, denominators
-
-
 def _clause_weights(
-    structure: _ClauseStructure, tid: TupleIndependentDatabase
+    structure: _ClauseStructure, probabilities: list[Fraction]
 ) -> list[Fraction]:
-    probabilities = [
-        tid.probability_of(t) for t in structure.tuple_ids
-    ]
     weights = []
     for clause_positions in structure.positions:
         w = Fraction(1)
@@ -458,11 +438,11 @@ def _cumulative_weights(
 class SamplingPlan:
     """Everything one hard query needs to be sampled over one TID: the
     route (``"karp_luby"`` for UCQs, ``"monte_carlo"`` otherwise), the
-    cached lineage structure, and the hoisted probability columns.
+    cached lineage structure, and the hoisted probabilities.
 
     A plan is cheap to build (the clause structure / indicator tape are
     shared per ``(query, instance content)`` through
-    ``Instance.cached_derivation``; the numeric columns are one pass over
+    ``Instance.cached_derivation``; the probabilities are one pass over
     the probability map) and deterministic to run: estimates depend only
     on the budget's seed, never on wave boundaries or batch composition.
     """
@@ -492,10 +472,8 @@ class SamplingPlan:
         elif engine == "karp_luby" and self._structure is None:
             raise ValueError("Karp–Luby needs a monotone (UCQ) query")
         self.engine = engine
-        self._numerators, self._denominators = _probability_columns(tid)
         self._probabilities = [
-            Fraction(n, d)
-            for n, d in zip(self._numerators, self._denominators)
+            tid.probability_of(t) for t in tid.instance.tuple_ids()
         ]
         self._weights: list[Fraction] = []
         self._cumulative: list[int] = []
@@ -503,7 +481,9 @@ class SamplingPlan:
         self._tape = None
         self._tape_columns = None
         if engine == "karp_luby":
-            self._weights = _clause_weights(self._structure, tid)
+            self._weights = _clause_weights(
+                self._structure, self._probabilities
+            )
             self._cumulative, self._total_weight = _cumulative_weights(
                 self._weights
             )

@@ -35,7 +35,6 @@ the query alone — plans never look at the data), with matching
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -58,6 +57,7 @@ from repro.pqe.dichotomy import Classification, Region, classify, classify_query
 from repro.pqe.extensional import (
     ExtensionalPlanCache,
     ExtensionalPlanCacheStats,
+    LRUCache,
     clear_extensional_plan_cache,
     extensional_plan_stats,
     plan_for,
@@ -141,27 +141,22 @@ class CompilationCacheStats:
     pair_misses: int = 0
 
 
-class CompilationCache:
+class CompilationCache(LRUCache):
     """A thread-safe LRU of compiled lineages keyed by ``(query, instance
     fingerprint)``.
 
     The module keeps one default instance behind the convenience API
     below; :mod:`repro.serving` gives every shard its own cache so that
     churn on one shard never evicts another shard's circuits and two
-    shards never serve each other's compiled state.  Lookup and insertion
-    are guarded by a per-cache lock; compilation itself runs outside the
-    lock, so a slow compile never serializes unrelated evaluations (two
-    racing callers may both compile the same key once; the first
-    insertion wins and every holder shares its circuit).
+    shards never serve each other's compiled state.  Compilation runs
+    outside the cache's lock (:class:`~repro.pqe.extensional.LRUCache`),
+    so a slow compile never serializes unrelated evaluations; two racing
+    callers may both compile the same key once, and every holder shares
+    the first insertion's circuit.
     """
 
     def __init__(self, limit: int = COMPILATION_CACHE_LIMIT):
-        if limit < 1:
-            raise ValueError(f"cache limit must be positive, got {limit}")
-        self.limit = limit
-        self._entries: OrderedDict[tuple, CompiledLineage] = OrderedDict()
-        self._stats = CompilationCacheStats()
-        self._lock = threading.RLock()
+        super().__init__(limit)
 
     def get_or_compile(
         self,
@@ -179,65 +174,30 @@ class CompilationCache:
         """
         if fingerprint is None:
             fingerprint = instance.content_fingerprint()
-        key = (query, fingerprint)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return cached, True
-        # Compiling grows instance-shared derivations (the side OBDD
-        # managers gain nodes while the lineage template is plugged), so
-        # concurrent compiles over one instance serialize on the
-        # *instance*, not just this cache: replicated serving keeps a
-        # separate cache per replica shard over the same ``Instance``.
-        # Distinct instances still compile fully in parallel.
-        with instance.derivation_lock:
-            compiled = compile_lineage(query, instance)
-        compiled.circuit.freeze()
-        with self._lock:
-            racing = self._entries.get(key)
-            if racing is not None:
-                # Another thread compiled the same key first; keep one
-                # circuit so every holder shares the same tape and arena.
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return racing, True
-            self._stats.misses += 1
-            self._entries[key] = compiled
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-        return compiled, False
+
+        def compile_frozen() -> CompiledLineage:
+            # Compiling grows instance-shared derivations (the side OBDD
+            # managers gain nodes), so compiles over one instance
+            # serialize on the *instance*: replica shards keep separate
+            # caches over the same ``Instance``.
+            with instance.derivation_lock:
+                compiled = compile_lineage(query, instance)
+            compiled.circuit.freeze()
+            return compiled
+
+        return self._get_or_build((query, fingerprint), compile_frozen)
 
     def stats(self) -> CompilationCacheStats:
         """A coherent snapshot of this cache's own counters (the
         pair-query counters of the module-level
         :func:`compilation_cache_stats` are process-wide and not
         per-cache)."""
-        with self._lock:
-            return CompilationCacheStats(
-                self._stats.hits,
-                self._stats.misses,
-                self._stats.evictions,
-            )
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._stats.hits = 0
-            self._stats.misses = 0
-            self._stats.evictions = 0
+        return CompilationCacheStats(*self.counts())
 
     def keys(self) -> tuple[tuple, ...]:
         """The cached ``(query, fingerprint)`` keys, LRU-oldest first."""
         with self._lock:
             return tuple(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
 
 
 _DEFAULT_CACHE = CompilationCache()

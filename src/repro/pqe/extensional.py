@@ -75,6 +75,7 @@ __all__ = [
     "EXTENSIONAL_PLAN_CACHE_LIMIT",
     "ExtensionalPlanCache",
     "ExtensionalPlanCacheStats",
+    "LRUCache",
     "UnsafeQueryError",
     "build_plan",
     "clear_extensional_plan_cache",
@@ -206,15 +207,74 @@ class ExtensionalPlanCacheStats:
     lattice_caches: dict[str, dict[str, int]] = field(default_factory=dict)
 
 
-class ExtensionalPlanCache:
+class LRUCache:
+    """A thread-safe LRU of built values: the one mechanism behind the
+    query-keyed caches, :class:`ExtensionalPlanCache` and
+    :class:`repro.pqe.engine.CompilationCache`, which add the key and
+    the build.
+
+    Lookup and insertion are guarded by a per-cache lock; a build runs
+    outside it, so a slow build never serializes unrelated lookups.
+    Two racing callers may both build one key; the first insertion
+    wins and both return it, so every holder shares one value.  A build
+    that raises caches nothing and counts as neither hit nor miss.
+    """
+
+    def __init__(self, limit: int):
+        if limit < 1:
+            raise ValueError(f"cache limit must be positive, got {limit}")
+        self.limit = limit
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.RLock()
+        self._hits = self._misses = self._evictions = 0
+
+    def _get_or_build(self, key, build) -> tuple[object, bool]:
+        """The cached value of ``key``, or ``build()``'s on a miss.
+        Returns ``(value, was_cache_hit)``."""
+        with self._lock:
+            cached = self._entries.get(key)
+            if cached is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return cached, True
+        value = build()
+        with self._lock:
+            racing = self._entries.get(key)
+            if racing is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return racing, True
+            self._misses += 1
+            self._entries[key] = value
+            while len(self._entries) > self.limit:
+                self._entries.popitem(last=False)
+                self._evictions += 1
+        return value, False
+
+    def counts(self) -> tuple[int, int, int]:
+        """A coherent ``(hits, misses, evictions)`` snapshot."""
+        with self._lock:
+            return self._hits, self._misses, self._evictions
+
+    def clear(self) -> None:
+        """Drop all entries and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self._hits = self._misses = self._evictions = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+class ExtensionalPlanCache(LRUCache):
     """A thread-safe LRU of lifted plans keyed by the query.
 
     Plans depend only on the query (never on data), so one entry serves
     every TID the query is evaluated over.  The module keeps one default
     instance behind :func:`probability`; :mod:`repro.serving` gives every
-    shard its own, mirroring the per-shard compilation caches.  A build
-    that raises (unsafe or non-monotone query) is *not* cached and counts
-    as neither hit nor miss.
+    shard its own, mirroring the per-shard compilation caches.  An
+    unsafe or non-monotone query raises and is *not* cached.
 
     Keys may be :class:`~repro.queries.hqueries.HQuery` (planned by
     :func:`build_plan`) or any query :func:`repro.pqe.lift.lift_query`
@@ -223,12 +283,7 @@ class ExtensionalPlanCache:
     """
 
     def __init__(self, limit: int = EXTENSIONAL_PLAN_CACHE_LIMIT):
-        if limit < 1:
-            raise ValueError(f"cache limit must be positive, got {limit}")
-        self.limit = limit
-        self._entries: OrderedDict[object, LiftPlan] = OrderedDict()
-        self._stats = ExtensionalPlanCacheStats()
-        self._lock = threading.RLock()
+        super().__init__(limit)
 
     def get_or_build(self, query) -> tuple[LiftPlan, bool]:
         """The cached plan for ``query``, building on a miss.  Returns
@@ -237,51 +292,15 @@ class ExtensionalPlanCache:
         :raises UnsafeQueryError: as :func:`build_plan` /
             :func:`repro.pqe.lift.lift_query`.
         """
-        with self._lock:
-            cached = self._entries.get(query)
-            if cached is not None:
-                self._entries.move_to_end(query)
-                self._stats.hits += 1
-                return cached, True
-        if isinstance(query, HQuery):
-            plan = build_plan(query)
-        else:
-            plan = lift_query(query)
-        with self._lock:
-            racing = self._entries.get(query)
-            if racing is not None:
-                self._entries.move_to_end(query)
-                self._stats.hits += 1
-                return racing, True
-            self._stats.misses += 1
-            self._entries[query] = plan
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-                self._stats.evictions += 1
-        return plan, False
+        build = build_plan if isinstance(query, HQuery) else lift_query
+        return self._get_or_build(query, lambda: build(query))
 
     def stats(self) -> ExtensionalPlanCacheStats:
-        """A coherent snapshot of the counters, including the process-wide
+        """A snapshot of the counters, including the process-wide
         lattice ``lru_cache`` counters (:func:`lattice_cache_counters`)."""
-        with self._lock:
-            return ExtensionalPlanCacheStats(
-                self._stats.hits,
-                self._stats.misses,
-                self._stats.evictions,
-                lattice_cache_counters(),
-            )
-
-    def clear(self) -> None:
-        """Drop all entries and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._stats.hits = 0
-            self._stats.misses = 0
-            self._stats.evictions = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return ExtensionalPlanCacheStats(
+            *self.counts(), lattice_cache_counters()
+        )
 
 
 _DEFAULT_PLAN_CACHE = ExtensionalPlanCache()

@@ -590,11 +590,7 @@ def run_probability_float(
 
 
 def disjunction_probability(
-    indices: Iterable[int],
-    k: int,
-    tid: TupleIndependentDatabase,
-    *,
-    columns: HColumns | None = None,
+    indices: Iterable[int], k: int, tid: TupleIndependentDatabase
 ) -> Fraction:
     """``Pr(∨_{i in S} h_{k,i})`` for a proper subset ``S ⊊ {0..k}`` — or
     for the empty set, where the probability is 0.
@@ -606,19 +602,14 @@ def disjunction_probability(
         return Fraction(0)
     if not index_set <= set(range(k + 1)):
         raise ValueError(f"indices {sorted(index_set)} out of range for k={k}")
-    cols = columns if columns is not None else h_columns(tid, k)
     miss_all = Fraction(1)
     for run in runs_of(index_set):
-        miss_all *= 1 - run_probability(run, k, tid, columns=cols)
+        miss_all *= 1 - run_probability(run, k, tid)
     return 1 - miss_all
 
 
 def disjunction_probability_float(
-    indices: Iterable[int],
-    k: int,
-    tid: TupleIndependentDatabase,
-    *,
-    columns: HColumns | None = None,
+    indices: Iterable[int], k: int, tid: TupleIndependentDatabase
 ) -> float:
     """The float backend of :func:`disjunction_probability`.
 
@@ -629,8 +620,7 @@ def disjunction_probability_float(
         return 0.0
     if not index_set <= set(range(k + 1)):
         raise ValueError(f"indices {sorted(index_set)} out of range for k={k}")
-    cols = columns if columns is not None else h_columns(tid, k)
     miss_all = 1.0
     for run in runs_of(index_set):
-        miss_all *= 1.0 - run_probability_float(run, k, tid, columns=cols)
+        miss_all *= 1.0 - run_probability_float(run, k, tid)
     return 1.0 - miss_all

@@ -23,8 +23,9 @@ knowledge-compilation spectrum the paper maps:
 
 On this fragment the general safe-plan search of :mod:`repro.pqe.lift`
 finds exactly that plan, so both functions check the fragment and then
-run :func:`~repro.pqe.lift.lift_query`'s plan through lift's walker:
-its exact arithmetic, and its grounding.
+run :func:`~repro.pqe.lift.lift_query`'s plan, lifted once per query by
+the default extensional plan cache, through lift's walker: its exact
+arithmetic, and its grounding.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from fractions import Fraction
 
 from repro.circuits.circuit import Circuit, GateKind
 from repro.db.tid import TupleIndependentDatabase
-from repro.pqe.lift import LiftPlan, evaluate_plan, ground_circuit, lift_query
+from repro.pqe.extensional import plan_for
+from repro.pqe.lift import LiftPlan, evaluate_plan, ground_circuit
 from repro.queries.cq import ConjunctiveQuery
 
 
@@ -77,7 +79,7 @@ def _lifted_plan(query: ConjunctiveQuery, refusal: str) -> LiftPlan:
         )
     if not is_hierarchical(query):
         raise NotHierarchicalError(refusal)
-    return lift_query(query)
+    return plan_for(query)[0]
 
 
 def safe_plan_probability(

@@ -164,11 +164,9 @@ def _same_content(a, b) -> bool:
     facts-only (probabilities never move a shard), but the gateway's
     replace-vs-idempotent decision must see probability changes — they
     change every answer."""
-    fingerprint = a.instance.content_fingerprint()
-    if fingerprint != b.instance.content_fingerprint():
-        return False
-    return all(
-        a.probability_of(t) == b.probability_of(t) for t in fingerprint
+    return (
+        a.instance.content_fingerprint() == b.instance.content_fingerprint()
+        and a.probability_fingerprint() == b.probability_fingerprint()
     )
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.boolean_function import BooleanFunction
 from repro.db.generator import random_tid
+from repro.db.tid import TupleIndependentDatabase
 from repro.queries.hqueries import phi_9
 
 
@@ -21,6 +22,21 @@ def rng() -> random.Random:
 def phi9() -> BooleanFunction:
     """The paper's running example phi_9."""
     return phi_9()
+
+
+@pytest.fixture
+def slot_vector_reads(monkeypatch) -> list:
+    """The TIDs whose :meth:`TupleIndependentDatabase.slot_vector` the
+    test reads, one entry per read: a tape ran over each of them."""
+    reads = []
+    slot_vector = TupleIndependentDatabase.slot_vector
+
+    def spy(tid, tape):
+        reads.append(tid)
+        return slot_vector(tid, tape)
+
+    monkeypatch.setattr(TupleIndependentDatabase, "slot_vector", spy)
+    return reads
 
 
 def random_zero_euler(nvars: int, rng: random.Random) -> BooleanFunction:

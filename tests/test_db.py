@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+from repro.circuits.circuit import Circuit
+from repro.circuits.evaluator import tape_for
 from repro.db import (
     Instance,
     TupleId,
@@ -16,6 +18,11 @@ from repro.db import (
     random_tid,
     relation_names,
     valuation_probability,
+)
+from repro.db.columnar import (
+    h_columns,
+    probability_columns,
+    relation_probability_columns,
 )
 
 
@@ -119,10 +126,58 @@ class TestTid:
             assert sure in world and never not in world
 
     def test_probability_floats_follow_the_fraction_map(self):
+        # Every view derived from pi is memoized, and after each kind of
+        # mutation equals a fresh TID's view of the same content.
         tid = TupleIndependentDatabase()
         first = tid.add("R", ("a",), Fraction(1, 3))
         tid.add("S1", ("a", "b"), Fraction(2, 7))
         tid.instance.add("T", ("b",))  # never weighted: probability 1
+        circuit = Circuit()
+        circuit.set_output(circuit.add_or([
+            circuit.add_var(TupleId(name, values))
+            for name, values in (
+                ("R", ("a",)),
+                ("S1", ("a", "b")),
+                ("T", ("b",)),
+                ("R", ("c",)),
+                ("S1", ("c", "b")),
+            )
+        ]))
+        tape = tape_for(circuit)
+
+        def h_view(cols):
+            return (
+                cols.layout,
+                cols.denominator,
+                cols.r_num,
+                cols.t_num,
+                cols.s_num,
+                cols.r_float.tolist(),
+                cols.t_float.tolist(),
+                [column.tolist() for column in cols.s_float],
+            )
+
+        views = [  # (read, comparable form)
+            (TupleIndependentDatabase.probability_floats, dict),
+            (lambda t: t.slot_vector(tape), list),
+            (TupleIndependentDatabase.probability_fingerprint, tuple),
+            (TupleIndependentDatabase.probability_digest, int),
+            (probability_columns, lambda columns: columns),
+            (lambda t: h_columns(t, 1), h_view),
+            (
+                lambda t: relation_probability_columns(t, "S1", (0,)),
+                lambda groups: {k: v.tolist() for k, v in groups.items()},
+            ),
+        ]
+
+        def check_views():
+            fresh = TupleIndependentDatabase()
+            for t, p in tid.probability_map().items():
+                fresh.add(t.relation, t.values, p)
+            for read, comparable in views:
+                view = read(tid)
+                assert read(tid) is view  # memoized
+                assert comparable(view) == comparable(read(fresh))
 
         def expected():
             return {t: float(p) for t, p in tid.probability_map().items()}
@@ -130,14 +185,21 @@ class TestTid:
         floats = tid.probability_floats()
         assert floats == expected()
         assert tid.probability_floats() is floats  # memoized
+        check_views()
         tid.set_probability(first, Fraction(5, 9))
         after_set = tid.probability_floats()
         assert after_set == expected()
         assert after_set[first] == float(Fraction(5, 9))
+        check_views()
         added = tid.add("R", ("c",), Fraction(3, 11))
         after_add = tid.probability_floats()
         assert after_add == expected()
         assert after_add[added] == float(Fraction(3, 11))
+        check_views()
+        # An unweighted instance insert bumps no probability version.
+        unweighted = tid.instance.add("S1", ("c", "b"))
+        assert tid.probability_floats()[unweighted] == 1.0
+        check_views()
 
     def test_valuation_probability(self):
         prob = {

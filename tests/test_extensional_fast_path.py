@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.circuits.evaluator import EvaluationTape
 from repro.circuits.validation import CircuitPropertyError, assert_d_d
 from repro.core.boolean_function import BooleanFunction
 from repro.db.columnar import (
@@ -123,6 +124,28 @@ class TestColumnarView:
         assert probability(query, tid) == probability_by_world_enumeration(
             query, tid
         )
+
+    @pytest.mark.parametrize(
+        "facts",
+        [
+            [("R", ("a", "b")), ("S1", ("a", "b")), ("T", ("b",))],
+            [("R", ("a",)), ("S1", ("a", "b", "c"))],
+        ],
+        ids=["binary-R", "ternary-S1"],
+    )
+    def test_facts_of_another_arity_are_ignored(self, facts):
+        # No atom of h_{1,0} = R(x),S1(x,y) matches a fact of another
+        # arity, so every arithmetic reads world enumeration's 0.
+        tid = TupleIndependentDatabase()
+        for name, values in facts:
+            tid.add(name, values, Fraction(1, 2))
+        query = HQuery(1, BooleanFunction.variable(0, 2))
+        plan = build_plan(query)
+        assert probability_by_world_enumeration(query, tid) == 0
+        assert probability(query, tid, plan=plan) == 0
+        assert probability_float(query, tid, plan=plan) == 0.0
+        tape = ground_plan(plan, tid.instance)
+        assert tape.evaluate(tid.probability_map()) == 0
 
     def test_per_k_cache_slots_do_not_thrash(self):
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
@@ -381,25 +404,34 @@ class TestGroundedPlans:
         with pytest.raises(CircuitPropertyError):
             assert_d_d(circuit)
 
-    def test_kernel_plan_over_the_limit_builds_no_gate(self, monkeypatch):
+    def test_kernel_plan_over_the_limit_builds_no_gate(
+        self, monkeypatch, slot_vector_reads
+    ):
         plan = build_plan(q9())
         tid = random_tid(3, 4, 4, random.Random(41), tuple_density=0.8)
         assert ground_plan(plan, tid.instance) is not None
         tid = complete_tid(3, 4, 4, prob=Fraction(5, 16))
         monkeypatch.setattr(lift, "GROUND_GATE_LIMIT", 1000)
         walk = lift._walk
+        h_columns_reads = []
+        h_columns = lift.h_columns
 
         def no_grounding(op, env, arithmetic):
             if isinstance(arithmetic, lift._Grounding):
                 raise AssertionError("grounded a plan over the limit")
             return walk(op, env, arithmetic)
 
+        def h_columns_spy(t, k):
+            h_columns_reads.append(t)
+            return h_columns(t, k)
+
         monkeypatch.setattr(lift, "_walk", no_grounding)
+        monkeypatch.setattr(lift, "h_columns", h_columns_spy)
         assert ground_plan(plan, tid.instance) is None
-        assert not hasattr(tid, "_slot_vectors")
+        assert tid not in slot_vector_reads
         value = probability_float(q9(), tid, plan=plan)
-        assert not hasattr(tid, "_slot_vectors")  # the interpreter ran
-        assert hasattr(tid, "_columnar_cache")
+        assert tid not in slot_vector_reads  # the interpreter ran
+        assert tid in h_columns_reads
         assert value == pytest.approx(float(probability(q9(), tid)), abs=1e-12)
 
     def test_slot_vectors_follow_probability_updates(self):
@@ -437,28 +469,39 @@ class TestGroundedPlans:
         ]
         assert after == pytest.approx([float(e) for e in exact], abs=1e-12)
 
-    def test_evicted_tapes_free_their_slot_vectors(self):
+    def test_evicted_tapes_free_their_slot_vectors(self, monkeypatch):
         # A TID outlives the compilation cache's entries: the tapes it
         # has read must not stay alive through their slot vectors.
         import gc
         import weakref
 
+        built = []  # the tapes whose slot vectors were built, weakly
+        probability_vector = EvaluationTape.probability_vector
+
+        def spy(tape, floats):
+            built.append(weakref.ref(tape))
+            return probability_vector(tape, floats)
+
+        monkeypatch.setattr(EvaluationTape, "probability_vector", spy)
         zero_euler = HQuery(3, BooleanFunction(4, 9369))
         tid = complete_tid(3, 2, 2, prob=Fraction(1, 2))
+        fingerprint = tid.instance.content_fingerprint()
         cache, plans = CompilationCache(limit=1), ExtensionalPlanCache()
         compute(cache, plans, "intensional", zero_euler, [tid], None, None)
         tape = weakref.ref(
-            cache.get_or_compile(
-                zero_euler, tid.instance, tid.instance.content_fingerprint()
-            )[0].tape
+            cache.get_or_compile(zero_euler, tid.instance, fingerprint)[0].tape
         )
-        vectors = tid._slot_vectors[1]
-        assert list(vectors.keys()) == [tape()]
+        assert [ref() for ref in built] == [tape()]
+        tid.slot_vector(tape())  # memoized under the tape: no rebuild
+        assert len(built) == 1
         # Compiling a second query evicts the first.
         compute(cache, plans, "intensional", q9(), [tid], None, None)
         gc.collect()
         assert tape() is None
-        assert len(vectors) == 1 and tid._slot_vectors[1] is vectors
+        kept = cache.get_or_compile(q9(), tid.instance, fingerprint)[0].tape
+        assert len(built) == 2 and built[1]() is kept
+        tid.slot_vector(kept)  # the memo outlived the evicted tape
+        assert len(built) == 2
 
     def test_concurrent_first_calls_share_one_grounding(self):
         # More threads than cores, switching often, on one TID: every

@@ -12,6 +12,10 @@ from repro.circuits import is_decomposable, probability as circuit_probability
 from repro.db.generator import complete_tid
 from repro.db.tid import TupleIndependentDatabase
 from repro.pqe import lift
+from repro.pqe.extensional import (
+    clear_extensional_plan_cache,
+    extensional_plan_stats,
+)
 from repro.pqe.lift import lift_query
 from repro.queries.cq import Atom, ConjunctiveQuery, Constant
 from repro.queries.hqueries import h_query
@@ -167,6 +171,16 @@ class TestSafePlan:
 
 
 class TestReadOnceLineage:
+    def test_plan_is_lifted_once_per_query(self):
+        # Both entry points read the default plan cache, so a query is
+        # lifted on its first call only.
+        clear_extensional_plan_cache()
+        tid = random_tid(random.Random(8))
+        safe_plan_probability(hk0(), tid)
+        read_once_lineage(hk0(), tid)
+        stats = extensional_plan_stats()
+        assert (stats.misses, stats.hits) == (1, 1)
+
     def test_lineage_is_read_once_and_decomposable(self):
         rng = random.Random(6)
         tid = random_tid(rng)

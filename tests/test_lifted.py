@@ -559,7 +559,7 @@ class TestGroundedPlans:
         assert fractions and fractions[0] is plan.root
 
     def test_exact_calls_ground_once_their_instance_is_reused(
-        self, monkeypatch
+        self, monkeypatch, slot_vector_reads
     ):
         # Exact calls on a kernel-less plan count with float calls: the
         # first GROUND_AFTER_CALLS calls on an instance's content, of
@@ -605,7 +605,7 @@ class TestGroundedPlans:
             lift, "_walk", lambda *a: pytest.fail("interpreted")
         )
         assert evaluate_plan_float(plan, other).hex() == interpreted.hex()
-        assert hasattr(other, "_slot_vectors")
+        assert other in slot_vector_reads
         assert len(groundings) == 1
 
     def test_exact_kernel_plans_never_ground(self, monkeypatch):
@@ -641,7 +641,9 @@ class TestGroundedPlans:
             assert ground_plan(plan, tid.instance) is not None
             assert evaluate_plan_float(plan, tid).hex() == interpreted.hex()
 
-    def test_plans_ground_once_their_instance_is_reused(self, monkeypatch):
+    def test_plans_ground_once_their_instance_is_reused(
+        self, monkeypatch, slot_vector_reads
+    ):
         # The first GROUND_AFTER_CALLS float calls on an instance's
         # content interpret, whichever TIDs over it they come through;
         # the next one grounds, once.
@@ -664,14 +666,14 @@ class TestGroundedPlans:
             t = call % len(maps)
             assert evaluate_plan_float(plan, maps[t]).hex() == expected[t]
         assert groundings == []
-        assert not any(hasattr(t, "_slot_vectors") for t in maps)
+        assert not any(t in slot_vector_reads for t in maps)
         assert evaluate_plan_float(plan, maps[0]).hex() == expected[0]
         assert len(groundings) == 1
         for call in range(2 * len(maps)):
             t = call % len(maps)
             assert evaluate_plan_float(plan, maps[t]).hex() == expected[t]
         assert len(groundings) == 1
-        assert all(hasattr(t, "_slot_vectors") for t in maps)
+        assert all(t in slot_vector_reads for t in maps)
         # A TID over other instance content starts its own count.
         other = random_tid(
             rng, {"R": 1, "S": 2, "T": 1}, domain=3, density=1.0

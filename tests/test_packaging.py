@@ -1,7 +1,8 @@
 """The package metadata in ``pyproject.toml`` declares what the code
 imports: every third-party module imported under ``src/repro`` is a
 runtime dependency, every one the tests import is a runtime or ``test``
-dependency, and the version is read from ``repro.__version__``."""
+dependency, the plugin behind the benches' ``benchmark`` fixture is in
+an extra, and the version is read from ``repro.__version__``."""
 
 from __future__ import annotations
 
@@ -47,6 +48,21 @@ def test_test_imports_are_declared_in_the_test_extra():
         PROJECT["project"]["optional-dependencies"]["test"]
     )
     assert imports <= available
+
+
+def test_benchmark_fixture_plugin_is_declared_in_an_extra():
+    # The benches take pytest-benchmark's ``benchmark`` fixture, and CI's
+    # gating read-once bench step (E18) passes its --benchmark-disable.
+    users = {
+        path.name
+        for path in (ROOT / "benchmarks").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and "benchmark" in {arg.arg for arg in node.args.args}
+    }
+    assert "bench_readonce_region.py" in users
+    extras = PROJECT["project"]["optional-dependencies"].values()
+    assert any("pytest-benchmark" in declared(extra) for extra in extras)
 
 
 def test_version_is_read_from_the_package():
