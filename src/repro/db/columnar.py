@@ -60,19 +60,6 @@ from repro.db.tid import TupleIndependentDatabase
 EXACT_DENOMINATOR_BITS = 192
 
 
-def _s_chain_index(name: str) -> int | None:
-    """``i`` for a schema relation ``S<i>`` (ASCII digits only), ``None``
-    for anything else — out-of-schema relations like ``"Score"`` must be
-    ignored, not crash the parse, and non-ASCII digit names must never
-    alias a genuine ``S_i`` grid."""
-    suffix = name[1:]
-    if not name.startswith("S") or not suffix:
-        return None
-    if not (suffix.isascii() and suffix.isdigit()):
-        return None
-    return int(suffix)
-
-
 @dataclass(frozen=True)
 class HColumnarLayout:
     """The structural half of a columnar view: group keys and the dense
@@ -106,11 +93,13 @@ def columnar_layout(instance: Instance, k: int) -> HColumnarLayout:
     ignores them."""
 
     def build(db: Instance) -> HColumnarLayout:
-        # An atom matches only facts of its arity: R and T are unary,
-        # every S<i> is binary.
+        # An atom matches only facts of its own relation name and arity:
+        # R and T are unary, S1..Sk binary ("Score", "S01" or "S٣" match
+        # none of them).
+        arity = {"R": 1, "T": 1, **{f"S{i}": 2 for i in range(1, k + 1)}}
         facts = [
             t for t in db.tuple_ids()
-            if len(t.values) == (1 if t.relation in ("R", "T") else 2)
+            if arity.get(t.relation) == len(t.values)
         ]
         xs: set = set()
         ys: set = set()
@@ -119,7 +108,7 @@ def columnar_layout(instance: Instance, k: int) -> HColumnarLayout:
                 xs.add(tuple_id.values[0])
             elif tuple_id.relation == "T":
                 ys.add(tuple_id.values[0])
-            elif tuple_id.relation.startswith("S"):
+            else:
                 xs.add(tuple_id.values[0])
                 ys.add(tuple_id.values[1])
         xs_sorted = tuple(sorted(xs, key=repr))
@@ -136,14 +125,12 @@ def columnar_layout(instance: Instance, k: int) -> HColumnarLayout:
                 r_slots.append((x_index[tuple_id.values[0]], tuple_id))
             elif name == "T":
                 t_slots.append((y_index[tuple_id.values[0]], tuple_id))
-            elif _s_chain_index(name) is not None:
-                i = _s_chain_index(name)
-                if 1 <= i <= k:
-                    position = (
-                        x_index[tuple_id.values[0]] * ny
-                        + y_index[tuple_id.values[1]]
-                    )
-                    s_slots[i - 1].append((position, tuple_id))
+            else:
+                position = (
+                    x_index[tuple_id.values[0]] * ny
+                    + y_index[tuple_id.values[1]]
+                )
+                s_slots[int(name[1:]) - 1].append((position, tuple_id))
         return HColumnarLayout(
             k=k,
             xs=xs_sorted,

@@ -125,6 +125,17 @@ class TestColumnarView:
             query, tid
         )
 
+    def test_out_of_schema_facts_add_no_group(self):
+        # Values seen only outside R, S1..Sk, T would add empty groups
+        # to every sweep and to the kernels' gate bound.
+        tid = complete_tid(2, 2, 2, prob=Fraction(1, 2))
+        tid.add("Score", ("u", "v"), Fraction(1, 3))
+        tid.add("S3", ("w", "z"), Fraction(1, 3))
+        tid.add("S01", ("a1", "b1"), Fraction(1, 3))
+        layout = columnar_layout(tid.instance, 2)
+        assert (layout.xs, layout.ys) == (("a1", "a2"), ("b1", "b2"))
+        assert [len(slots) for slots in layout.s_slots] == [4, 4]
+
     @pytest.mark.parametrize(
         "facts",
         [
