@@ -114,7 +114,7 @@ class TupleIndependentDatabase:
         everything derived from the TID's numeric content.  No lock is
         taken: two racing threads may both build, and either (equal)
         value is kept.  The cached value is shared state: treat it as
-        read-only unless the builder documents otherwise.
+        read-only unless its ``build`` documents otherwise.
         """
         versions = (self._prob_version, self.instance._versions())
         entry = self._derived.get(key)
