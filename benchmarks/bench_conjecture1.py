@@ -3,9 +3,10 @@
 The paper reports checking Conjecture 1 (monotone, e = 0 ⇒ the colored or
 the uncolored induced subgraph has a perfect matching) with a SAT solver
 for all monotone functions with k ≤ 5 (~20M non-isomorphic functions).
-Our offline substitute (DESIGN.md §3): Hopcroft–Karp matchings,
-exhaustively over the Dedekind enumeration for k ≤ 4 and sampled for
-k = 5.  The conjecture must hold on every function checked.
+Our offline substitute (DESIGN.md §3): augmenting-path maximum matchings
+on the parity bipartition, exhaustively over the Dedekind enumeration for
+k ≤ 4 and sampled for k = 5.  The conjecture must hold on every function
+checked.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ projection sweeps over arbitrary schemas.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -84,6 +85,21 @@ class HColumnarLayout:
     @property
     def ny(self) -> int:
         return len(self.ys)
+
+
+_S_NAME = re.compile(r"S[1-9][0-9]*")
+
+
+def is_h_fact(tuple_id: TupleId) -> bool:
+    """Whether a fact matches an atom of the h-schema for some ``k``:
+    ``R`` or ``T`` at arity 1, or ``S<i>`` at arity 2 with ``i`` a positive
+    decimal without a leading zero (``S``, ``S01``, ``Score`` and ``S٣``
+    match none).  :func:`columnar_layout` applies the same rule up to its
+    ``k``."""
+    name, arity = tuple_id.relation, len(tuple_id.values)
+    if name in ("R", "T"):
+        return arity == 1
+    return arity == 2 and _S_NAME.fullmatch(name) is not None
 
 
 def columnar_layout(instance: Instance, k: int) -> HColumnarLayout:

@@ -8,7 +8,7 @@ from repro.matching.conjecture import (
     verify_over,
     verify_sampled,
 )
-from repro.matching.graph import ColoredGraph, hypercube_graph
+from repro.matching.graph import ColoredGraph, Graph, hypercube_graph
 from repro.matching.perfect_matching import (
     colored_matching,
     has_perfect_matching,
@@ -21,6 +21,7 @@ __all__ = [
     "ColoredGraph",
     "ConjectureReport",
     "ConjectureVerdict",
+    "Graph",
     "check_function",
     "colored_matching",
     "has_perfect_matching",

@@ -4,8 +4,9 @@ Conjecture 1: for *monotone* ``phi`` with ``e(phi) = 0``, the subgraph of
 ``G_V[phi]`` induced by the colored nodes, or the one induced by the
 non-colored nodes, has a perfect matching.  The paper reports verifying it
 (with the Glucose SAT solver) for all monotone functions with ``k <= 5``;
-our offline substitute checks perfect matchings exactly with Hopcroft–Karp
-over the enumerated monotone functions (see
+our offline substitute checks perfect matchings exactly with an
+augmenting-path matcher (:mod:`repro.matching.perfect_matching`) over the
+enumerated monotone functions (see
 :mod:`repro.enumeration.monotone`) — exhaustively for small ``k``, sampled
 for larger ones.
 

@@ -3,29 +3,67 @@
 Definition 5.6: ``G_V`` has node set ``2^V`` with an edge between any two
 valuations differing in exactly one variable, and ``G_V[phi]`` colors the
 satisfying valuations of ``phi``.  Figures 3, 5 and 7 of the paper are
-colored graphs of this kind.  Nodes are valuation masks; networkx carries
-the graph structure so the matching machinery can reuse standard
-algorithms.
+colored graphs of this kind.  Nodes are valuation masks, and a
+:class:`Graph` is an adjacency dict over them.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from collections.abc import Iterable
 
 from repro.core import valuations as _val
 from repro.core.boolean_function import BooleanFunction
 
 
-def hypercube_graph(nvars: int) -> nx.Graph:
+class Graph:
+    """An undirected simple graph: ``adjacency`` maps each node to the set
+    of its neighbours."""
+
+    __slots__ = ("adjacency",)
+
+    def __init__(self, adjacency: dict[int, set[int]]):
+        self.adjacency = adjacency
+
+    @property
+    def nodes(self):
+        return self.adjacency.keys()
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Each edge once, as ``(smaller, larger)``."""
+        return [
+            (node, neighbour)
+            for node, neighbours in self.adjacency.items()
+            for neighbour in neighbours
+            if node < neighbour
+        ]
+
+    def number_of_nodes(self) -> int:
+        return len(self.adjacency)
+
+    def number_of_edges(self) -> int:
+        return sum(map(len, self.adjacency.values())) // 2
+
+    def degree(self, node: int) -> int:
+        return len(self.adjacency[node])
+
+    def subgraph(self, nodes: Iterable[int]) -> Graph:
+        """A new graph induced by ``nodes`` (those not in this graph are
+        ignored)."""
+        keep = set(nodes)
+        return Graph({
+            node: neighbours & keep
+            for node, neighbours in self.adjacency.items()
+            if node in keep
+        })
+
+
+def hypercube_graph(nvars: int) -> Graph:
     """``G_V`` for ``V = {0..nvars-1}``: nodes are valuation masks."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(1 << nvars))
-    for mask in range(1 << nvars):
-        for var in range(nvars):
-            neighbor = mask ^ (1 << var)
-            if neighbor > mask:
-                graph.add_edge(mask, neighbor)
-    return graph
+    return Graph({
+        mask: {mask ^ (1 << var) for var in range(nvars)}
+        for mask in range(1 << nvars)
+    })
 
 
 class ColoredGraph:
@@ -43,13 +81,13 @@ class ColoredGraph:
             m for m in range(1 << self.phi.nvars) if m not in self.colored
         )
 
-    def colored_subgraph(self) -> nx.Graph:
+    def colored_subgraph(self) -> Graph:
         """The subgraph induced by the colored (satisfying) valuations."""
-        return self.graph.subgraph(self.colored).copy()
+        return self.graph.subgraph(self.colored)
 
-    def uncolored_subgraph(self) -> nx.Graph:
+    def uncolored_subgraph(self) -> Graph:
         """The subgraph induced by the uncolored valuations."""
-        return self.graph.subgraph(self.uncolored).copy()
+        return self.graph.subgraph(self.uncolored)
 
     def isolated_colored_nodes(self) -> list[int]:
         """Colored nodes with no colored neighbor (like ``{3,4}`` in the

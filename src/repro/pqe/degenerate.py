@@ -46,6 +46,7 @@ from collections.abc import Hashable, Iterable
 
 from repro.circuits.circuit import Circuit
 from repro.core.boolean_function import BooleanFunction
+from repro.db.columnar import is_h_fact
 from repro.db.relation import Instance, TupleId
 from repro.obdd.builder import TabularAutomaton, build_obdd_family
 from repro.obdd.obdd import ObddManager
@@ -55,12 +56,12 @@ from repro.obdd.to_circuit import expansion_cache, obdd_into_circuit
 def _compute_sides(db: Instance) -> tuple[list[Hashable], list[Hashable]]:
     xs: set[Hashable] = set()
     ys: set[Hashable] = set()
-    for tuple_id in db.tuple_ids():
+    for tuple_id in filter(is_h_fact, db.tuple_ids()):
         if tuple_id.relation == "R":
             xs.add(tuple_id.values[0])
         elif tuple_id.relation == "T":
             ys.add(tuple_id.values[0])
-        elif tuple_id.relation.startswith("S"):
+        else:
             xs.add(tuple_id.values[0])
             ys.add(tuple_id.values[1])
     return sorted(xs, key=repr), sorted(ys, key=repr)

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as _np
 
-from repro.db.columnar import HColumnarLayout, HColumns, h_columns
+from repro.db.columnar import HColumnarLayout, HColumns, h_columns, is_h_fact
 from repro.db.tid import TupleIndependentDatabase
 
 
@@ -424,13 +424,12 @@ def _domain_sides(tid: TupleIndependentDatabase, k: int) -> tuple[list, list]:
     relevant positions of ``R``, ``T`` and the ``S_i``)."""
     xs: set = set()
     ys: set = set()
-    instance = tid.instance
-    for tuple_id in instance.tuple_ids():
+    for tuple_id in filter(is_h_fact, tid.instance.tuple_ids()):
         if tuple_id.relation == "R":
             xs.add(tuple_id.values[0])
         elif tuple_id.relation == "T":
             ys.add(tuple_id.values[0])
-        elif tuple_id.relation.startswith("S"):
+        else:
             xs.add(tuple_id.values[0])
             ys.add(tuple_id.values[1])
     del k

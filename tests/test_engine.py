@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import random
 import threading
+from fractions import Fraction
 
 import pytest
 
 from repro.core.boolean_function import BooleanFunction
 from repro.db.generator import complete_tid
+from repro.db.tid import TupleIndependentDatabase
+from repro.pqe.brute_force import probability_by_world_enumeration
 from repro.pqe.dichotomy import Region
 from repro.pqe.engine import (
     BRUTE_FORCE_LIMIT,
@@ -122,6 +125,57 @@ class TestExplicitModes:
         updated = result.compiled.probability(tid)
         fresh = evaluate(q9(), tid, method="brute_force").probability
         assert updated == fresh
+
+
+def _instance_with(*extra):
+    """``R(a)``, ``S1(a,b)``, ``S2(a,b)``, ``T(b)`` at 1/2, plus ``extra``
+    ``(relation, values)`` facts at 1/2."""
+    tid = TupleIndependentDatabase()
+    facts = (("R", ("a",)), ("S1", ("a", "b")), ("S2", ("a", "b")),
+             ("T", ("b",))) + extra
+    for relation, values in facts:
+        tid.add(relation, values, Fraction(1, 2))
+    return tid
+
+
+class TestSNamedFactsOutsideTheSchema:
+    """A fact whose name starts with ``S`` but matches no ``S_i`` atom
+    (another arity, or no positive index) adds nothing to the side
+    domains; the degenerate compiler's and the Fraction fallback's side
+    scans used to read its second value and raise ``IndexError``."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("Skip", ("z",)), ("S", ("z",)), ("S1x", ("z",)), ("S3", ("z",)),
+         ("S", ("a", "b", "c"))],
+        ids=["Skip(z)", "S(z)", "S1x(z)", "S3(z)", "S(a,b,c)"],
+    )
+    @pytest.mark.parametrize("table", [3, 5, 10])
+    def test_every_exact_method_answers_world_enumeration(self, extra, table):
+        tid = _instance_with(extra)
+        query = HQuery(2, BooleanFunction(3, table))
+        expected = probability_by_world_enumeration(query, tid)
+        assert evaluate(query, tid).engine == "intensional"
+        for method in ("auto", "intensional", "brute_force"):
+            assert evaluate(query, tid, method=method).probability == expected
+
+    def test_phi9_with_s3_and_a_unary_s(self):
+        tid = _instance_with(("S3", ("a", "b")), ("S", ("z",)))
+        expected = probability_by_world_enumeration(q9(), tid)
+        for method in ("auto", "extensional", "intensional", "brute_force"):
+            assert evaluate(q9(), tid, method=method).probability == expected
+
+    @pytest.mark.parametrize("run", [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+    def test_fraction_fallback_scans_its_own_sides(self, run):
+        from repro.pqe.safe_plans import (
+            _run_probability_fractions,
+            run_probability,
+        )
+
+        tid = _instance_with(("Skip", ("z",)), ("S01", ("a", "c")))
+        assert _run_probability_fractions(run, 2, tid) == run_probability(
+            run, 2, tid
+        )
 
 
 class TestEvaluateBatchEdges:

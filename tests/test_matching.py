@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from repro.core import valuations as _val
 from repro.core.boolean_function import BooleanFunction
 from repro.core.transformation import apply_steps
 from repro.matching import (
     ColoredGraph,
+    Graph,
     check_function,
     colored_matching,
     has_perfect_matching,
@@ -100,6 +104,85 @@ class TestPerfectMatching:
         steps = steps_from_matching(phi, pairs)
         assert apply_steps(phi, steps).is_bottom()
         assert all(step.sign == -1 for step in steps)
+
+
+def assert_matching_on(graph, matching):
+    """``matching`` is a symmetric node->node dict over edges of ``graph``."""
+    edges = set(graph.edges)
+    for a, b in matching.items():
+        assert matching[b] == a
+        assert (min(a, b), max(a, b)) in edges
+
+
+class TestMatcherOverAllFunctions:
+    """Over every function of ``nvars`` variables: the functions whose
+    colored subgraph has a perfect matching, those whose uncolored one
+    has, those with both, and the sum of the colored maximum-matching
+    sizes.  The expected counts were computed with an independent
+    Hopcroft–Karp matcher."""
+
+    @pytest.mark.parametrize(
+        "nvars, expected",
+        [
+            (2, (6, 6, 6, 10)),
+            (3, (66, 66, 62, 368)),
+            (4, (10_750, 10_750, 8_918, 207_352)),
+        ],
+    )
+    def test_counts(self, nvars, expected):
+        colored_pm = uncolored_pm = both_pm = matched_pairs = 0
+        for table in range(1 << (1 << nvars)):
+            graph = ColoredGraph(BooleanFunction(nvars, table))
+            colored = graph.colored_subgraph()
+            uncolored = graph.uncolored_subgraph()
+            matching = maximum_matching_of_induced(colored)
+            if nvars <= 3:
+                assert_matching_on(colored, matching)
+                assert_matching_on(
+                    uncolored, maximum_matching_of_induced(uncolored)
+                )
+            matched_pairs += len(matching) // 2
+            has_colored = has_perfect_matching(colored)
+            has_uncolored = has_perfect_matching(uncolored)
+            colored_pm += has_colored
+            uncolored_pm += has_uncolored
+            both_pm += has_colored and has_uncolored
+        assert (colored_pm, uncolored_pm, both_pm, matched_pairs) == expected
+
+    def test_long_augmenting_path_needs_no_recursion(self):
+        # A path x0 - x1 - ... whose even-size nodes x2, x4, ... each take
+        # their smaller neighbour first, so the last root, x0, must shift
+        # every pair along: a 3,000-deep search.
+        length = 3_000
+        evens = [n for n in range(1, 1 << 14) if _val.parity(n) == 1]
+        odds = [n for n in range(1 << 14) if _val.parity(n) == -1]
+        path = [evens[length - 1]]
+        for index in range(length):
+            path.append(odds[index])
+            if index < length - 1:
+                path.append(evens[index])
+        adjacency = {node: set() for node in path}
+        for a, b in zip(path, path[1:]):
+            adjacency[a].add(b)
+            adjacency[b].add(a)
+        graph = Graph(adjacency)
+        matching = maximum_matching_of_induced(graph)
+        assert len(matching) == graph.number_of_nodes() == 2 * length
+        assert_matching_on(graph, matching)
+
+    def test_matching_depends_on_the_graph_alone(self):
+        # Nodes and neighbours are visited in sorted order, whatever
+        # order the adjacency dict holds them in, so every process picks
+        # the same matching.
+        graph = hypercube_graph(3)
+        shuffled = list(graph.nodes)
+        random.Random(5).shuffle(shuffled)
+        rebuilt = Graph({n: set(graph.adjacency[n]) for n in shuffled})
+        for candidate in (graph, rebuilt):
+            matching = maximum_matching_of_induced(candidate)
+            assert sorted(
+                (a, b) for a, b in matching.items() if a < b
+            ) == [(0, 4), (1, 3), (2, 6), (5, 7)]
 
 
 class TestConjecture1:

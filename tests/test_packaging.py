@@ -1,14 +1,17 @@
 """The package metadata in ``pyproject.toml`` declares what the code
-imports: every third-party module imported under ``src/repro`` is a
-runtime dependency, every one the tests import is a runtime or ``test``
-dependency, the plugin behind the benches' ``benchmark`` fixture is in
-an extra, and the version is read from ``repro.__version__``."""
+imports: the runtime dependencies are exactly the third-party modules
+imported under ``src/repro``, every one the tests import is a runtime or
+``test`` dependency, the plugin behind the benches' ``benchmark`` fixture
+is in an extra, and the version is read from ``repro.__version__``.  A
+server process loads numpy and no other third-party module."""
 
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 import tomllib
 
@@ -39,7 +42,35 @@ def declared(requirements: list[str]) -> set[str]:
 def test_src_imports_are_declared_dependencies():
     imports = third_party_imports(ROOT / "src" / "repro", {"repro"})
     assert "numpy" in imports  # the scan sees the unconditional imports
-    assert imports <= declared(PROJECT["project"]["dependencies"])
+    assert imports == declared(PROJECT["project"]["dependencies"])
+
+
+def test_serving_import_loads_no_third_party_module_but_numpy():
+    # In a fresh interpreter, so that nothing another test imported
+    # counts.  multiprocessing aliases __main__ as __mp_main__.
+    script = """
+import sys
+before = set(sys.modules)
+import repro.serving
+added = {
+    name.split(".")[0]
+    for name in set(sys.modules) - before
+    if sys.modules[name] is not sys.modules["__main__"]
+}
+print(*sorted(added - set(sys.stdlib_module_names) - {"repro"}))
+"""
+    path = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert result.stdout.split() == ["numpy"]
 
 
 def test_test_imports_are_declared_in_the_test_extra():
